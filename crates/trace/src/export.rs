@@ -1,23 +1,26 @@
 //! Hand-rolled JSONL / CSV exporters and the matching JSONL parser.
 //!
-//! No serde: events are flat (one level, scalar fields), so a ~100-line
-//! writer/parser pair keeps the workspace dependency-free. Floats are
-//! written with Rust's shortest round-trip formatting, so
-//! `parse(jsonl(event)) == event` holds *exactly*, bit for bit — the
-//! property the replay checker in [`crate::replay`] relies on.
+//! No serde: events are flat (one level, scalar fields), so a small
+//! writer/parser pair keeps the workspace dependency-free. Nothing here
+//! is per-event: the event table in [`crate::event`] generates each
+//! variant's field walk and constructor, and the private `Wire` trait moves
+//! each field type to and from a `Field`. Floats are written with
+//! Rust's shortest round-trip formatting, so `parse(jsonl(event)) ==
+//! event` holds *exactly*, bit for bit — the property the replay checker
+//! in [`crate::replay`] relies on.
 
-use crate::event::{RejectReason, SplitPolicy, TraceEvent, TriggerKind};
+use crate::event::TraceEvent;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 
 /// A scalar field value, as written to the wire.
 #[derive(Debug, Clone, PartialEq)]
-enum Field {
+pub(crate) enum Field {
     /// Unsigned integer.
     U(u64),
     /// Double-precision float.
     F(f64),
-    /// String (only `algorithm` and the enum tags use this).
+    /// String (labels, names and the enum tags).
     S(String),
     /// Boolean.
     B(bool),
@@ -61,407 +64,18 @@ impl Field {
     }
 }
 
-/// Flattens an event into `(name, value)` pairs, `ev` kind excluded.
-fn fields(ev: &TraceEvent) -> Vec<(&'static str, Field)> {
-    use Field::{B, F, S, U};
-    match ev {
-        TraceEvent::RunMeta {
-            t,
-            schema,
-            seed,
-            config_digest,
-            version,
-        } => vec![
-            ("t", F(*t)),
-            ("schema", S(schema.clone())),
-            ("seed", U(*seed)),
-            ("config_digest", U(*config_digest)),
-            ("version", S(version.clone())),
-        ],
-        TraceEvent::RunStart {
-            t,
-            algorithm,
-            cores,
-            budget_w,
-            q_ge,
-            horizon_s,
-            power_a,
-            power_beta,
-            quality_c,
-            quality_xmax,
-            units_per_ghz_sec,
-            initial_mode,
-            ledger_window,
-        } => vec![
-            ("t", F(*t)),
-            ("algorithm", S(algorithm.clone())),
-            ("cores", U(*cores)),
-            ("budget_w", F(*budget_w)),
-            ("q_ge", F(*q_ge)),
-            ("horizon_s", F(*horizon_s)),
-            ("power_a", F(*power_a)),
-            ("power_beta", F(*power_beta)),
-            ("quality_c", F(*quality_c)),
-            ("quality_xmax", F(*quality_xmax)),
-            ("units_per_ghz_sec", F(*units_per_ghz_sec)),
-            ("initial_mode", U(*initial_mode)),
-            ("ledger_window", U(*ledger_window)),
-        ],
-        TraceEvent::JobArrival {
-            t,
-            job,
-            deadline_s,
-            demand,
-        } => vec![
-            ("t", F(*t)),
-            ("job", U(*job)),
-            ("deadline_s", F(*deadline_s)),
-            ("demand", F(*demand)),
-        ],
-        TraceEvent::JobAssigned { t, job, core } => {
-            vec![("t", F(*t)), ("job", U(*job)), ("core", U(*core))]
-        }
-        TraceEvent::TriggerFired { t, kind, queue_len } => vec![
-            ("t", F(*t)),
-            ("trigger", S(kind.as_str().to_string())),
-            ("queue_len", U(*queue_len)),
-        ],
-        TraceEvent::ModeSwitch {
-            t,
-            from_mode,
-            to_mode,
-            ledger_quality,
-        } => vec![
-            ("t", F(*t)),
-            ("from_mode", U(*from_mode)),
-            ("to_mode", U(*to_mode)),
-            ("ledger_quality", F(*ledger_quality)),
-        ],
-        TraceEvent::LfCut {
-            t,
-            level,
-            target_quality,
-            jobs,
-            volume_before,
-            volume_after,
-        } => vec![
-            ("t", F(*t)),
-            ("level", F(*level)),
-            ("target_quality", F(*target_quality)),
-            ("jobs", U(*jobs)),
-            ("volume_before", F(*volume_before)),
-            ("volume_after", F(*volume_after)),
-        ],
-        TraceEvent::JobCut {
-            t,
-            job,
-            full_demand,
-            cut_demand,
-        } => vec![
-            ("t", F(*t)),
-            ("job", U(*job)),
-            ("full_demand", F(*full_demand)),
-            ("cut_demand", F(*cut_demand)),
-        ],
-        TraceEvent::PowerSplit {
-            t,
-            policy,
-            load_estimate_rps,
-            budget_w,
-        } => vec![
-            ("t", F(*t)),
-            ("policy", S(policy.as_str().to_string())),
-            ("load_estimate_rps", F(*load_estimate_rps)),
-            ("budget_w", F(*budget_w)),
-        ],
-        TraceEvent::CoreCap {
-            t,
-            core,
-            cap_w,
-            speed_cap_ghz,
-        } => vec![
-            ("t", F(*t)),
-            ("core", U(*core)),
-            ("cap_w", F(*cap_w)),
-            ("speed_cap_ghz", F(*speed_cap_ghz)),
-        ],
-        TraceEvent::SecondCut {
-            t,
-            core,
-            volume_before,
-            volume_after,
-        } => vec![
-            ("t", F(*t)),
-            ("core", U(*core)),
-            ("volume_before", F(*volume_before)),
-            ("volume_after", F(*volume_after)),
-        ],
-        TraceEvent::SpeedSegment {
-            t,
-            core,
-            start_s,
-            end_s,
-            speed_ghz,
-        } => vec![
-            ("t", F(*t)),
-            ("core", U(*core)),
-            ("start_s", F(*start_s)),
-            ("end_s", F(*end_s)),
-            ("speed_ghz", F(*speed_ghz)),
-        ],
-        TraceEvent::ExecSlice {
-            t,
-            core,
-            start_s,
-            end_s,
-            ghz_secs,
-            energy_j,
-        } => vec![
-            ("t", F(*t)),
-            ("core", U(*core)),
-            ("start_s", F(*start_s)),
-            ("end_s", F(*end_s)),
-            ("ghz_secs", F(*ghz_secs)),
-            ("energy_j", F(*energy_j)),
-        ],
-        TraceEvent::JobFinish {
-            t,
-            job,
-            processed,
-            full_demand,
-            discarded,
-        } => vec![
-            ("t", F(*t)),
-            ("job", U(*job)),
-            ("processed", F(*processed)),
-            ("full_demand", F(*full_demand)),
-            ("discarded", B(*discarded)),
-        ],
-        TraceEvent::QualitySample {
-            t,
-            quality,
-            mode,
-            backlog_units,
-            load_estimate_rps,
-        } => vec![
-            ("t", F(*t)),
-            ("quality", F(*quality)),
-            ("mode", U(*mode)),
-            ("backlog_units", F(*backlog_units)),
-            ("load_estimate_rps", F(*load_estimate_rps)),
-        ],
-        TraceEvent::CoreFault { t, core, online } => {
-            vec![("t", F(*t)), ("core", U(*core)), ("online", B(*online))]
-        }
-        TraceEvent::BudgetThrottle {
-            t,
-            factor,
-            budget_w_effective,
-        } => vec![
-            ("t", F(*t)),
-            ("factor", F(*factor)),
-            ("budget_w_effective", F(*budget_w_effective)),
-        ],
-        TraceEvent::DvfsDeviation { t, core, factor } => {
-            vec![("t", F(*t)), ("core", U(*core)), ("factor", F(*factor))]
-        }
-        TraceEvent::DemandMisestimate {
-            t,
-            job,
-            estimate,
-            full_demand,
-        } => vec![
-            ("t", F(*t)),
-            ("job", U(*job)),
-            ("estimate", F(*estimate)),
-            ("full_demand", F(*full_demand)),
-        ],
-        TraceEvent::JobShed {
-            t,
-            job,
-            estimate,
-            full_demand,
-            projected_quality,
-        } => vec![
-            ("t", F(*t)),
-            ("job", U(*job)),
-            ("estimate", F(*estimate)),
-            ("full_demand", F(*full_demand)),
-            ("projected_quality", F(*projected_quality)),
-        ],
-        TraceEvent::FleetRunStart {
-            t,
-            servers,
-            cores,
-            budget_w,
-            policy,
-            partitioner,
-            seed,
-        } => vec![
-            ("t", F(*t)),
-            ("servers", U(*servers)),
-            ("cores", U(*cores)),
-            ("budget_w", F(*budget_w)),
-            ("policy", S(policy.clone())),
-            ("partitioner", S(partitioner.clone())),
-            ("seed", U(*seed)),
-        ],
-        TraceEvent::ShardFault { t, shard, online } => {
-            vec![("t", F(*t)), ("shard", U(*shard)), ("online", B(*online))]
-        }
-        TraceEvent::FleetDispatch {
-            t,
-            job,
-            shard,
-            attempt,
-        } => vec![
-            ("t", F(*t)),
-            ("job", U(*job)),
-            ("shard", U(*shard)),
-            ("attempt", U(*attempt)),
-        ],
-        TraceEvent::FleetRetry {
-            t,
-            job,
-            attempt,
-            next_s,
-        } => vec![
-            ("t", F(*t)),
-            ("job", U(*job)),
-            ("attempt", U(*attempt)),
-            ("next_s", F(*next_s)),
-        ],
-        TraceEvent::FleetFailover { t, job, shard } => {
-            vec![("t", F(*t)), ("job", U(*job)), ("shard", U(*shard))]
-        }
-        TraceEvent::FleetShed { t, job, demand } => {
-            vec![("t", F(*t)), ("job", U(*job)), ("demand", F(*demand))]
-        }
-        TraceEvent::FleetBudget { t, shard, budget_w } => vec![
-            ("t", F(*t)),
-            ("shard", U(*shard)),
-            ("budget_w", F(*budget_w)),
-        ],
-        TraceEvent::FleetSummary {
-            t,
-            dispatched,
-            failovers,
-            retries,
-            shed,
-            energy_j,
-            quality,
-        } => vec![
-            ("t", F(*t)),
-            ("dispatched", U(*dispatched)),
-            ("failovers", U(*failovers)),
-            ("retries", U(*retries)),
-            ("shed", U(*shed)),
-            ("energy_j", F(*energy_j)),
-            ("quality", F(*quality)),
-        ],
-        TraceEvent::ServeRunStart {
-            t,
-            algorithm,
-            cores,
-            budget_w,
-            q_min,
-            queue_high,
-            queue_low,
-        } => vec![
-            ("t", F(*t)),
-            ("algorithm", S(algorithm.clone())),
-            ("cores", U(*cores)),
-            ("budget_w", F(*budget_w)),
-            ("q_min", F(*q_min)),
-            ("queue_high", U(*queue_high)),
-            ("queue_low", U(*queue_low)),
-        ],
-        TraceEvent::ServeRequest {
-            t,
-            req,
-            demand,
-            deadline_s,
-        } => vec![
-            ("t", F(*t)),
-            ("req", U(*req)),
-            ("demand", F(*demand)),
-            ("deadline_s", F(*deadline_s)),
-        ],
-        TraceEvent::ServeAdmit { t, req, queue_len } => {
-            vec![("t", F(*t)), ("req", U(*req)), ("queue_len", U(*queue_len))]
-        }
-        TraceEvent::ServeReject {
-            t,
-            req,
-            reason,
-            queue_len,
-        } => vec![
-            ("t", F(*t)),
-            ("req", U(*req)),
-            ("reason", S(reason.as_str().to_string())),
-            ("queue_len", U(*queue_len)),
-        ],
-        TraceEvent::ServeTimeout { t, req } => vec![("t", F(*t)), ("req", U(*req))],
-        TraceEvent::ServeComplete {
-            t,
-            req,
-            processed,
-            full_demand,
-        } => vec![
-            ("t", F(*t)),
-            ("req", U(*req)),
-            ("processed", F(*processed)),
-            ("full_demand", F(*full_demand)),
-        ],
-        TraceEvent::ServeShed { t, req } => vec![("t", F(*t)), ("req", U(*req))],
-        TraceEvent::ServeDrain { t, pending } => vec![("t", F(*t)), ("pending", U(*pending))],
-        TraceEvent::ServeSummary {
-            t,
-            requests,
-            admitted,
-            completed,
-            rejected,
-            timed_out,
-            shed,
-        } => vec![
-            ("t", F(*t)),
-            ("requests", U(*requests)),
-            ("admitted", U(*admitted)),
-            ("completed", U(*completed)),
-            ("rejected", U(*rejected)),
-            ("timed_out", U(*timed_out)),
-            ("shed", U(*shed)),
-        ],
-        TraceEvent::RunSummary {
-            t,
-            energy_j,
-            quality,
-            aes_fraction,
-            jobs_finished,
-            jobs_discarded,
-        } => vec![
-            ("t", F(*t)),
-            ("energy_j", F(*energy_j)),
-            ("quality", F(*quality)),
-            ("aes_fraction", F(*aes_fraction)),
-            ("jobs_finished", U(*jobs_finished)),
-            ("jobs_discarded", U(*jobs_discarded)),
-        ],
-    }
-}
-
 /// Serializes one event as a single JSON object (no trailing newline).
 pub fn jsonl_line(ev: &TraceEvent) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"ev\":\"");
     out.push_str(ev.kind());
     out.push('"');
-    for (name, value) in fields(ev) {
+    ev.for_each_field(|name, value| {
         out.push_str(",\"");
         out.push_str(name);
         out.push_str("\":");
         value.write_json(&mut out);
-    }
+    });
     out.push('}');
     out
 }
@@ -519,7 +133,7 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err(msg: impl Into<String>) -> ParseError {
+pub(crate) fn err(msg: impl Into<String>) -> ParseError {
     ParseError {
         line: 0,
         message: msg.into(),
@@ -696,39 +310,70 @@ impl<'a> FlatJson<'a> {
     }
 }
 
-/// Typed accessors over a parsed field map.
-struct Fields(BTreeMap<String, Field>);
+/// How one field type travels on the wire: the encoder turns a value
+/// into a [`Field`]; the decoder reads it back from the parsed field
+/// named `name` (`None` when the line lacks it).
+pub(crate) trait Wire: Sized {
+    fn encode(&self) -> Field;
+    fn decode(v: Option<&Field>, name: &str) -> Result<Self, ParseError>;
+}
 
-impl Fields {
-    fn f64(&self, name: &str) -> Result<f64, ParseError> {
-        match self.0.get(name) {
+fn missing(what: &str, name: &str) -> ParseError {
+    err(format!("missing {what} field '{name}'"))
+}
+
+impl Wire for f64 {
+    fn encode(&self) -> Field {
+        Field::F(*self)
+    }
+
+    fn decode(v: Option<&Field>, name: &str) -> Result<Self, ParseError> {
+        match v {
             Some(Field::F(v)) if v.is_finite() => Ok(*v),
             Some(Field::F(_)) => Err(err(format!(
                 "non-finite value in numeric field '{name}' (NaN/Inf/null are not valid trace data)"
             ))),
             Some(Field::U(v)) => Ok(*v as f64),
-            _ => Err(err(format!("missing numeric field '{name}'"))),
+            _ => Err(missing("numeric", name)),
         }
     }
+}
 
-    fn u64(&self, name: &str) -> Result<u64, ParseError> {
-        match self.0.get(name) {
+impl Wire for u64 {
+    fn encode(&self) -> Field {
+        Field::U(*self)
+    }
+
+    fn decode(v: Option<&Field>, name: &str) -> Result<Self, ParseError> {
+        match v {
             Some(Field::U(v)) => Ok(*v),
-            _ => Err(err(format!("missing integer field '{name}'"))),
+            _ => Err(missing("integer", name)),
         }
     }
+}
 
-    fn str(&self, name: &str) -> Result<&str, ParseError> {
-        match self.0.get(name) {
-            Some(Field::S(v)) => Ok(v),
-            _ => Err(err(format!("missing string field '{name}'"))),
-        }
+impl Wire for bool {
+    fn encode(&self) -> Field {
+        Field::B(*self)
     }
 
-    fn bool(&self, name: &str) -> Result<bool, ParseError> {
-        match self.0.get(name) {
+    fn decode(v: Option<&Field>, name: &str) -> Result<Self, ParseError> {
+        match v {
             Some(Field::B(v)) => Ok(*v),
-            _ => Err(err(format!("missing bool field '{name}'"))),
+            _ => Err(missing("bool", name)),
+        }
+    }
+}
+
+impl Wire for String {
+    fn encode(&self) -> Field {
+        Field::S(self.clone())
+    }
+
+    fn decode(v: Option<&Field>, name: &str) -> Result<Self, ParseError> {
+        match v {
+            Some(Field::S(v)) => Ok(v.clone()),
+            _ => Err(missing("string", name)),
         }
     }
 }
@@ -740,259 +385,9 @@ pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, ParseError> {
     if line.len() > MAX_JSONL_LINE_BYTES {
         return Err(err_too_long(line.len()));
     }
-    let f = Fields(FlatJson::parse(line)?);
-    let kind = f.str("ev")?.to_string();
-    let ev = match kind.as_str() {
-        "run_meta" => TraceEvent::RunMeta {
-            t: f.f64("t")?,
-            schema: f.str("schema")?.to_string(),
-            seed: f.u64("seed")?,
-            config_digest: f.u64("config_digest")?,
-            version: f.str("version")?.to_string(),
-        },
-        "run_start" => TraceEvent::RunStart {
-            t: f.f64("t")?,
-            algorithm: f.str("algorithm")?.to_string(),
-            cores: f.u64("cores")?,
-            budget_w: f.f64("budget_w")?,
-            q_ge: f.f64("q_ge")?,
-            horizon_s: f.f64("horizon_s")?,
-            power_a: f.f64("power_a")?,
-            power_beta: f.f64("power_beta")?,
-            quality_c: f.f64("quality_c")?,
-            quality_xmax: f.f64("quality_xmax")?,
-            units_per_ghz_sec: f.f64("units_per_ghz_sec")?,
-            initial_mode: f.u64("initial_mode")?,
-            ledger_window: f.u64("ledger_window")?,
-        },
-        "job_arrival" => TraceEvent::JobArrival {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            deadline_s: f.f64("deadline_s")?,
-            demand: f.f64("demand")?,
-        },
-        "job_assigned" => TraceEvent::JobAssigned {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            core: f.u64("core")?,
-        },
-        "trigger" => TraceEvent::TriggerFired {
-            t: f.f64("t")?,
-            kind: TriggerKind::parse(f.str("trigger")?)
-                .ok_or_else(|| err("unknown trigger kind"))?,
-            queue_len: f.u64("queue_len")?,
-        },
-        "mode_switch" => TraceEvent::ModeSwitch {
-            t: f.f64("t")?,
-            from_mode: f.u64("from_mode")?,
-            to_mode: f.u64("to_mode")?,
-            ledger_quality: f.f64("ledger_quality")?,
-        },
-        "lf_cut" => TraceEvent::LfCut {
-            t: f.f64("t")?,
-            level: f.f64("level")?,
-            target_quality: f.f64("target_quality")?,
-            jobs: f.u64("jobs")?,
-            volume_before: f.f64("volume_before")?,
-            volume_after: f.f64("volume_after")?,
-        },
-        "job_cut" => TraceEvent::JobCut {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            full_demand: f.f64("full_demand")?,
-            cut_demand: f.f64("cut_demand")?,
-        },
-        "power_split" => TraceEvent::PowerSplit {
-            t: f.f64("t")?,
-            policy: SplitPolicy::parse(f.str("policy")?)
-                .ok_or_else(|| err("unknown split policy"))?,
-            load_estimate_rps: f.f64("load_estimate_rps")?,
-            budget_w: f.f64("budget_w")?,
-        },
-        "core_cap" => TraceEvent::CoreCap {
-            t: f.f64("t")?,
-            core: f.u64("core")?,
-            cap_w: f.f64("cap_w")?,
-            speed_cap_ghz: f.f64("speed_cap_ghz")?,
-        },
-        "second_cut" => TraceEvent::SecondCut {
-            t: f.f64("t")?,
-            core: f.u64("core")?,
-            volume_before: f.f64("volume_before")?,
-            volume_after: f.f64("volume_after")?,
-        },
-        "speed_segment" => TraceEvent::SpeedSegment {
-            t: f.f64("t")?,
-            core: f.u64("core")?,
-            start_s: f.f64("start_s")?,
-            end_s: f.f64("end_s")?,
-            speed_ghz: f.f64("speed_ghz")?,
-        },
-        "exec_slice" => TraceEvent::ExecSlice {
-            t: f.f64("t")?,
-            core: f.u64("core")?,
-            start_s: f.f64("start_s")?,
-            end_s: f.f64("end_s")?,
-            ghz_secs: f.f64("ghz_secs")?,
-            energy_j: f.f64("energy_j")?,
-        },
-        "job_finish" => TraceEvent::JobFinish {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            processed: f.f64("processed")?,
-            full_demand: f.f64("full_demand")?,
-            discarded: f.bool("discarded")?,
-        },
-        "quality_sample" => TraceEvent::QualitySample {
-            t: f.f64("t")?,
-            quality: f.f64("quality")?,
-            mode: f.u64("mode")?,
-            backlog_units: f.f64("backlog_units")?,
-            load_estimate_rps: f.f64("load_estimate_rps")?,
-        },
-        "core_fault" => TraceEvent::CoreFault {
-            t: f.f64("t")?,
-            core: f.u64("core")?,
-            online: f.bool("online")?,
-        },
-        "budget_throttle" => TraceEvent::BudgetThrottle {
-            t: f.f64("t")?,
-            factor: f.f64("factor")?,
-            budget_w_effective: f.f64("budget_w_effective")?,
-        },
-        "dvfs_deviation" => TraceEvent::DvfsDeviation {
-            t: f.f64("t")?,
-            core: f.u64("core")?,
-            factor: f.f64("factor")?,
-        },
-        "demand_misestimate" => TraceEvent::DemandMisestimate {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            estimate: f.f64("estimate")?,
-            full_demand: f.f64("full_demand")?,
-        },
-        "job_shed" => TraceEvent::JobShed {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            estimate: f.f64("estimate")?,
-            full_demand: f.f64("full_demand")?,
-            projected_quality: f.f64("projected_quality")?,
-        },
-        "fleet_run_start" => TraceEvent::FleetRunStart {
-            t: f.f64("t")?,
-            servers: f.u64("servers")?,
-            cores: f.u64("cores")?,
-            budget_w: f.f64("budget_w")?,
-            policy: f.str("policy")?.to_string(),
-            partitioner: f.str("partitioner")?.to_string(),
-            seed: f.u64("seed")?,
-        },
-        "shard_fault" => TraceEvent::ShardFault {
-            t: f.f64("t")?,
-            shard: f.u64("shard")?,
-            online: f.bool("online")?,
-        },
-        "fleet_dispatch" => TraceEvent::FleetDispatch {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            shard: f.u64("shard")?,
-            attempt: f.u64("attempt")?,
-        },
-        "fleet_retry" => TraceEvent::FleetRetry {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            attempt: f.u64("attempt")?,
-            next_s: f.f64("next_s")?,
-        },
-        "fleet_failover" => TraceEvent::FleetFailover {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            shard: f.u64("shard")?,
-        },
-        "fleet_shed" => TraceEvent::FleetShed {
-            t: f.f64("t")?,
-            job: f.u64("job")?,
-            demand: f.f64("demand")?,
-        },
-        "fleet_budget" => TraceEvent::FleetBudget {
-            t: f.f64("t")?,
-            shard: f.u64("shard")?,
-            budget_w: f.f64("budget_w")?,
-        },
-        "fleet_summary" => TraceEvent::FleetSummary {
-            t: f.f64("t")?,
-            dispatched: f.u64("dispatched")?,
-            failovers: f.u64("failovers")?,
-            retries: f.u64("retries")?,
-            shed: f.u64("shed")?,
-            energy_j: f.f64("energy_j")?,
-            quality: f.f64("quality")?,
-        },
-        "serve_run_start" => TraceEvent::ServeRunStart {
-            t: f.f64("t")?,
-            algorithm: f.str("algorithm")?.to_string(),
-            cores: f.u64("cores")?,
-            budget_w: f.f64("budget_w")?,
-            q_min: f.f64("q_min")?,
-            queue_high: f.u64("queue_high")?,
-            queue_low: f.u64("queue_low")?,
-        },
-        "serve_request" => TraceEvent::ServeRequest {
-            t: f.f64("t")?,
-            req: f.u64("req")?,
-            demand: f.f64("demand")?,
-            deadline_s: f.f64("deadline_s")?,
-        },
-        "serve_admit" => TraceEvent::ServeAdmit {
-            t: f.f64("t")?,
-            req: f.u64("req")?,
-            queue_len: f.u64("queue_len")?,
-        },
-        "serve_reject" => TraceEvent::ServeReject {
-            t: f.f64("t")?,
-            req: f.u64("req")?,
-            reason: RejectReason::parse(f.str("reason")?)
-                .ok_or_else(|| err("unknown reject reason"))?,
-            queue_len: f.u64("queue_len")?,
-        },
-        "serve_timeout" => TraceEvent::ServeTimeout {
-            t: f.f64("t")?,
-            req: f.u64("req")?,
-        },
-        "serve_complete" => TraceEvent::ServeComplete {
-            t: f.f64("t")?,
-            req: f.u64("req")?,
-            processed: f.f64("processed")?,
-            full_demand: f.f64("full_demand")?,
-        },
-        "serve_shed" => TraceEvent::ServeShed {
-            t: f.f64("t")?,
-            req: f.u64("req")?,
-        },
-        "serve_drain" => TraceEvent::ServeDrain {
-            t: f.f64("t")?,
-            pending: f.u64("pending")?,
-        },
-        "serve_summary" => TraceEvent::ServeSummary {
-            t: f.f64("t")?,
-            requests: f.u64("requests")?,
-            admitted: f.u64("admitted")?,
-            completed: f.u64("completed")?,
-            rejected: f.u64("rejected")?,
-            timed_out: f.u64("timed_out")?,
-            shed: f.u64("shed")?,
-        },
-        "run_summary" => TraceEvent::RunSummary {
-            t: f.f64("t")?,
-            energy_j: f.f64("energy_j")?,
-            quality: f.f64("quality")?,
-            aes_fraction: f.f64("aes_fraction")?,
-            jobs_finished: f.u64("jobs_finished")?,
-            jobs_discarded: f.u64("jobs_discarded")?,
-        },
-        other => return Err(err(format!("unknown event kind '{other}'"))),
-    };
-    Ok(ev)
+    let fields = FlatJson::parse(line)?;
+    let kind = String::decode(fields.get("ev"), "ev")?;
+    TraceEvent::decode(&kind, &fields)
 }
 
 /// Timestamp regressions larger than this are malformed input (the
@@ -1197,7 +592,8 @@ pub fn csv_header() -> String {
 
 /// One wide-schema CSV row for `ev` (fields not in the variant stay empty).
 pub fn csv_row(ev: &TraceEvent) -> String {
-    let fs = fields(ev);
+    let mut fs: Vec<(&str, Field)> = Vec::with_capacity(16);
+    ev.for_each_field(|name, value| fs.push((name, value)));
     let mut out = String::with_capacity(96);
     for (i, col) in CSV_COLUMNS.iter().enumerate() {
         if i > 0 {
@@ -1227,6 +623,8 @@ pub fn write_csv<'a, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{RejectReason, SplitPolicy, TriggerKind};
+    use std::collections::BTreeSet;
 
     fn exemplars() -> Vec<TraceEvent> {
         vec![
@@ -1471,12 +869,200 @@ mod tests {
         ]
     }
 
+    /// `jsonl_line` / `csv_row` of each [`exemplars`] event, in order,
+    /// as the hand-written codec produced them before the event table
+    /// replaced it. Any change here is a wire-format change.
+    const PINNED: &[(&str, &str)] = &[
+        (
+            "{\"ev\":\"run_meta\",\"t\":0,\"schema\":\"ge-trace/v1\",\"seed\":16045690984503111693,\"config_digest\":1311768467463790320,\"version\":\"0.1.0\"}",
+            "run_meta,0,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,ge-trace/v1,16045690984503111693,1311768467463790320,0.1.0",
+        ),
+        (
+            "{\"ev\":\"run_start\",\"t\":0,\"algorithm\":\"GE\",\"cores\":8,\"budget_w\":160,\"q_ge\":0.9,\"horizon_s\":60,\"power_a\":2,\"power_beta\":2.4,\"quality_c\":0.0035,\"quality_xmax\":1500,\"units_per_ghz_sec\":1000,\"initial_mode\":1,\"ledger_window\":0}",
+            "run_start,0,GE,8,160,0.9,60,2,2.4,0.0035,1500,1000,1,0,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"job_arrival\",\"t\":0.0135278912364,\"job\":7,\"deadline_s\":0.1635278912364,\"demand\":412.7341200001}",
+            "job_arrival,0.0135278912364,,,,,,,,,,,,,7,,0.1635278912364,412.7341200001,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"job_assigned\",\"t\":0.02,\"job\":7,\"core\":3}",
+            "job_assigned,0.02,,,,,,,,,,,,,7,3,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"trigger\",\"t\":0.05,\"trigger\":\"counter\",\"queue_len\":12}",
+            "trigger,0.05,,,,,,,,,,,,,,,,,counter,12,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"mode_switch\",\"t\":0.05,\"from_mode\":1,\"to_mode\":0,\"ledger_quality\":0.9123456789}",
+            "mode_switch,0.05,,,,,,,,,,,,,,,,,,,1,0,0.9123456789,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"lf_cut\",\"t\":0.05,\"level\":230.5,\"target_quality\":0.9,\"jobs\":12,\"volume_before\":4096,\"volume_after\":2766}",
+            "lf_cut,0.05,,,,,,,,,,,,,,,,,,,,,,230.5,0.9,12,4096,2766,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"job_cut\",\"t\":0.05,\"job\":7,\"full_demand\":412.7,\"cut_demand\":230.5}",
+            "job_cut,0.05,,,,,,,,,,,,,7,,,,,,,,,,,,,,412.7,230.5,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"power_split\",\"t\":0.05,\"policy\":\"water_filling\",\"load_estimate_rps\":141.2,\"budget_w\":160}",
+            "power_split,0.05,,,160,,,,,,,,,,,,,,,,,,,,,,,,,,water_filling,141.2,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"core_cap\",\"t\":0.05,\"core\":3,\"cap_w\":20,\"speed_cap_ghz\":1.87}",
+            "core_cap,0.05,,,,,,,,,,,,,,3,,,,,,,,,,,,,,,,,20,1.87,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"second_cut\",\"t\":0.05,\"core\":3,\"volume_before\":700,\"volume_after\":512}",
+            "second_cut,0.05,,,,,,,,,,,,,,3,,,,,,,,,,,700,512,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"speed_segment\",\"t\":0.05,\"core\":3,\"start_s\":0.05,\"end_s\":0.13,\"speed_ghz\":1.5}",
+            "speed_segment,0.05,,,,,,,,,,,,,,3,,,,,,,,,,,,,,,,,,,0.05,0.13,1.5,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"exec_slice\",\"t\":0.13,\"core\":3,\"start_s\":0.05,\"end_s\":0.13,\"ghz_secs\":0.12,\"energy_j\":0.734982134}",
+            "exec_slice,0.13,,,,,,,,,,,,,,3,,,,,,,,,,,,,,,,,,,0.05,0.13,,0.12,0.734982134,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"job_finish\",\"t\":0.13,\"job\":7,\"processed\":230.5,\"full_demand\":412.7,\"discarded\":false}",
+            "job_finish,0.13,,,,,,,,,,,,,7,,,,,,,,,,,,,,412.7,,,,,,,,,,,230.5,false,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"quality_sample\",\"t\":0.13,\"quality\":0.94,\"mode\":0,\"backlog_units\":812,\"load_estimate_rps\":141.2}",
+            "quality_sample,0.13,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,141.2,,,,,,,,,,0.94,0,812,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"core_fault\",\"t\":12.5,\"core\":5,\"online\":false}",
+            "core_fault,12.5,,,,,,,,,,,,,,5,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,false,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"budget_throttle\",\"t\":13,\"factor\":0.625123456789,\"budget_w_effective\":200.039494949}",
+            "budget_throttle,13,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,0.625123456789,200.039494949,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"dvfs_deviation\",\"t\":13.5,\"core\":2,\"factor\":0.9}",
+            "dvfs_deviation,13.5,,,,,,,,,,,,,,2,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,0.9,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"demand_misestimate\",\"t\":14,\"job\":42,\"estimate\":180.123456789,\"full_demand\":212.7}",
+            "demand_misestimate,14,,,,,,,,,,,,,42,,,,,,,,,,,,,,212.7,,,,,,,,,,,,,,,,,,,,,,180.123456789,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"job_shed\",\"t\":14.5,\"job\":43,\"estimate\":512,\"full_demand\":530.25,\"projected_quality\":0.7123456789}",
+            "job_shed,14.5,,,,,,,,,,,,,43,,,,,,,,,,,,,,530.25,,,,,,,,,,,,,,,,,,,,,,512,0.7123456789,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"fleet_run_start\",\"t\":15,\"servers\":4,\"cores\":8,\"budget_w\":640,\"policy\":\"jsq\",\"partitioner\":\"prop\",\"seed\":77}",
+            "fleet_run_start,15,,8,640,,,,,,,,,,,,,,,,,,,,,,,,,,jsq,,,,,,,,,,,,,,,,,,,,,,4,prop,,,,,,,,,,,,,,,,,,,,77,,",
+        ),
+        (
+            "{\"ev\":\"shard_fault\",\"t\":15.5,\"shard\":2,\"online\":false}",
+            "shard_fault,15.5,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,false,,,,,,,2,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"fleet_failover\",\"t\":15.5,\"job\":51,\"shard\":2}",
+            "fleet_failover,15.5,,,,,,,,,,,,,51,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,2,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"fleet_dispatch\",\"t\":15.5,\"job\":51,\"shard\":1,\"attempt\":0}",
+            "fleet_dispatch,15.5,,,,,,,,,,,,,51,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,1,0,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"fleet_retry\",\"t\":15.75,\"job\":52,\"attempt\":0,\"next_s\":15.8}",
+            "fleet_retry,15.75,,,,,,,,,,,,,52,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,0,15.8,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"fleet_shed\",\"t\":15.9,\"job\":53,\"demand\":812.25}",
+            "fleet_shed,15.9,,,,,,,,,,,,,53,,,812.25,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"fleet_budget\",\"t\":16,\"shard\":1,\"budget_w\":213.3333333333}",
+            "fleet_budget,16,,,213.3333333333,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,1,,,,,,,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"fleet_summary\",\"t\":59,\"dispatched\":4021,\"failovers\":13,\"retries\":5,\"shed\":9,\"energy_j\":4813.217,\"quality\":0.9017}",
+            "fleet_summary,59,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,4813.217,,,0.9017,,,,,,,,,,,,,,,,4021,13,5,9,,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_run_start\",\"t\":59,\"algorithm\":\"GE\",\"cores\":8,\"budget_w\":160,\"q_min\":0.5,\"queue_high\":64,\"queue_low\":16}",
+            "serve_run_start,59,GE,8,160,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,0.5,64,16,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_request\",\"t\":59.1,\"req\":0,\"demand\":412.7341200001,\"deadline_s\":59.25}",
+            "serve_request,59.1,,,,,,,,,,,,,,,59.25,412.7341200001,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,0,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_admit\",\"t\":59.1,\"req\":0,\"queue_len\":1}",
+            "serve_admit,59.1,,,,,,,,,,,,,,,,,,1,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,0,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_reject\",\"t\":59.2,\"req\":1,\"reason\":\"busy\",\"queue_len\":65}",
+            "serve_reject,59.2,,,,,,,,,,,,,,,,,,65,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,1,busy,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_timeout\",\"t\":59.25,\"req\":0}",
+            "serve_timeout,59.25,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,0,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_complete\",\"t\":59.3,\"req\":2,\"processed\":230.5,\"full_demand\":412.7}",
+            "serve_complete,59.3,,,,,,,,,,,,,,,,,,,,,,,,,,,412.7,,,,,,,,,,,230.5,,,,,,,,,,,,,,,,,,,,,,2,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_shed\",\"t\":59.4,\"req\":3}",
+            "serve_shed,59.4,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,3,,,,,,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_drain\",\"t\":59.5,\"pending\":2}",
+            "serve_drain,59.5,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,2,,,,,,,,,",
+        ),
+        (
+            "{\"ev\":\"serve_summary\",\"t\":59.9,\"requests\":4,\"admitted\":3,\"completed\":1,\"rejected\":1,\"timed_out\":1,\"shed\":1}",
+            "serve_summary,59.9,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,1,,,,,,,4,3,1,1,1,,,,",
+        ),
+        (
+            "{\"ev\":\"run_summary\",\"t\":60,\"energy_j\":1234.567890123,\"quality\":0.9213,\"aes_fraction\":0.4123,\"jobs_finished\":9001,\"jobs_discarded\":17}",
+            "run_summary,60,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,1234.567890123,,,0.9213,,,0.4123,9001,17,,,,,,,,,,,,,,,,,,,,,,,,,,,,,",
+        ),
+    ];
+
+    #[test]
+    fn exemplar_wire_strings_are_pinned() {
+        let events = exemplars();
+        assert_eq!(events.len(), PINNED.len());
+        for (ev, (jsonl, csv)) in events.iter().zip(PINNED) {
+            assert_eq!(jsonl_line(ev), *jsonl);
+            assert_eq!(csv_row(ev), *csv);
+        }
+    }
+
+    #[test]
+    fn csv_columns_are_ev_plus_every_table_field() {
+        let mut want: BTreeSet<&str> = TraceEvent::SCHEMA
+            .iter()
+            .flat_map(|(_, fields)| fields.iter().copied())
+            .collect();
+        want.insert("ev");
+        let have: BTreeSet<&str> = CSV_COLUMNS.iter().copied().collect();
+        assert_eq!(have.len(), CSV_COLUMNS.len(), "duplicate CSV column");
+        assert_eq!(have, want);
+    }
+
     #[test]
     fn jsonl_round_trips_every_variant_exactly() {
-        for ev in exemplars() {
-            let line = jsonl_line(&ev);
+        let events = exemplars();
+        for ev in &events {
+            let line = jsonl_line(ev);
             let back = parse_jsonl_line(&line).expect("parse back");
-            assert_eq!(back, ev, "round-trip mismatch for {line}");
+            assert_eq!(&back, ev, "round-trip mismatch for {line}");
+        }
+        let covered: BTreeSet<&str> = events.iter().map(TraceEvent::kind).collect();
+        for (kind, _) in TraceEvent::SCHEMA {
+            assert!(
+                covered.contains(kind),
+                "no exemplar for declared kind {kind}"
+            );
         }
     }
 

@@ -1,4 +1,4 @@
-//! # ge-trace — structured decision tracing and metrics
+//! # ge-trace — structured decision tracing
 //!
 //! The observability layer of the GE scheduling reproduction. The paper's
 //! claims are dynamic — AES residency (Fig. 1), compensation kicking in
@@ -7,12 +7,12 @@
 //!
 //! * [`event`] — [`TraceEvent`] variants for arrivals, C-RR assignment,
 //!   trigger firings, AES↔BQ switches, LF cuts, ES/WF power splits,
-//!   Quality-OPT second cuts, YDS segments, per-slice energy, and run
-//!   bracketing (`run_start` / `run_summary`).
-//! * [`sink`] — the [`TraceSink`] trait plus [`NullSink`] (free),
-//!   [`VecSink`] (record everything), and [`RingSink`] (bounded
-//!   flight-recorder with sampling).
-//! * [`registry`] — named counters/gauges/histograms and [`Snapshot`].
+//!   Quality-OPT second cuts, YDS segments, per-slice energy, faults,
+//!   fleet routing, serve admission, and run bracketing (`run_start` /
+//!   `run_summary`). Each event is declared once, in one table that
+//!   generates the enum and its wire codec.
+//! * [`sink`] — the [`TraceSink`] trait plus [`NullSink`] (free) and
+//!   [`VecSink`] (record everything).
 //! * [`export`] — hand-rolled JSONL and wide-schema CSV writers and the
 //!   matching JSONL parser (no serde; floats round-trip exactly).
 //! * [`replay`] — an invariant checker that rebuilds energy, AES
@@ -28,7 +28,6 @@
 
 pub mod event;
 pub mod export;
-pub mod registry;
 pub mod replay;
 pub mod sink;
 
@@ -37,9 +36,8 @@ pub use export::{
     csv_header, csv_row, jsonl_line, parse_jsonl, parse_jsonl_line, parse_jsonl_reader, write_csv,
     write_jsonl, ParseError, ParseErrorKind, MAX_JSONL_LINE_BYTES,
 };
-pub use registry::{HistogramSummary, MetricsRegistry, Snapshot};
 pub use replay::{
     replay, replay_fleet, replay_serve, strip_header, FleetReplayReport, ReplayError, ReplayReport,
     ServeReplayReport, TRACE_SCHEMA,
 };
-pub use sink::{NullSink, RingSink, TraceSink, VecSink};
+pub use sink::{NullSink, TraceSink, VecSink};

@@ -20,7 +20,6 @@
 //! ```
 
 use crate::event::TraceEvent;
-use std::collections::VecDeque;
 
 /// Receiver of structured trace events.
 ///
@@ -80,83 +79,6 @@ impl TraceSink for VecSink {
     }
 }
 
-/// A bounded ring-buffer sink with optional sampling of high-frequency
-/// events.
-///
-/// Structural events (run bracketing, mode switches, triggers, power
-/// splits, cuts) are always retained; high-frequency events
-/// ([`TraceEvent::is_high_frequency`]) are kept only every
-/// `sample_every`-th occurrence. When the buffer is full the oldest
-/// event is evicted, so the sink holds the *tail* of the run — the right
-/// default for flight-recorder style debugging at production scale.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    buf: VecDeque<TraceEvent>,
-    capacity: usize,
-    sample_every: u64,
-    hf_seen: u64,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring sink retaining at most `capacity` events.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
-            sample_every: 1,
-            hf_seen: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Keeps only every `every`-th high-frequency event.
-    ///
-    /// # Panics
-    /// Panics if `every == 0`.
-    pub fn with_sampling(mut self, every: u64) -> Self {
-        assert!(every > 0, "sampling period must be positive");
-        self.sample_every = every;
-        self
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Consumes the sink, returning retained events oldest-first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.buf.into_iter().collect()
-    }
-
-    /// Events not retained (sampled out or evicted by the ring).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        if event.is_high_frequency() {
-            self.hf_seen += 1;
-            if self.hf_seen % self.sample_every != 0 {
-                self.dropped += 1;
-                return;
-            }
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,15 +91,6 @@ mod tests {
             end_s: t,
             ghz_secs: 0.1,
             energy_j: 1.0,
-        }
-    }
-
-    fn switch(t: f64) -> TraceEvent {
-        TraceEvent::ModeSwitch {
-            t,
-            from_mode: 1,
-            to_mode: 0,
-            ledger_quality: 0.95,
         }
     }
 
@@ -196,38 +109,5 @@ mod tests {
         }
         assert_eq!(s.events().len(), 10);
         assert_eq!(s.events()[3].t(), 3.0);
-    }
-
-    #[test]
-    fn ring_sink_bounds_and_keeps_tail() {
-        let mut s = RingSink::new(4);
-        for i in 0..10 {
-            s.record(&slice(i as f64));
-        }
-        let kept: Vec<f64> = s.events().map(|e| e.t()).collect();
-        assert_eq!(kept, vec![6.0, 7.0, 8.0, 9.0]);
-        assert_eq!(s.dropped(), 6);
-    }
-
-    #[test]
-    fn sampling_thins_high_frequency_but_keeps_structural() {
-        let mut s = RingSink::new(100).with_sampling(3);
-        for i in 0..9 {
-            s.record(&slice(i as f64));
-        }
-        s.record(&switch(9.0));
-        s.record(&switch(9.5));
-        // 9 slices sampled 1-in-3 => 3 kept; both switches kept.
-        let kinds: Vec<&str> = s.events().map(|e| e.kind()).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "exec_slice",
-                "exec_slice",
-                "exec_slice",
-                "mode_switch",
-                "mode_switch"
-            ]
-        );
     }
 }
