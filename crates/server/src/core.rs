@@ -434,8 +434,11 @@ impl Core {
             let ghz_needed = job.remaining() / self.units_per_ghz_sec;
             let completion = self.profile.time_for_ghz_seconds(self.clock, ghz_needed);
 
+            // A completion within the tolerance after `slice_end` still
+            // ends the slice at `slice_end`: running past the advance
+            // target would meter time the clock later rewinds.
             let run_until = match completion {
-                Some(c) if c.at_or_before(slice_end) => c,
+                Some(c) if c.at_or_before(slice_end) => c.min(slice_end),
                 _ => slice_end,
             };
             if run_until.after(self.clock) {
