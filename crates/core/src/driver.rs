@@ -89,7 +89,7 @@ pub(crate) const PRIO_ARRIVAL: u32 = 1;
 pub(crate) const PRIO_CHECK: u32 = 2;
 pub(crate) const PRIO_QUANTUM: u32 = 3;
 
-/// Per-epoch observations for trajectory analysis (see [`run_traced`]).
+/// Per-epoch observations for trajectory analysis (see [`TrajectorySink`]).
 #[derive(Debug, Clone, Default)]
 pub struct RunTrace {
     /// Monitored quality at each scheduler epoch.
@@ -103,12 +103,11 @@ pub struct RunTrace {
 }
 
 /// A [`TraceSink`] that distils the event stream back into the per-epoch
-/// [`RunTrace`] trajectories — the canned sink behind [`run_traced`].
+/// [`RunTrace`] trajectories; pass it to [`run_with_sink`].
 ///
 /// Every scheduling epoch the driver emits one
 /// [`TraceEvent::QualitySample`]; this sink keeps those and ignores the
-/// rest, so `run_traced` is now just one consumer of the general
-/// instrumentation path.
+/// rest.
 #[derive(Debug, Clone, Default)]
 pub struct TrajectorySink {
     trace: RunTrace,
@@ -145,28 +144,10 @@ impl TraceSink for TrajectorySink {
     }
 }
 
-/// Convenience wrapper: builds the algorithm's scheduler and runs it.
+/// Convenience wrapper: builds the algorithm's scheduler and runs it,
+/// untraced and fault-free.
 pub fn run(cfg: &SimConfig, trace: &Trace, algorithm: &Algorithm) -> RunResult {
-    let mut sched = algorithm.build(cfg);
-    run_simulation(cfg, trace, sched.as_mut())
-}
-
-/// Like [`run`], additionally recording per-epoch trajectories — the
-/// compensation policy's control dynamics made visible.
-pub fn run_traced(cfg: &SimConfig, trace: &Trace, algorithm: &Algorithm) -> (RunResult, RunTrace) {
-    let mut sink = TrajectorySink::new();
-    let result = run_with_sink(cfg, trace, algorithm, None, &mut sink);
-    (result, sink.into_trace())
-}
-
-/// Like [`run`], but injects `faults` (untraced).
-pub fn run_with_faults(
-    cfg: &SimConfig,
-    trace: &Trace,
-    algorithm: &Algorithm,
-    faults: &FaultSchedule,
-) -> RunResult {
-    run_with_sink(cfg, trace, algorithm, Some(faults), &mut NullSink)
+    run_with_sink(cfg, trace, algorithm, None, &mut NullSink)
 }
 
 /// Like [`run`], but streams every structured decision event into `sink`
@@ -179,29 +160,12 @@ pub fn run_with_sink(
     sink: &mut dyn TraceSink,
 ) -> RunResult {
     let mut sched = algorithm.build(cfg);
-    run_inner(cfg, trace, sched.as_mut(), faults, sink)
+    run_scheduler_with_sink(cfg, trace, sched.as_mut(), faults, sink)
 }
 
-/// Runs one full simulation of `trace` under `sched` and returns the
-/// measurements.
-pub fn run_simulation(cfg: &SimConfig, trace: &Trace, sched: &mut dyn Scheduler) -> RunResult {
-    run_inner(cfg, trace, sched, None, &mut NullSink)
-}
-
-/// Like [`run_simulation`], with fault injection and event streaming — the
-/// full-control entry for callers that build (and want to inspect) the
-/// scheduler themselves rather than going through [`Algorithm::build`].
+/// Like [`run_with_sink`], for callers that build (and want to inspect)
+/// the scheduler themselves rather than going through [`Algorithm::build`].
 pub fn run_scheduler_with_sink(
-    cfg: &SimConfig,
-    trace: &Trace,
-    sched: &mut dyn Scheduler,
-    faults: Option<&FaultSchedule>,
-    sink: &mut dyn TraceSink,
-) -> RunResult {
-    run_inner(cfg, trace, sched, faults, sink)
-}
-
-fn run_inner(
     cfg: &SimConfig,
     trace: &Trace,
     sched: &mut dyn Scheduler,
@@ -934,7 +898,9 @@ mod tests {
         let cfg = small_cfg();
         let trace = small_trace(150.0, 31);
         let plain = run(&cfg, &trace, &Algorithm::Ge);
-        let (traced, rt) = run_traced(&cfg, &trace, &Algorithm::Ge);
+        let mut sink = TrajectorySink::new();
+        let traced = run_with_sink(&cfg, &trace, &Algorithm::Ge, None, &mut sink);
+        let rt = sink.into_trace();
         // Instrumentation must not change the simulation.
         assert_eq!(plain.quality.to_bits(), traced.quality.to_bits());
         assert_eq!(plain.energy_j.to_bits(), traced.energy_j.to_bits());

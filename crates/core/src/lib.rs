@@ -51,10 +51,7 @@ pub mod shard;
 
 pub use clairvoyant::{clairvoyant_plan, ClairvoyantOutcome};
 pub use config::{PowerPolicy, SimConfig};
-pub use driver::{
-    run, run_scheduler_with_sink, run_simulation, run_traced, run_with_faults, run_with_sink,
-    RunTrace, TrajectorySink,
-};
+pub use driver::{run, run_scheduler_with_sink, run_with_sink, RunTrace, TrajectorySink};
 pub use ge::GeScheduler;
 pub use policy::{Algorithm, ScheduleCtx, Scheduler, TriggerSet, MODE_AES, MODE_BQ};
 pub use result::RunResult;

@@ -28,8 +28,8 @@
 use std::path::Path;
 
 use ge_core::{
-    resume_from, run, run_resumable, run_with_faults, Algorithm, CheckpointPolicy,
-    ResumableOutcome, RunResult, SimConfig,
+    resume_from, run, run_resumable, run_with_sink, Algorithm, CheckpointPolicy, ResumableOutcome,
+    RunResult, SimConfig,
 };
 use ge_faults::{CoreOutage, DvfsWindow, FaultSchedule, ThrottleWindow};
 use ge_oracle::{
@@ -320,7 +320,8 @@ pub fn run_differential(instances: u64, seed: u64, scratch_dir: &Path) -> Differ
         if i % 5 == 0 {
             let faults = fault_schedule_for(&case, seed ^ i);
             for alg in [Algorithm::Ge, Algorithm::Be, Algorithm::Fcfs] {
-                let result = run_with_faults(&case.cfg, &case.trace, &alg, &faults);
+                let result =
+                    run_with_sink(&case.cfg, &case.trace, &alg, Some(&faults), &mut NullSink);
                 check_bound(
                     &case,
                     &format!("{} (faulted)", alg.label()),
@@ -444,10 +445,7 @@ fn resume_check(
 /// An uninterrupted reference run with the same fault wiring as the
 /// resumable path.
 fn run_resume_free(case: &TinyCase, alg: &Algorithm, faults: Option<&FaultSchedule>) -> RunResult {
-    match faults {
-        Some(fs) => run_with_faults(&case.cfg, &case.trace, alg, fs),
-        None => run(&case.cfg, &case.trace, alg),
-    }
+    run_with_sink(&case.cfg, &case.trace, alg, faults, &mut NullSink)
 }
 
 #[cfg(test)]

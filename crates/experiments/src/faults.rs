@@ -9,9 +9,10 @@
 
 use crate::scale::Scale;
 use crate::sweep::parallel_indexed;
-use ge_core::{run_with_faults, Algorithm, RunResult, SimConfig};
+use ge_core::{run_with_sink, Algorithm, RunResult, SimConfig};
 use ge_faults::{FaultScenario, ScenarioKind};
 use ge_metrics::Table;
+use ge_trace::NullSink;
 use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
 /// The intensity grid swept by the degradation study.
@@ -45,7 +46,13 @@ fn run_fault_cell(cell: &FaultCell) -> RunResult {
     let schedule = cell
         .scenario
         .build(cell.sim.cores, cell.sim.horizon, cell.seed);
-    run_with_faults(&cell.sim, &trace, &cell.algorithm, &schedule)
+    run_with_sink(
+        &cell.sim,
+        &trace,
+        &cell.algorithm,
+        Some(&schedule),
+        &mut NullSink,
+    )
 }
 
 /// Runs every cell in parallel, returning results in cell order (the

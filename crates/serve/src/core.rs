@@ -289,6 +289,63 @@ impl DrainOutcome {
     }
 }
 
+/// Folds raw engine events (finishes, expiries, sheds) into request
+/// terminals, serve events and the `ge_serve_*_total` counters. Every
+/// engine event a session sees, while running and at close, goes through
+/// here.
+fn fold_engine_events(
+    engine_events: Vec<TraceEvent>,
+    counts: &mut Counts,
+    events: &mut Vec<TraceEvent>,
+    terminals: &mut Vec<(u64, Outcome, f64)>,
+) {
+    for ev in engine_events {
+        let (req, outcome, processed, counter) = match ev {
+            TraceEvent::JobFinish {
+                t,
+                job,
+                discarded: true,
+                ..
+            } => {
+                counts.timed_out += 1;
+                events.push(TraceEvent::ServeTimeout { t, req: job });
+                (job, Outcome::TimedOut, 0.0, "ge_serve_timeout_total")
+            }
+            TraceEvent::JobFinish {
+                t,
+                job,
+                processed,
+                full_demand,
+                discarded: false,
+            } => {
+                counts.completed += 1;
+                events.push(TraceEvent::ServeComplete {
+                    t,
+                    req: job,
+                    processed,
+                    full_demand,
+                });
+                (
+                    job,
+                    Outcome::Completed,
+                    processed,
+                    "ge_serve_completed_total",
+                )
+            }
+            TraceEvent::JobShed { t, job, .. } => {
+                counts.shed += 1;
+                events.push(TraceEvent::ServeShed { t, req: job });
+                (job, Outcome::Shed, 0.0, "ge_serve_shed_total")
+            }
+            _ => continue,
+        };
+        terminals.push((req, outcome, processed));
+        if let Some(r) = tel() {
+            r.counter(counter).inc();
+        }
+    }
+}
+
 fn tel() -> Option<&'static Registry> {
     Telemetry::is_enabled().then(Telemetry::registry)
 }
@@ -360,52 +417,12 @@ impl ServeCore {
         }
         let mut sink = VecSink::new();
         self.shard.advance_to_with(until, &mut sink);
-        self.absorb(sink.into_events());
-    }
-
-    /// Folds raw engine events into request terminals.
-    fn absorb(&mut self, engine_events: Vec<TraceEvent>) {
-        for ev in engine_events {
-            match ev {
-                TraceEvent::JobFinish {
-                    t,
-                    job,
-                    processed,
-                    full_demand,
-                    discarded,
-                } => {
-                    if discarded {
-                        self.counts.timed_out += 1;
-                        self.terminals.push((job, Outcome::TimedOut, 0.0));
-                        self.events.push(TraceEvent::ServeTimeout { t, req: job });
-                        if let Some(r) = tel() {
-                            r.counter("ge_serve_timeout_total").inc();
-                        }
-                    } else {
-                        self.counts.completed += 1;
-                        self.terminals.push((job, Outcome::Completed, processed));
-                        self.events.push(TraceEvent::ServeComplete {
-                            t,
-                            req: job,
-                            processed,
-                            full_demand,
-                        });
-                        if let Some(r) = tel() {
-                            r.counter("ge_serve_completed_total").inc();
-                        }
-                    }
-                }
-                TraceEvent::JobShed { t, job, .. } => {
-                    self.counts.shed += 1;
-                    self.terminals.push((job, Outcome::Shed, 0.0));
-                    self.events.push(TraceEvent::ServeShed { t, req: job });
-                    if let Some(r) = tel() {
-                        r.counter("ge_serve_shed_total").inc();
-                    }
-                }
-                _ => {}
-            }
-        }
+        fold_engine_events(
+            sink.into_events(),
+            &mut self.counts,
+            &mut self.events,
+            &mut self.terminals,
+        );
     }
 
     fn check_time(&self, t: f64) -> Result<(), SubmitError> {
@@ -581,7 +598,12 @@ impl ServeCore {
         let horizon = self.shard.horizon();
         let mut sink = VecSink::new();
         self.shard.advance_to_with(horizon, &mut sink);
-        self.absorb(sink.into_events());
+        fold_engine_events(
+            sink.into_events(),
+            &mut self.counts,
+            &mut self.events,
+            &mut self.terminals,
+        );
         let checkpoint = self.shard.snapshot();
         let resume_bit_exact =
             match ShardEngine::restore(&self.cfg.sim, &self.cfg.algorithm, None, &checkpoint) {
@@ -597,42 +619,15 @@ impl ServeCore {
             latency_dropped,
             ..
         } = self;
-        // Close the books; fold any closing events (leftover discards)
-        // the same way advance() does.
+        // Close the books; leftover discards fold like any engine event.
         let mut close_sink = VecSink::new();
         let outcome = shard.finalize_with(&mut close_sink);
-        for ev in close_sink.into_events() {
-            match ev {
-                TraceEvent::JobFinish {
-                    t,
-                    job,
-                    processed,
-                    full_demand,
-                    discarded,
-                } => {
-                    if discarded {
-                        counts.timed_out += 1;
-                        terminals.push((job, Outcome::TimedOut, 0.0));
-                        events.push(TraceEvent::ServeTimeout { t, req: job });
-                    } else {
-                        counts.completed += 1;
-                        terminals.push((job, Outcome::Completed, processed));
-                        events.push(TraceEvent::ServeComplete {
-                            t,
-                            req: job,
-                            processed,
-                            full_demand,
-                        });
-                    }
-                }
-                TraceEvent::JobShed { t, job, .. } => {
-                    counts.shed += 1;
-                    terminals.push((job, Outcome::Shed, 0.0));
-                    events.push(TraceEvent::ServeShed { t, req: job });
-                }
-                _ => {}
-            }
-        }
+        fold_engine_events(
+            close_sink.into_events(),
+            &mut counts,
+            &mut events,
+            &mut terminals,
+        );
         events.push(TraceEvent::ServeSummary {
             t: horizon.as_secs(),
             requests: counts.requests,

@@ -1,13 +1,11 @@
 //! The live metrics registry: counters, gauges, log-linear histograms.
 //!
-//! Unlike `ge_trace::MetricsRegistry` (a `&mut self` BTreeMap used for
-//! post-hoc reporting), this registry is built for **concurrent** use on
-//! the hot path: metric handles are `Arc`-shared atomics resolved once
-//! (one mutex acquisition at handle-creation time), after which recording
-//! is lock-free — a few `Relaxed` atomic read-modify-writes. A scrape
-//! thread snapshots the registry concurrently; per-metric values are
-//! exact, cross-metric consistency is best-effort (standard for
-//! Prometheus-style exporters).
+//! This registry is built for **concurrent** use on the hot path: metric
+//! handles are `Arc`-shared atomics resolved once (one mutex acquisition
+//! at handle-creation time), after which recording is lock-free — a few
+//! `Relaxed` atomic read-modify-writes. A scrape thread snapshots the
+//! registry concurrently; per-metric values are exact, cross-metric
+//! consistency is best-effort (standard for Prometheus-style exporters).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

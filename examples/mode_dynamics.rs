@@ -9,7 +9,7 @@
 //! cargo run --release -p ge-examples --bin mode_dynamics [rate] [--seed N]
 //! ```
 
-use ge_core::{run_traced, Algorithm, SimConfig};
+use ge_core::{run_with_sink, Algorithm, SimConfig, TrajectorySink};
 use ge_examples::{opt, parse_args};
 use ge_metrics::AsciiPlot;
 use ge_simcore::SimTime;
@@ -35,7 +35,9 @@ fn main() {
     )
     .generate();
 
-    let (result, rt) = run_traced(&cfg, &trace, &Algorithm::Ge);
+    let mut sink = TrajectorySink::new();
+    let result = run_with_sink(&cfg, &trace, &Algorithm::Ge, None, &mut sink);
+    let rt = sink.into_trace();
     println!(
         "λ = {rate}/s over {horizon}s: final quality {:.4}, energy {:.0} J, \
          {} mode switches, AES residency {:.1}%\n",

@@ -8,7 +8,7 @@
 //! seeds. Corrupted checkpoints (truncated, bit-flipped, wrong version,
 //! wrong inputs) must be rejected with typed errors, never a panic.
 
-use ge_core::{run, run_with_faults, Algorithm, ResumableRun, RunResult, SimConfig};
+use ge_core::{run, run_with_sink, Algorithm, ResumableRun, RunResult, SimConfig};
 use ge_faults::{FaultScenario, FaultSchedule, ScenarioKind};
 use ge_simcore::SimTime;
 use ge_trace::{NullSink, TraceEvent, VecSink};
@@ -159,7 +159,7 @@ fn every_boundary_bit_exact_combined_faults() {
 
 #[test]
 fn resumable_matches_plain_entry_points() {
-    // The resumable driver and the plain `run`/`run_with_faults` entry
+    // The resumable driver and the plain `run`/`run_with_sink` entry
     // points are the same engine; their results must agree bit-for-bit.
     let c = cfg();
     let trace = workload(SEEDS[0]);
@@ -169,7 +169,13 @@ fn resumable_matches_plain_entry_points() {
     let schedule = combined_schedule(&c, SEEDS[0]);
     let (seg, _, _) = run_with_snapshots(&c, &trace, Some(&schedule));
     assert_eq!(
-        bits(&run_with_faults(&c, &trace, &Algorithm::Ge, &schedule)),
+        bits(&run_with_sink(
+            &c,
+            &trace,
+            &Algorithm::Ge,
+            Some(&schedule),
+            &mut NullSink
+        )),
         bits(&seg)
     );
 }

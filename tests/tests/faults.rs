@@ -16,10 +16,10 @@
 //!    runs, and an empty schedule is bit-identical to the fault-free
 //!    driver path.
 
-use ge_core::{run, run_with_faults, run_with_sink, Algorithm, SimConfig};
+use ge_core::{run, run_with_sink, Algorithm, SimConfig};
 use ge_faults::{FaultScenario, FaultSchedule, ScenarioKind};
 use ge_simcore::SimTime;
-use ge_trace::{parse_jsonl, replay, write_jsonl, TraceEvent, VecSink};
+use ge_trace::{parse_jsonl, replay, write_jsonl, NullSink, TraceEvent, VecSink};
 use ge_workload::{Trace, WorkloadConfig, WorkloadGenerator};
 
 fn cfg(horizon_s: f64, q_min: f64) -> SimConfig {
@@ -93,7 +93,7 @@ fn quality_stays_above_floor_under_feasible_throttle() {
     let cfg = cfg(30.0, 0.8);
     let trace = workload(150.0, 30.0, 37);
     let faults = scenario(ScenarioKind::Throttle, 0.5, &cfg, 37);
-    let result = run_with_faults(&cfg, &trace, &Algorithm::Ge, &faults);
+    let result = run_with_sink(&cfg, &trace, &Algorithm::Ge, Some(&faults), &mut NullSink);
     // A 30 % budget cut over 40 % of the run is comfortably feasible at
     // this rate: the deeper-cut response must hold the floor.
     assert!(
@@ -149,8 +149,8 @@ fn identical_fault_runs_are_bit_identical() {
     let cfg = cfg(15.0, 0.8);
     let trace = workload(170.0, 15.0, 43);
     let faults = scenario(ScenarioKind::Combined, 0.8, &cfg, 43);
-    let a = run_with_faults(&cfg, &trace, &Algorithm::Ge, &faults);
-    let b = run_with_faults(&cfg, &trace, &Algorithm::Ge, &faults);
+    let a = run_with_sink(&cfg, &trace, &Algorithm::Ge, Some(&faults), &mut NullSink);
+    let b = run_with_sink(&cfg, &trace, &Algorithm::Ge, Some(&faults), &mut NullSink);
     assert_eq!(a.quality.to_bits(), b.quality.to_bits());
     assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
     assert_eq!(a.jobs_shed, b.jobs_shed);
@@ -165,7 +165,7 @@ fn empty_schedule_is_bit_identical_to_fault_free_run() {
     let empty = FaultSchedule::new(47);
     assert!(empty.is_empty());
     let plain = run(&cfg, &trace, &Algorithm::Ge);
-    let faulted = run_with_faults(&cfg, &trace, &Algorithm::Ge, &empty);
+    let faulted = run_with_sink(&cfg, &trace, &Algorithm::Ge, Some(&empty), &mut NullSink);
     assert_eq!(plain.quality.to_bits(), faulted.quality.to_bits());
     assert_eq!(plain.energy_j.to_bits(), faulted.energy_j.to_bits());
     assert_eq!(plain.jobs_finished, faulted.jobs_finished);
@@ -185,7 +185,7 @@ fn every_policy_survives_harsh_core_loss_with_recovery() {
         Algorithm::Ljf,
         Algorithm::Fdfs,
     ] {
-        let r = run_with_faults(&cfg, &trace, &alg, &faults);
+        let r = run_with_sink(&cfg, &trace, &alg, Some(&faults), &mut NullSink);
         assert!(
             r.quality.is_finite() && (0.0..=1.0 + 1e-9).contains(&r.quality),
             "{}: quality {} out of range under core loss",

@@ -5,8 +5,8 @@
 //! scheduler is caught with a shrunk counterexample of a handful of jobs.
 
 use ge_core::{
-    resume_from, run, run_resumable, run_with_faults, Algorithm, CheckpointPolicy,
-    ResumableOutcome, SimConfig,
+    resume_from, run, run_resumable, run_with_sink, Algorithm, CheckpointPolicy, ResumableOutcome,
+    SimConfig,
 };
 use ge_faults::{CoreOutage, FaultSchedule, ThrottleWindow};
 use ge_integration_tests::prop::{check, find_failure, PropConfig, Shrink, TinyInstance};
@@ -161,7 +161,7 @@ fn bound_holds_under_fault_schedules() {
                     factor: 0.5,
                 });
             for alg in [Algorithm::Ge, Algorithm::Be] {
-                let r = run_with_faults(&cfg, &trace, &alg, &faults);
+                let r = run_with_sink(&cfg, &trace, &alg, Some(&faults), &mut NullSink);
                 let bound = lower_bound(inst, &cfg, r.quality);
                 if r.energy_j + 1e-9 * bound.max(1.0) < bound {
                     return Err(format!(
