@@ -2,13 +2,15 @@
 //!
 //! One target collecting everything the incremental-replanning work is
 //! measured by: the per-epoch kernels (LF cut, YDS, inversion — with and
-//! without scratch/memo reuse), end-to-end GE runs with the dirty-bit
-//! path on and forced off, and representative figure pipelines at
-//! [`Scale::bench`]. Run with `--json <path>` to write the
-//! `ge-bench-sched/v1` report:
+//! without scratch/memo reuse), the server's share of one engine event,
+//! end-to-end GE runs with the dirty-bit path on and forced off, and
+//! representative figure pipelines at [`Scale::bench`]. Run with
+//! `--json <path>` to write the `ge-bench-sched/v1` report (Cargo runs
+//! benches from the package directory, so give the repository-root path
+//! explicitly):
 //!
 //! ```sh
-//! cargo bench -p ge-bench --bench sched_report -- --json BENCH_sched.json
+//! cargo bench -p ge-bench --bench sched_report -- --json "$PWD/BENCH_sched.json"
 //! ```
 
 use ge_bench::harness::{black_box, Harness};
@@ -16,11 +18,14 @@ use ge_bench::{bench_config, bench_trace};
 use ge_core::ge::{GeOptions, GeScheduler};
 use ge_core::run_scheduler_with_sink;
 use ge_experiments::{figures, Scale};
-use ge_power::{yds_schedule, yds_schedule_with, YdsJob, YdsScratch};
+use ge_power::{
+    yds_schedule, yds_schedule_with, PolynomialPower, SpeedProfile, YdsJob, YdsScratch,
+};
 use ge_quality::{lf_cut, lf_cut_with, CutOutcome, CutScratch, ExpConcave, QualityFunction};
-use ge_simcore::RngStream;
+use ge_server::Server;
+use ge_simcore::{RngStream, SimDuration, SimTime};
 use ge_trace::NullSink;
-use ge_workload::{BoundedPareto, Sampler};
+use ge_workload::{BoundedPareto, Job, JobId, Sampler, UNITS_PER_GHZ_SEC};
 
 fn demands(n: usize, seed: u64) -> Vec<f64> {
     let dist = BoundedPareto::paper_default();
@@ -68,6 +73,40 @@ fn bench_inverse(h: &Harness) {
     h.bench("inverse/direct", || f.inverse(black_box(0.83)));
     let mut memo = ge_quality::InverseMemo::new();
     h.bench("inverse/memoized", || memo.inverse(&f, black_box(0.83)));
+}
+
+/// The server's share of one engine event at the paper's scale: advance
+/// all 16 cores by one inter-event gap (about 3.3 ms at 150 req/s, two
+/// events per job), then project the next core event and snapshot the
+/// speeds. Every core is mid-job on a long plan, so this is the steady
+/// state between scheduler epochs.
+fn bench_server_advance(h: &Harness) {
+    let mut server = Server::new(
+        16,
+        Box::new(PolynomialPower::paper_default()),
+        320.0,
+        UNITS_PER_GHZ_SEC,
+    );
+    let far = SimTime::from_secs(1e7);
+    for i in 0..16 {
+        let core = server.core_mut(i);
+        core.assign(&Job::new(JobId(i as u64), SimTime::ZERO, far, 1e15));
+        let speed = 1.0 + 0.1 * i as f64;
+        core.install_plan(
+            SpeedProfile::constant(SimTime::ZERO, far, speed),
+            5.0 * speed * speed,
+        );
+    }
+    let gap = SimDuration::from_secs(1.0 / 300.0);
+    let mut now = SimTime::ZERO;
+    let mut finished = Vec::new();
+    let mut speeds = Vec::new();
+    h.bench("engine/server_advance_16", || {
+        now += gap;
+        server.advance_all(now, &mut NullSink, &mut finished);
+        server.speeds_into(&mut speeds);
+        server.next_event_time()
+    });
 }
 
 /// End-to-end GE simulations at bench scale, with the dirty-bit skip on
@@ -134,6 +173,7 @@ fn main() {
     bench_lf_cut(&h);
     bench_yds(&h);
     bench_inverse(&h);
+    bench_server_advance(&h);
     bench_e2e(&h);
     bench_e2e_telemetry(&h);
     bench_figures(&h);

@@ -23,7 +23,7 @@
 use ge_faults::{FaultInjector, FaultSchedule, FaultTransition};
 use ge_power::PolynomialPower;
 use ge_quality::{ExpConcave, LedgerMode, QualityFunction, QualityLedger};
-use ge_server::{CoreJob, Server};
+use ge_server::{CoreJob, FinishedJob, Server};
 use ge_simcore::{SimContext, SimTime, Simulator};
 use ge_telemetry::{SpanGuard, Telemetry};
 use ge_trace::{NullSink, TraceEvent, TraceSink, TriggerKind};
@@ -210,8 +210,11 @@ pub(crate) struct Engine {
     pub(crate) budget_factor: f64,
     pub(crate) jobs_shed: u64,
 
-    // -- Derived observability state (never serialized) ------------------
+    // -- Derived state (never serialized) --------------------------------
     pub(crate) telemetry: Option<DriverTelemetry>,
+    /// Reused per event for the jobs the server sweep finishes; always
+    /// empty between events.
+    pub(crate) finished: Vec<FinishedJob>,
 }
 
 impl Engine {
@@ -269,7 +272,8 @@ impl Engine {
         }
         sim.schedule(SimTime::ZERO, PRIO_QUANTUM, Ev::Quantum);
 
-        let last_speeds = server.speeds();
+        let mut last_speeds = Vec::with_capacity(cfg.cores);
+        server.speeds_into(&mut last_speeds);
         Engine {
             cfg: cfg.clone(),
             f,
@@ -294,6 +298,7 @@ impl Engine {
             budget_factor: 1.0,
             jobs_shed: 0,
             telemetry: Telemetry::is_enabled().then(DriverTelemetry::new),
+            finished: Vec::with_capacity(cfg.cores),
         }
     }
 
@@ -351,24 +356,7 @@ impl Engine {
         if dt > 0.0 {
             self.speed_tracker.sample(&self.last_speeds, dt);
         }
-        for fin in self.server.advance_all_traced(now, sink) {
-            self.ledger
-                .record(self.f.value(fin.processed), self.f.value(fin.full_demand));
-            if fin.processed > 0.0 {
-                let release = self.releases[fin.id.index()];
-                self.latency
-                    .record(fin.finish_time.saturating_since(release).as_secs());
-            }
-            if sink.is_enabled() {
-                sink.record(&TraceEvent::JobFinish {
-                    t: now.as_secs(),
-                    job: fin.id.index() as u64,
-                    processed: fin.processed,
-                    full_demand: fin.full_demand,
-                    discarded: fin.processed <= 0.0,
-                });
-            }
-        }
+        self.sweep_server(now, sink);
         // Jobs that died waiting in the queue count as fully discarded.
         let (ledger, f) = (&mut self.ledger, &self.f);
         self.queue.retain(|j| {
@@ -622,8 +610,33 @@ impl Engine {
             }
         }
 
-        self.last_speeds = self.server.speeds();
+        self.server.speeds_into(&mut self.last_speeds);
         self.last_t = now;
+    }
+
+    /// Advances every core to `now` and books the jobs that finished.
+    fn sweep_server(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
+        let mut finished = std::mem::take(&mut self.finished);
+        self.server.advance_all(now, sink, &mut finished);
+        for fin in finished.drain(..) {
+            self.ledger
+                .record(self.f.value(fin.processed), self.f.value(fin.full_demand));
+            if fin.processed > 0.0 {
+                let release = self.releases[fin.id.index()];
+                self.latency
+                    .record(fin.finish_time.saturating_since(release).as_secs());
+            }
+            if sink.is_enabled() {
+                sink.record(&TraceEvent::JobFinish {
+                    t: now.as_secs(),
+                    job: fin.id.index() as u64,
+                    processed: fin.processed,
+                    full_demand: fin.full_demand,
+                    discarded: fin.processed <= 0.0,
+                });
+            }
+        }
+        self.finished = finished;
     }
 
     /// Settles all remaining work at the horizon: the final speed sample,
@@ -638,24 +651,7 @@ impl Engine {
             self.speed_tracker.sample(&self.last_speeds, dt);
         }
         self.last_t = end;
-        for fin in self.server.advance_all_traced(end, sink) {
-            self.ledger
-                .record(self.f.value(fin.processed), self.f.value(fin.full_demand));
-            if fin.processed > 0.0 {
-                let release = self.releases[fin.id.index()];
-                self.latency
-                    .record(fin.finish_time.saturating_since(release).as_secs());
-            }
-            if sink.is_enabled() {
-                sink.record(&TraceEvent::JobFinish {
-                    t: end.as_secs(),
-                    job: fin.id.index() as u64,
-                    processed: fin.processed,
-                    full_demand: fin.full_demand,
-                    discarded: fin.processed <= 0.0,
-                });
-            }
-        }
+        self.sweep_server(end, sink);
         for j in self.queue.drain(..) {
             self.ledger.record(0.0, self.f.value(j.demand));
             if sink.is_enabled() {

@@ -16,6 +16,10 @@ pub trait PowerModel: Send + Sync {
     fn speed_for_power(&self, power_w: f64) -> f64;
 
     /// Energy (joules) of running at constant `speed` for `secs`.
+    ///
+    /// The execution engine meters `power(speed) * secs` on a per-segment
+    /// cached `power(speed)`, which is this default bit for bit; an
+    /// override would change only direct callers, not metered energy.
     fn energy(&self, speed_ghz: f64, secs: f64) -> f64 {
         self.power(speed_ghz) * secs
     }

@@ -127,6 +127,52 @@ impl SpeedProfile {
             .fold(0.0, f64::max)
     }
 
+    /// Index of the first segment at or after `first` that ends after `t`
+    /// (`segments().len()` if none). Every segment before it ends within
+    /// [`TIME_EPS`] of `t` or earlier, so it contributes nothing to
+    /// [`SpeedProfile::ghz_seconds`], [`SpeedProfile::energy`] or
+    /// [`SpeedProfile::time_for_ghz_seconds`] from any `from ≥ t`: the
+    /// `*_from` variants starting at this index return the same bits. The
+    /// index never decreases as `t` grows, so a caller with a monotone
+    /// clock can keep it as a cursor and resume from the last value.
+    pub fn first_live_segment(&self, first: usize, t: SimTime) -> usize {
+        let mut k = first;
+        while self.segments.get(k).is_some_and(|s| !s.end.after(t)) {
+            k += 1;
+        }
+        k
+    }
+
+    /// GHz-seconds and energy over `[from, to)` in one walk starting at
+    /// segment `first`, with `watts[k]` the power of segment `k`
+    /// (`model.power(speed)`). Bit-identical to
+    /// `(ghz_seconds(from, to), energy(model, from, to))` when `first` is
+    /// at or before [`SpeedProfile::first_live_segment`] at some `t ≤ from`
+    /// and the model keeps the default [`PowerModel::energy`].
+    pub fn ghz_seconds_and_energy_from(
+        &self,
+        first: usize,
+        watts: &[f64],
+        from: SimTime,
+        to: SimTime,
+    ) -> (f64, f64) {
+        debug_assert_eq!(watts.len(), self.segments.len());
+        if !to.after(from) {
+            return (0.0, 0.0);
+        }
+        let (mut ghz, mut joules) = (0.0, 0.0);
+        for (seg, &w) in self.segments[first..].iter().zip(&watts[first..]) {
+            let lo = seg.start.max(from);
+            let hi = seg.end.min(to);
+            if hi.after(lo) {
+                let secs = hi.saturating_since(lo).as_secs();
+                ghz += seg.speed_ghz * secs;
+                joules += w * secs;
+            }
+        }
+        (ghz, joules)
+    }
+
     /// GHz-seconds accumulated in `[from, to)` — multiply by the platform's
     /// units-per-GHz-second to get processing volume.
     pub fn ghz_seconds(&self, from: SimTime, to: SimTime) -> f64 {
@@ -163,11 +209,23 @@ impl SpeedProfile {
     /// Earliest time at (or after) `from` by which `ghz_secs` GHz-seconds
     /// have accumulated, or `None` if the profile runs out first.
     pub fn time_for_ghz_seconds(&self, from: SimTime, ghz_secs: f64) -> Option<SimTime> {
+        self.time_for_ghz_seconds_from(0, from, ghz_secs)
+    }
+
+    /// [`SpeedProfile::time_for_ghz_seconds`] walking from segment `first`;
+    /// the same bits when `first` is at or before
+    /// [`SpeedProfile::first_live_segment`] at some `t ≤ from`.
+    pub fn time_for_ghz_seconds_from(
+        &self,
+        first: usize,
+        from: SimTime,
+        ghz_secs: f64,
+    ) -> Option<SimTime> {
         if ghz_secs <= TIME_EPS {
             return Some(from);
         }
         let mut remaining = ghz_secs;
-        for seg in &self.segments {
+        for seg in &self.segments[first..] {
             let lo = seg.start.max(from);
             if !seg.end.after(lo) || seg.speed_ghz <= 0.0 {
                 continue;
@@ -302,6 +360,39 @@ mod tests {
         p.push(SpeedSegment::new(t(0.0), t(1.0), 1.0));
         p.push(SpeedSegment::new(t(1.0), t(2.0), 2.0));
         assert_eq!(p.segments().len(), 2);
+    }
+
+    #[test]
+    fn cursor_walks_match_full_walks_bit_for_bit() {
+        let p = SpeedProfile::new(vec![
+            SpeedSegment::new(t(0.0), t(1.0), 2.0),
+            SpeedSegment::new(t(1.0), t(2.0), 0.0),
+            SpeedSegment::new(t(2.0 + 0.5e-9), t(3.3), 1.7),
+            SpeedSegment::new(t(3.7), t(4.0), 4.0),
+        ]);
+        let m = PolynomialPower::paper_default();
+        let watts: Vec<f64> = p.segments().iter().map(|s| m.power(s.speed_ghz)).collect();
+        let mut cursor = 0;
+        for i in 0..90 {
+            let from = t(i as f64 * 0.05 + 1e-10 * (i % 3) as f64);
+            cursor = p.first_live_segment(cursor, from);
+            for to in [
+                from,
+                from + ge_simcore::SimDuration::from_secs(0.37),
+                t(5.0),
+            ] {
+                let (g, e) = p.ghz_seconds_and_energy_from(cursor, &watts, from, to);
+                assert_eq!(g.to_bits(), p.ghz_seconds(from, to).to_bits());
+                assert_eq!(e.to_bits(), p.energy(&m, from, to).to_bits());
+            }
+            for v in [0.0, 0.3, 1.0, 2.5, 9.0] {
+                assert_eq!(
+                    p.time_for_ghz_seconds_from(cursor, from, v),
+                    p.time_for_ghz_seconds(from, v)
+                );
+            }
+        }
+        assert_eq!(cursor, p.segments().len());
     }
 
     #[test]

@@ -350,6 +350,10 @@ enum ReplyAction {
 fn handle_connection(stream: TcpStream, shared: &Shared, limits: ConnLimits) -> io::Result<()> {
     stream.set_read_timeout(Some(limits.read_timeout))?;
     stream.set_write_timeout(Some(limits.write_timeout))?;
+    // Replies are small request/response lines: without TCP_NODELAY,
+    // Nagle's algorithm holds each one back until the client's delayed
+    // ACK of the previous segment arrives.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = LineReader::new(stream, limits.max_line);
     let mut conn_errors: u32 = 0;
@@ -386,9 +390,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared, limits: ConnLimits) -> 
             Err(e) => ReplyAction::Error(e.kind().to_string()),
         };
         match action {
-            ReplyAction::Line(reply) => {
+            ReplyAction::Line(mut reply) => {
+                // One write per reply line, newline included.
+                reply.push('\n');
                 writer.write_all(reply.as_bytes())?;
-                writer.write_all(b"\n")?;
             }
             ReplyAction::Error(kind) => {
                 note_protocol_error(shared);

@@ -7,11 +7,28 @@
 //! the installed [`SpeedProfile`], retires processing volume, meters the
 //! energy actually consumed (a core only burns power while executing), and
 //! reports finished jobs.
+//!
+//! Most advances are short: the engine visits every core at every event,
+//! and between two events a busy core usually just keeps running the same
+//! job in the same profile segment. Each general-path advance therefore
+//! ends by *arming* the core with a horizon before which the general path
+//! is known to reduce to one slice, and an advance that stays under it
+//! takes that slice directly (see [`Core::advance_traced`] and DESIGN.md
+//! §4). The armed state is derived: every mutator drops it and it is never
+//! checkpointed.
 
 use ge_power::{EnergyMeter, PowerModel, SpeedProfile, SpeedSegment};
-use ge_simcore::SimTime;
+use ge_simcore::{SimTime, TIME_EPS};
 use ge_trace::{NullSink, TraceEvent, TraceSink};
 use ge_workload::{Job, JobId};
+
+/// Safety margin (seconds) between an armed core's horizon and the
+/// nearest instant at which the general path could do more than one plain
+/// slice. It must dominate the rounding drift between the projection made
+/// at arming and the one the general path would make later (about 1e-10 s
+/// at a 600 s horizon) plus [`TIME_EPS`]; a larger margin only sends more
+/// advances down the general path.
+const ARM_MARGIN_S: f64 = 1e-6;
 
 /// A job resident on a core.
 #[derive(Debug, Clone)]
@@ -72,6 +89,27 @@ pub struct FinishedJob {
     pub expired: bool,
 }
 
+/// What an armed core knows about its next advances; see
+/// [`Core::advance_traced`].
+#[derive(Debug, Clone, Copy)]
+struct Armed {
+    /// Index into `jobs` of the job the general path would run next.
+    job: usize,
+    /// An advance to `to < until` (seconds) is one slice of `job`.
+    until: f64,
+    /// Start of the profile segment the slice draws on; the slice's duration
+    /// is measured from `seg_start.max(clock)`, as the general path does.
+    seg_start: SimTime,
+    /// That segment's speed (GHz) and cached power (W); 0 past the end of
+    /// the profile.
+    speed: f64,
+    watts: f64,
+    /// `current_speed()` at any clock before `until`.
+    current_speed: f64,
+    /// A lower bound on `next_event_time()` until the core is disarmed.
+    event_floor: f64,
+}
+
 /// One DVFS core.
 #[derive(Debug, Clone)]
 pub struct Core {
@@ -84,6 +122,16 @@ pub struct Core {
     units_per_ghz_sec: f64,
     online: bool,
     speed_factor: f64,
+    // -- Derived state (never serialized; rebuilt by the next advance) ---
+    /// `model.power` of each profile segment; empty until the first
+    /// advance after a plan is installed.
+    watts: Vec<f64>,
+    /// [`SpeedProfile::first_live_segment`] at some clock reading `≤` the
+    /// current one.
+    cursor: usize,
+    /// Fast-path state; `None` whenever anything but an advance touched
+    /// the core since the last general-path advance.
+    armed: Option<Armed>,
 }
 
 impl Core {
@@ -100,6 +148,9 @@ impl Core {
             units_per_ghz_sec,
             online: true,
             speed_factor: 1.0,
+            watts: Vec::new(),
+            cursor: 0,
+            armed: None,
         }
     }
 
@@ -120,6 +171,7 @@ impl Core {
 
     /// Mutable access for the scheduler to adjust targets (cuts).
     pub fn jobs_mut(&mut self) -> &mut [CoreJob] {
+        self.armed = None;
         &mut self.jobs
     }
 
@@ -132,6 +184,7 @@ impl Core {
             "job {} assigned twice",
             job.id
         );
+        self.armed = None;
         self.jobs.push(CoreJob::from_job(job));
     }
 
@@ -145,7 +198,7 @@ impl Core {
     /// can migrate them to surviving cores.
     pub fn fail(&mut self) -> Vec<CoreJob> {
         self.online = false;
-        self.profile = SpeedProfile::empty();
+        self.set_profile(SpeedProfile::empty());
         self.power_cap_w = 0.0;
         self.running = None;
         std::mem::take(&mut self.jobs)
@@ -153,6 +206,7 @@ impl Core {
 
     /// Brings a failed core back online, empty and at nominal speed.
     pub fn recover(&mut self) {
+        self.armed = None;
         self.online = true;
     }
 
@@ -164,6 +218,7 @@ impl Core {
             "job {} adopted twice",
             job.id
         );
+        self.armed = None;
         self.jobs.push(job);
     }
 
@@ -181,6 +236,7 @@ impl Core {
             factor.is_finite() && factor > 0.0,
             "speed factor must be positive and finite, got {factor}"
         );
+        self.armed = None;
         self.speed_factor = factor;
     }
 
@@ -192,7 +248,7 @@ impl Core {
     /// and event projection all see the speed the silicon actually runs.
     pub fn install_plan(&mut self, profile: SpeedProfile, power_cap_w: f64) {
         debug_assert!(power_cap_w >= 0.0);
-        self.profile = if self.speed_factor == 1.0 {
+        let delivered = if self.speed_factor == 1.0 {
             profile
         } else {
             SpeedProfile::new(
@@ -203,7 +259,16 @@ impl Core {
                     .collect(),
             )
         };
+        self.set_profile(delivered);
         self.power_cap_w = power_cap_w;
+    }
+
+    /// Replaces the profile and drops everything derived from the old one.
+    fn set_profile(&mut self, profile: SpeedProfile) {
+        self.profile = profile;
+        self.watts.clear();
+        self.cursor = 0;
+        self.armed = None;
     }
 
     /// The current power cap (W).
@@ -252,6 +317,9 @@ impl Core {
             units_per_ghz_sec,
             online,
             speed_factor,
+            watts: Vec::new(),
+            cursor: 0,
+            armed: None,
         }
     }
 
@@ -273,6 +341,9 @@ impl Core {
     /// The speed the core is *actually* running at its local clock: the
     /// profile speed if a live job is executing, zero otherwise.
     pub fn current_speed(&self) -> f64 {
+        if let Some(a) = &self.armed {
+            return a.current_speed;
+        }
         if self.pick_running(self.clock).is_some() {
             self.profile.speed_at(self.clock)
         } else {
@@ -281,8 +352,8 @@ impl Core {
     }
 
     /// Projected next instant the core changes occupancy: the earliest of
-    /// the running job's completion or any resident job's deadline.
-    /// `None` when idle.
+    /// any resident job's completion (were it to run from now on) or
+    /// deadline. `None` when idle.
     pub fn next_event_time(&self) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         let mut consider = |t: SimTime| {
@@ -296,12 +367,28 @@ impl Core {
                 continue;
             }
             consider(j.deadline);
-            let ghz_needed = j.remaining() / self.units_per_ghz_sec;
-            if let Some(done_at) = self.profile.time_for_ghz_seconds(self.clock, ghz_needed) {
+            if let Some(done_at) = self.completion_of(j) {
                 consider(done_at);
             }
         }
         next
+    }
+
+    /// A lower bound (seconds) on [`Core::next_event_time`]: its value
+    /// when the core was last armed minus the arming margin, or −∞ when
+    /// the core is not armed. Lets the server skip exact projections of
+    /// cores that cannot hold the earliest event.
+    pub fn next_event_floor(&self) -> f64 {
+        self.armed.map_or(f64::NEG_INFINITY, |a| a.event_floor)
+    }
+
+    /// When `job` would reach its target running from the core clock on.
+    fn completion_of(&self, job: &CoreJob) -> Option<SimTime> {
+        self.profile.time_for_ghz_seconds_from(
+            self.cursor,
+            self.clock,
+            job.remaining() / self.units_per_ghz_sec,
+        )
     }
 
     /// Index of the job the engine would run at `t`: the non-preemptive
@@ -368,11 +455,24 @@ impl Core {
         model: &dyn PowerModel,
         meter: &mut EnergyMeter,
     ) -> Vec<FinishedJob> {
-        self.advance_traced(to, model, meter, &mut NullSink)
+        let mut finished = Vec::new();
+        self.advance_traced(to, model, meter, &mut NullSink, &mut finished);
+        finished
     }
 
-    /// Like [`Core::advance`], but emits a [`TraceEvent::ExecSlice`] for
-    /// every metered execution slice into `sink`.
+    /// Like [`Core::advance`], but appends the finished jobs to `finished`
+    /// and emits a [`TraceEvent::ExecSlice`] for every metered execution
+    /// slice into `sink`.
+    ///
+    /// The core caches `model.power` per installed segment: pass the same
+    /// model to every advance (a server owns exactly one).
+    ///
+    /// A core armed by its previous advance (see the module docs) that is
+    /// advanced to a target before its horizon takes the fast path: one
+    /// slice of the armed job on the armed segment's cached speed and
+    /// power, metered and traced exactly as the general path would, unless
+    /// that slice would finish the job, in which case the general path
+    /// runs instead.
     ///
     /// # Panics
     /// Panics if `to` precedes the core clock beyond tolerance.
@@ -382,7 +482,8 @@ impl Core {
         model: &dyn PowerModel,
         meter: &mut EnergyMeter,
         sink: &mut dyn TraceSink,
-    ) -> Vec<FinishedJob> {
+        finished: &mut Vec<FinishedJob>,
+    ) {
         assert!(
             to.at_or_after(self.clock),
             "core {} cannot advance backwards: {} -> {}",
@@ -390,14 +491,24 @@ impl Core {
             self.clock,
             to
         );
+        if let Some(a) = self.armed {
+            if to.as_secs() < a.until && self.fast_slice(a, to, meter, sink) {
+                return;
+            }
+        }
         if !self.online {
             // Offline cores keep their clock moving (so recovery resumes
             // at the right instant) but execute nothing; `fail` already
             // drained their jobs.
             self.clock = to;
-            return Vec::new();
+            return;
         }
-        let mut finished = Vec::new();
+        if self.watts.len() != self.profile.segments().len() {
+            self.watts.clear();
+            let segments = self.profile.segments();
+            self.watts
+                .extend(segments.iter().map(|s| model.power(s.speed_ghz)));
+        }
         let mut guard = 0u32;
         while self.clock.before(to) {
             guard += 1;
@@ -407,7 +518,7 @@ impl Core {
                 self.index,
                 self.clock
             );
-            self.reap(self.clock, &mut finished);
+            self.reap(self.clock, finished);
             let Some(idx) = self.pick_running(self.clock) else {
                 // Idle: jump to the next release (work becomes available)
                 // or deadline (to reap), capped at `to`.
@@ -428,11 +539,11 @@ impl Core {
                 continue;
             };
 
+            self.cursor = self.profile.first_live_segment(self.cursor, self.clock);
             let job = &self.jobs[idx];
             self.running = Some(job.id);
             let slice_end = to.min(job.deadline);
-            let ghz_needed = job.remaining() / self.units_per_ghz_sec;
-            let completion = self.profile.time_for_ghz_seconds(self.clock, ghz_needed);
+            let completion = self.completion_of(job);
 
             // A completion within the tolerance after `slice_end` still
             // ends the slice at `slice_end`: running past the advance
@@ -442,19 +553,13 @@ impl Core {
                 _ => slice_end,
             };
             if run_until.after(self.clock) {
-                let ghz_secs = self.profile.ghz_seconds(self.clock, run_until);
-                let energy = self.profile.energy(model, self.clock, run_until);
-                meter.record_joules(self.index, energy);
-                if sink.is_enabled() {
-                    sink.record(&TraceEvent::ExecSlice {
-                        t: run_until.as_secs(),
-                        core: self.index as u64,
-                        start_s: self.clock.as_secs(),
-                        end_s: run_until.as_secs(),
-                        ghz_secs,
-                        energy_j: energy,
-                    });
-                }
+                let (ghz_secs, energy) = self.profile.ghz_seconds_and_energy_from(
+                    self.cursor,
+                    &self.watts,
+                    self.clock,
+                    run_until,
+                );
+                self.meter_slice(run_until, ghz_secs, energy, meter, sink);
                 let job = &mut self.jobs[idx];
                 job.processed =
                     (job.processed + ghz_secs * self.units_per_ghz_sec).min(job.target_demand);
@@ -475,11 +580,142 @@ impl Core {
                     job.processed = job.target_demand;
                 }
             }
-            self.reap(self.clock, &mut finished);
+            self.reap(self.clock, finished);
         }
         self.clock = to;
-        self.reap(self.clock, &mut finished);
-        finished
+        self.reap(self.clock, finished);
+        self.arm();
+    }
+
+    /// Meters one execution slice ending at `end` and traces it.
+    fn meter_slice(
+        &self,
+        end: SimTime,
+        ghz_secs: f64,
+        energy: f64,
+        meter: &mut EnergyMeter,
+        sink: &mut dyn TraceSink,
+    ) {
+        meter.record_joules(self.index, energy);
+        if sink.is_enabled() {
+            sink.record(&TraceEvent::ExecSlice {
+                t: end.as_secs(),
+                core: self.index as u64,
+                start_s: self.clock.as_secs(),
+                end_s: end.as_secs(),
+                ghz_secs,
+                energy_j: energy,
+            });
+        }
+    }
+
+    /// The fast path: advances an armed core to `to < a.until` as one
+    /// slice of the armed job. Returns `false`, touching nothing, when the
+    /// slice would leave the job done (or within [`TIME_EPS`] GHz-seconds
+    /// of its target); the general path then takes the advance.
+    ///
+    /// Under the horizon the general path does exactly this: no job is
+    /// done or expired at the clock or at `to`, so neither reap removes
+    /// anything; it runs the armed job (sticky, or the EDF pick it would
+    /// make now) and projects its completion more than [`TIME_EPS`] past
+    /// `to`, so the slice ends at `to` with no snap; and of all profile
+    /// segments only the armed one overlaps `[clock, to]`, so each
+    /// integral is the single term `0.0 + x`.
+    fn fast_slice(
+        &mut self,
+        a: Armed,
+        to: SimTime,
+        meter: &mut EnergyMeter,
+        sink: &mut dyn TraceSink,
+    ) -> bool {
+        if !self.clock.before(to) {
+            self.clock = to;
+            return true;
+        }
+        let lo = a.seg_start.max(self.clock);
+        let (ghz_secs, energy) = if to.after(lo) {
+            let secs = to.saturating_since(lo).as_secs();
+            (a.speed * secs, a.watts * secs)
+        } else {
+            (0.0, 0.0)
+        };
+        let job = &self.jobs[a.job];
+        let processed = (job.processed + ghz_secs * self.units_per_ghz_sec).min(job.target_demand);
+        // The general path reaps a job at `remaining() <= 1e-9` and
+        // projects its completion as "now" below TIME_EPS GHz-seconds.
+        let remaining = (job.target_demand - processed).max(0.0);
+        if remaining <= 1e-9 || remaining / self.units_per_ghz_sec <= TIME_EPS {
+            return false;
+        }
+        self.running = Some(job.id);
+        self.meter_slice(to, ghz_secs, energy, meter, sink);
+        self.jobs[a.job].processed = processed;
+        self.clock = to;
+        true
+    }
+
+    /// Arms the core at the end of a general-path advance.
+    ///
+    /// With `J` the job the general path would run from the clock `c` and
+    /// `k` the profile segment in force, the horizon is
+    /// `min(J's projected completion, every resident deadline, end of k's
+    /// span) − ARM_MARGIN_S`, where k's span ends at k's start if `c` lies
+    /// in the gap before it, else at k's end. Below the horizon
+    /// `current_speed()` is constant, and `next_event_time()` never drops
+    /// below `min(its value now, end of k's span) − ARM_MARGIN_S`.
+    fn arm(&mut self) {
+        self.armed = None;
+        let Some(job) = self.pick_running(self.clock) else {
+            return;
+        };
+        self.cursor = self.profile.first_live_segment(self.cursor, self.clock);
+        let c = self.clock.as_secs();
+        let segments = self.profile.segments();
+        // `speed_at` switches segments at `end - TIME_EPS`; if the
+        // previous segment's switch is still ahead of the clock, the
+        // current speed would change under the horizon.
+        if self.cursor > 0 && segments[self.cursor - 1].end.as_secs() - TIME_EPS > c {
+            return;
+        }
+        let (seg_start, speed, watts, span_end) = match segments.get(self.cursor) {
+            None => (self.clock, 0.0, 0.0, f64::INFINITY),
+            Some(seg) => {
+                let span_end = if seg.start.as_secs() - TIME_EPS > c {
+                    seg.start
+                } else {
+                    seg.end
+                };
+                (
+                    seg.start,
+                    seg.speed_ghz,
+                    self.watts[self.cursor],
+                    span_end.as_secs(),
+                )
+            }
+        };
+        // The horizon and `next_event_time()` in one walk over the jobs
+        // (all live: the advance just reaped the rest).
+        let mut until = span_end;
+        let mut next_event = f64::INFINITY;
+        for (i, j) in self.jobs.iter().enumerate() {
+            until = until.min(j.deadline.as_secs());
+            next_event = next_event.min(j.deadline.as_secs());
+            if let Some(done_at) = self.completion_of(j) {
+                next_event = next_event.min(done_at.as_secs());
+                if i == job {
+                    until = until.min(done_at.as_secs());
+                }
+            }
+        }
+        self.armed = Some(Armed {
+            job,
+            until: until - ARM_MARGIN_S,
+            seg_start,
+            speed,
+            watts,
+            current_speed: self.profile.speed_at(self.clock),
+            event_floor: next_event.min(span_end) - ARM_MARGIN_S,
+        });
     }
 }
 

@@ -9,7 +9,7 @@
 //!
 //! * [`core`] — one core: assigned-job set, installed [`SpeedProfile`](ge_power::SpeedProfile),
 //!   power cap, and the event-free `advance(to)` execution engine with
-//!   exact energy accounting.
+//!   exact energy accounting, plus its armed one-slice fast path.
 //! * [`server`] — the `m`-core ensemble plus the shared [`EnergyMeter`](ge_power::EnergyMeter).
 //! * [`assign`] — the Cumulative Round-Robin (C-RR) batch assigner the GE
 //!   algorithm distributes queued jobs with (paper §III-E).

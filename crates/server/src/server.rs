@@ -2,8 +2,10 @@
 //!
 //! Owns the cores, the power model, the shared energy meter, and the total
 //! dynamic-power budget; exposes ensemble-level operations the scheduling
-//! driver uses each epoch (advance everything, snapshot speeds, measure
-//! backlog) while keeping per-core mechanism in [`crate::core::Core`].
+//! driver uses each event (advance everything, snapshot speeds, project
+//! the next core event, measure backlog) while keeping per-core mechanism
+//! in [`crate::core::Core`]. The per-event operations write into
+//! caller-owned buffers so the engine's sweep allocates nothing.
 
 use crate::core::{Core, CoreJob, FinishedJob};
 use ge_power::{EnergyMeter, PowerModel};
@@ -17,6 +19,8 @@ pub struct Server {
     meter: EnergyMeter,
     budget_w: f64,
     units_per_ghz_sec: f64,
+    /// Reused per traced advance to merge the cores' slices in time order.
+    trace_buf: SortingBuffer,
 }
 
 impl std::fmt::Debug for Server {
@@ -52,6 +56,7 @@ impl Server {
             meter: EnergyMeter::new(cores),
             budget_w,
             units_per_ghz_sec,
+            trace_buf: SortingBuffer::for_cores(cores),
         }
     }
 
@@ -90,52 +95,37 @@ impl Server {
         self.cores.iter()
     }
 
-    /// Advances every core to `to`; returns all jobs that finished, in
-    /// core order then finish order.
-    pub fn advance_all(&mut self, to: SimTime) -> Vec<FinishedJob> {
-        self.advance_all_traced(to, &mut ge_trace::NullSink)
-    }
-
-    /// Like [`Server::advance_all`], but emits per-slice execution events
-    /// (`exec_slice`) into `sink`.
+    /// Advances every core to `to`, appending the jobs that finished to
+    /// `finished` in core order then finish order, and emits per-slice
+    /// execution events (`exec_slice`) into `sink`.
     ///
     /// Slices from different cores are buffered and re-sorted by start time
     /// before forwarding, so the merged stream stays in non-decreasing time
     /// order — the invariant [`ge_trace::TraceSink::record`] documents and
     /// the JSONL parser enforces. Sorting the whole batch is valid because
     /// every core advances over the same `[clock, to]` window.
-    pub fn advance_all_traced(
+    pub fn advance_all(
         &mut self,
         to: SimTime,
-        sink: &mut dyn ge_trace::TraceSink,
-    ) -> Vec<FinishedJob> {
+        sink: &mut dyn TraceSink,
+        finished: &mut Vec<FinishedJob>,
+    ) {
+        let model = self.model.as_ref();
         if !sink.is_enabled() {
-            let mut finished = Vec::new();
             for core in &mut self.cores {
-                finished.extend(core.advance_traced(
-                    to,
-                    self.model.as_ref(),
-                    &mut self.meter,
-                    sink,
-                ));
+                core.advance_traced(to, model, &mut self.meter, sink, finished);
             }
-            return finished;
+            return;
         }
-        let mut buf = SortingBuffer::default();
-        let mut finished = Vec::new();
+        let buf = &mut self.trace_buf;
+        buf.events.clear();
         for core in &mut self.cores {
-            finished.extend(core.advance_traced(
-                to,
-                self.model.as_ref(),
-                &mut self.meter,
-                &mut buf,
-            ));
+            core.advance_traced(to, model, &mut self.meter, buf, finished);
         }
         buf.events.sort_by(|a, b| a.t().total_cmp(&b.t()));
         for ev in &buf.events {
             sink.record(ev);
         }
-        finished
     }
 
     /// Fails core `i`: it stops executing and all its queued jobs are
@@ -161,9 +151,11 @@ impl Server {
         self.cores.iter().filter(|c| c.is_online()).count()
     }
 
-    /// Current actual speed of every core (GHz), in core order.
-    pub fn speeds(&self) -> Vec<f64> {
-        self.cores.iter().map(|c| c.current_speed()).collect()
+    /// Overwrites `out` with the current actual speed of every core (GHz),
+    /// in core order.
+    pub fn speeds_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.cores.iter().map(|c| c.current_speed()));
     }
 
     /// Total outstanding work toward current targets, across cores.
@@ -172,11 +164,28 @@ impl Server {
     }
 
     /// Earliest projected per-core event (completion or deadline).
+    ///
+    /// Exact, but projects only the cores that can hold the minimum: every
+    /// core's [`Core::next_event_floor`] bounds its projection from below,
+    /// so once the core with the lowest floor is projected, a core whose
+    /// floor lies above the running minimum can neither beat nor tie it.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.cores
+        let lowest = self
+            .cores
             .iter()
-            .filter_map(|c| c.next_event_time())
-            .min_by(|a, b| a.total_cmp(b))
+            .min_by(|a, b| a.next_event_floor().total_cmp(&b.next_event_floor()))?;
+        let mut best = lowest.next_event_time();
+        for core in &self.cores {
+            if std::ptr::eq(core, lowest)
+                || best.is_some_and(|t| core.next_event_floor() > t.as_secs())
+            {
+                continue;
+            }
+            if let Some(t) = core.next_event_time() {
+                best = Some(best.map_or(t, |b| b.min(t)));
+            }
+        }
+        best
     }
 
     /// Total energy consumed so far (joules).
@@ -223,15 +232,25 @@ impl Server {
             meter: EnergyMeter::restore(meter_state),
             budget_w,
             units_per_ghz_sec,
+            trace_buf: SortingBuffer::for_cores(meter_state.len()),
         }
     }
 }
 
 /// Collects events from per-core advances so they can be re-sorted into
 /// global time order before reaching the real sink.
-#[derive(Default)]
 struct SortingBuffer {
     events: Vec<TraceEvent>,
+}
+
+impl SortingBuffer {
+    /// Sized up front for the usual batch (a slice or two per core), so a
+    /// traced run's steady state never reallocates it.
+    fn for_cores(cores: usize) -> Self {
+        SortingBuffer {
+            events: Vec::with_capacity(2 * cores),
+        }
+    }
 }
 
 impl TraceSink for SortingBuffer {
@@ -281,7 +300,8 @@ mod tests {
             .assign(&Job::new(JobId(1), t(0.0), t(1.0), 500.0));
         s.core_mut(0).install_plan(flat(0.0, 1.0, 2.0), 20.0);
         s.core_mut(1).install_plan(flat(0.0, 1.0, 1.0), 5.0);
-        let fin = s.advance_all(t(1.0));
+        let mut fin = Vec::new();
+        s.advance_all(t(1.0), &mut ge_trace::NullSink, &mut fin);
         assert_eq!(fin.len(), 2);
         assert!(fin.iter().all(|f| !f.expired));
         // Energy: core0 ran 0.5 s at 2 GHz (10 J); core1 0.5 s at 1 GHz (2.5 J).
@@ -297,7 +317,8 @@ mod tests {
             .assign(&Job::new(JobId(0), t(0.0), t(1.0), 1000.0));
         s.core_mut(0).install_plan(flat(0.0, 1.0, 2.0), 20.0);
         s.core_mut(1).install_plan(flat(0.0, 1.0, 3.0), 45.0);
-        let speeds = s.speeds();
+        let mut speeds = vec![9.0; 5];
+        s.speeds_into(&mut speeds);
         assert_eq!(speeds, vec![2.0, 0.0]); // core 1 has no work
     }
 
@@ -357,7 +378,8 @@ mod tests {
         s.core_mut(0).install_plan(flat(0.0, 1.0, 2.0), 20.0);
         s.core_mut(1).install_plan(flat(0.0, 1.0, 1.0), 5.0);
         let mut sink = ge_trace::VecSink::new();
-        let fin = s.advance_all_traced(t(1.0), &mut sink);
+        let mut fin = Vec::new();
+        s.advance_all(t(1.0), &mut sink, &mut fin);
         assert_eq!(fin.len(), 3);
         let ts: Vec<f64> = sink.events().iter().map(|e| e.t()).collect();
         assert!(ts.len() >= 3, "expected one slice per job, got {ts:?}");
