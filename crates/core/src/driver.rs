@@ -13,11 +13,12 @@
 //!
 //! The driver is factored as an [`Engine`] holding every piece of mutable
 //! run state, advanced in segments over the shared event loop. A straight
-//! run is one segment to the horizon; the checkpoint/resume layer
-//! (`crate::resume`) runs the same engine in epoch-aligned segments and
-//! serializes the state between them. Segment boundaries are invisible to
-//! the handler — `Simulator::run_until` delivers the identical
-//! `(now, event)` sequence either way — which is what makes resumed runs
+//! run is one segment to the horizon. [`Run`] is the one public handle
+//! over an engine: batch runs with checkpoints (`crate::resume`), fleet
+//! shards and serve sessions (`crate::shard`) all advance it in segments.
+//! Segment boundaries are invisible to the handler —
+//! `Simulator::run_until` delivers the identical `(now, event)` sequence
+//! either way — which is what makes resumed runs and lockstep fleets
 //! bit-exact.
 
 use ge_faults::{FaultInjector, FaultSchedule, FaultTransition};
@@ -32,7 +33,8 @@ use std::collections::VecDeque;
 
 use crate::config::SimConfig;
 use crate::policy::{Algorithm, ScheduleCtx, Scheduler};
-use crate::result::RunResult;
+use crate::result::{RunResult, ShardOutcome};
+use crate::resume::input_digest;
 
 /// Live-registry handles the driver feeds while telemetry is enabled.
 /// Resolved once per run in [`Engine::new`]; recording is a handful of
@@ -176,19 +178,106 @@ pub fn run_scheduler_with_sink(
     engine.emit_run_start(sched, sink);
     let horizon = engine.horizon;
     engine.advance(horizon, sched, sink);
-    engine.finalize(sched, sink)
+    engine.finalize(sched, sink).result
+}
+
+/// One simulation — a batch run, a fleet shard or a serve session — that
+/// its owner advances in segments. Jobs come from the trace it starts over
+/// and from [`Run::inject_job`]; a fleet shard or serve session starts
+/// over an empty trace. Fleet controls live in `crate::shard`, checkpoints
+/// in `crate::resume`.
+pub struct Run {
+    pub(crate) engine: Engine,
+    pub(crate) sched: Box<dyn Scheduler>,
+    /// Whether the fleet router currently considers this server dead.
+    pub(crate) crashed: bool,
+    /// The input digest sealed into every checkpoint of this run.
+    pub(crate) digest: u64,
+    /// Jobs present at construction; later ones were injected.
+    pub(crate) base_jobs: usize,
+}
+
+impl Run {
+    /// Starts a run at t = 0 and emits its `RunStart` into `sink`.
+    ///
+    /// # Panics
+    /// Panics if `cfg` is invalid.
+    pub fn start(
+        cfg: &SimConfig,
+        trace: &Trace,
+        algorithm: &Algorithm,
+        faults: Option<&FaultSchedule>,
+        sink: &mut dyn TraceSink,
+    ) -> Self {
+        let run = Run::build(cfg, trace, algorithm, faults);
+        run.engine.emit_run_start(run.sched.as_ref(), sink);
+        run
+    }
+
+    /// A fresh run at t = 0, without the `RunStart` event.
+    pub(crate) fn build(
+        cfg: &SimConfig,
+        trace: &Trace,
+        algorithm: &Algorithm,
+        faults: Option<&FaultSchedule>,
+    ) -> Self {
+        let sched = algorithm.build(cfg);
+        let engine = Engine::new(cfg, trace, faults, sched.current_mode());
+        Run {
+            digest: input_digest(&engine, sched.name()),
+            base_jobs: engine.all_jobs.len(),
+            engine,
+            sched,
+            crashed: false,
+        }
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.engine.sim.now()
+    }
+
+    /// The run's horizon: `cfg.horizon`, stretched to cover every deadline
+    /// in the starting trace.
+    pub fn horizon(&self) -> SimTime {
+        self.engine.horizon
+    }
+
+    /// Whether the event loop has reached the horizon.
+    pub fn is_done(&self) -> bool {
+        self.now().at_or_after(self.horizon())
+    }
+
+    /// Runs the event loop up to `t` (inclusive, clamped to the horizon),
+    /// recording engine events into `sink`. Segment boundaries are
+    /// invisible to the simulation.
+    pub fn advance_to(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
+        let until = t.min(self.engine.horizon);
+        self.engine.advance(until, self.sched.as_mut(), sink);
+    }
+
+    /// Advances to the horizon, closes the books (the closing `JobFinish`
+    /// events go to `sink`) and returns the measurements plus ledger sums.
+    pub fn finish(mut self, sink: &mut dyn TraceSink) -> ShardOutcome {
+        let horizon = self.engine.horizon;
+        self.engine.advance(horizon, self.sched.as_mut(), sink);
+        self.engine.finalize(self.sched.as_mut(), sink)
+    }
 }
 
 /// The full mutable state of one simulation run plus its (deterministic,
 /// rebuildable) environment. `crate::resume` serializes every field listed
-/// under "mutable run state"; the environment block is reconstructed from
-/// the same `(cfg, trace, faults)` inputs on resume.
+/// under "mutable run state" plus the injected tail of `all_jobs`; the
+/// rest is reconstructed from the same `(cfg, trace, faults)` inputs on
+/// resume.
 pub(crate) struct Engine {
     // -- Environment: deterministic from (cfg, trace, faults) ------------
     pub(crate) cfg: SimConfig,
     pub(crate) f: ExpConcave,
     pub(crate) horizon: SimTime,
     pub(crate) all_jobs: Vec<Job>,
+    /// Release time by job id; the last job pushed with an id wins.
+    /// Derived from `all_jobs`, never serialized.
     pub(crate) releases: Vec<SimTime>,
 
     // -- Mutable run state ----------------------------------------------
@@ -247,10 +336,9 @@ impl Engine {
                 }
             }
         }
-        // Release times keyed by job id (ids are dense over trace + surge).
-        let mut releases = vec![SimTime::ZERO; all_jobs.len()];
+        let mut releases = Vec::with_capacity(all_jobs.len());
         for j in &all_jobs {
-            releases[j.id.index()] = j.release;
+            book_release(&mut releases, j);
         }
         let injector = faults.map(|fs| FaultInjector::new(fs, cfg.cores));
 
@@ -300,6 +388,14 @@ impl Engine {
             telemetry: Telemetry::is_enabled().then(DriverTelemetry::new),
             finished: Vec::with_capacity(cfg.cores),
         }
+    }
+
+    /// Appends an injected job to the job table and books its release;
+    /// returns its slot for the `Ev::Arrival` event.
+    pub(crate) fn push_job(&mut self, job: Job) -> usize {
+        book_release(&mut self.releases, &job);
+        self.all_jobs.push(job);
+        self.all_jobs.len() - 1
     }
 
     /// Emits the `RunStart` trace event (once, before the first segment).
@@ -357,53 +453,29 @@ impl Engine {
             self.speed_tracker.sample(&self.last_speeds, dt);
         }
         self.sweep_server(now, sink);
-        // Jobs that died waiting in the queue count as fully discarded.
-        let (ledger, f) = (&mut self.ledger, &self.f);
+        // Jobs that died waiting in the queue count as fully discarded;
+        // orphans whose deadline passed get their partial credit. (The
+        // books are borrowed field by field so the lists can be filtered
+        // in place.)
+        let mut books = Books {
+            ledger: &mut self.ledger,
+            f: &self.f,
+            latency: &mut self.latency,
+            releases: &self.releases,
+        };
         self.queue.retain(|j| {
-            if j.deadline.at_or_before(now) {
-                ledger.record(0.0, f.value(j.demand));
-                if sink.is_enabled() {
-                    sink.record(&TraceEvent::JobFinish {
-                        t: now.as_secs(),
-                        job: j.id.index() as u64,
-                        processed: 0.0,
-                        full_demand: j.demand,
-                        discarded: true,
-                    });
-                }
-                false
-            } else {
-                true
+            let expired = j.deadline.at_or_before(now);
+            if expired {
+                books.discarded(sink, now, j);
             }
+            !expired
         });
-        // Orphans (preempted off failed cores) whose deadline passed get
-        // partial credit for the volume they retired before the failure.
-        let (ledger, f, latency, releases) =
-            (&mut self.ledger, &self.f, &mut self.latency, &self.releases);
         self.orphans.retain(|j| {
-            if j.deadline.at_or_before(now) {
-                let credited = j.processed.min(j.full_demand);
-                ledger.record(f.value(credited), f.value(j.full_demand));
-                if credited > 0.0 {
-                    latency.record(
-                        j.deadline
-                            .saturating_since(releases[j.id.index()])
-                            .as_secs(),
-                    );
-                }
-                if sink.is_enabled() {
-                    sink.record(&TraceEvent::JobFinish {
-                        t: now.as_secs(),
-                        job: j.id.index() as u64,
-                        processed: credited,
-                        full_demand: j.full_demand,
-                        discarded: credited <= 0.0,
-                    });
-                }
-                false
-            } else {
-                true
+            let expired = j.deadline.at_or_before(now);
+            if expired {
+                books.orphan(sink, now, j, j.deadline);
             }
+            !expired
         });
 
         // -- Event-specific logic ----------------------------------------
@@ -572,19 +644,12 @@ impl Engine {
                 sched.on_schedule(&mut sctx);
             }
             // Account jobs the policy shed under its Q_min admission floor.
-            for j in self.shed_buf.drain(..) {
+            let mut shed = std::mem::take(&mut self.shed_buf);
+            for j in shed.drain(..) {
                 self.jobs_shed += 1;
-                self.ledger.record(0.0, self.f.value(j.demand));
-                if sink.is_enabled() {
-                    sink.record(&TraceEvent::JobFinish {
-                        t: now.as_secs(),
-                        job: j.id.index() as u64,
-                        processed: 0.0,
-                        full_demand: j.demand,
-                        discarded: true,
-                    });
-                }
+                self.books().discarded(sink, now, &j);
             }
+            self.shed_buf = shed;
             self.epochs += 1;
             self.mode_tracker.switch(sched.current_mode(), now);
             if sink.is_enabled() {
@@ -639,12 +704,20 @@ impl Engine {
         self.finished = finished;
     }
 
+    /// The books a job's fate is recorded in.
+    fn books(&mut self) -> Books<'_> {
+        Books {
+            ledger: &mut self.ledger,
+            f: &self.f,
+            latency: &mut self.latency,
+            releases: &self.releases,
+        }
+    }
+
     /// Settles all remaining work at the horizon: the final speed sample,
     /// the last execution slices, and ledger entries for every job still
-    /// queued or orphaned. Idempotent — a second call finds nothing left
-    /// to drain — so [`Engine::finalize`] can build on it and callers that
-    /// need ledger sums before consuming the engine can invoke it early.
-    pub(crate) fn close_books(&mut self, sink: &mut dyn TraceSink) {
+    /// queued or orphaned.
+    fn close_books(&mut self, sink: &mut dyn TraceSink) {
         let end = self.horizon;
         let dt = end.saturating_since(self.last_t).as_secs();
         if dt > 0.0 {
@@ -652,39 +725,11 @@ impl Engine {
         }
         self.last_t = end;
         self.sweep_server(end, sink);
-        for j in self.queue.drain(..) {
-            self.ledger.record(0.0, self.f.value(j.demand));
-            if sink.is_enabled() {
-                sink.record(&TraceEvent::JobFinish {
-                    t: end.as_secs(),
-                    job: j.id.index() as u64,
-                    processed: 0.0,
-                    full_demand: j.demand,
-                    discarded: true,
-                });
-            }
+        for j in std::mem::take(&mut self.queue) {
+            self.books().discarded(sink, end, &j);
         }
-        for j in self.orphans.drain(..) {
-            let credited = j.processed.min(j.full_demand);
-            self.ledger
-                .record(self.f.value(credited), self.f.value(j.full_demand));
-            if credited > 0.0 {
-                self.latency.record(
-                    j.deadline
-                        .min(end)
-                        .saturating_since(self.releases[j.id.index()])
-                        .as_secs(),
-                );
-            }
-            if sink.is_enabled() {
-                sink.record(&TraceEvent::JobFinish {
-                    t: end.as_secs(),
-                    job: j.id.index() as u64,
-                    processed: credited,
-                    full_demand: j.full_demand,
-                    discarded: credited <= 0.0,
-                });
-            }
+        for j in std::mem::take(&mut self.orphans) {
+            self.books().orphan(sink, end, &j, j.deadline.min(end));
         }
 
         if let Some(tel) = &self.telemetry {
@@ -692,13 +737,14 @@ impl Engine {
         }
     }
 
-    /// Closes the books at the horizon and produces the run measurements.
-    /// Call only after [`Engine::advance`] has reached the horizon.
+    /// Closes the books at the horizon and produces the run measurements
+    /// plus ledger sums. Call only after [`Engine::advance`] has reached
+    /// the horizon.
     pub(crate) fn finalize(
         mut self,
         sched: &mut dyn Scheduler,
         sink: &mut dyn TraceSink,
-    ) -> RunResult {
+    ) -> ShardOutcome {
         self.close_books(sink);
         let end = self.horizon;
         let fractions = self.mode_tracker.fractions_at(end);
@@ -723,7 +769,7 @@ impl Engine {
                 jobs_discarded: self.ledger.jobs_discarded(),
             });
         }
-        RunResult {
+        let result = RunResult {
             algorithm: sched.name().to_string(),
             quality: self.ledger.quality(),
             energy_j: self.server.total_energy(),
@@ -740,8 +786,71 @@ impl Engine {
             p95_latency_ms: self.latency.quantile(0.95) * 1e3,
             p99_latency_ms: self.latency.quantile(0.99) * 1e3,
             core_energy_cv,
+        };
+        ShardOutcome {
+            result,
+            achieved_sum: self.ledger.achieved_sum(),
+            full_sum: self.ledger.full_sum(),
         }
     }
+}
+
+/// Where a job's fate is booked: the quality ledger and, for served work,
+/// the latency histogram.
+struct Books<'a> {
+    ledger: &'a mut QualityLedger,
+    f: &'a ExpConcave,
+    latency: &'a mut ge_metrics::Histogram,
+    releases: &'a [SimTime],
+}
+
+impl Books<'_> {
+    /// Books a job that never ran — expired in the queue, shed, or left
+    /// over at the close — as fully discarded at time `t`.
+    fn discarded(&mut self, sink: &mut dyn TraceSink, t: SimTime, j: &Job) {
+        self.ledger.record(0.0, self.f.value(j.demand));
+        if sink.is_enabled() {
+            sink.record(&TraceEvent::JobFinish {
+                t: t.as_secs(),
+                job: j.id.index() as u64,
+                processed: 0.0,
+                full_demand: j.demand,
+                discarded: true,
+            });
+        }
+    }
+
+    /// Books an orphan (preempted off a failed core) at time `t` with
+    /// partial credit for the volume it retired before the failure; a
+    /// credited orphan's latency runs from its release to `latency_end`.
+    fn orphan(&mut self, sink: &mut dyn TraceSink, t: SimTime, j: &CoreJob, latency_end: SimTime) {
+        let credited = j.processed.min(j.full_demand);
+        self.ledger
+            .record(self.f.value(credited), self.f.value(j.full_demand));
+        if credited > 0.0 {
+            let release = self.releases[j.id.index()];
+            self.latency
+                .record(latency_end.saturating_since(release).as_secs());
+        }
+        if sink.is_enabled() {
+            sink.record(&TraceEvent::JobFinish {
+                t: t.as_secs(),
+                job: j.id.index() as u64,
+                processed: credited,
+                full_demand: j.full_demand,
+                discarded: credited <= 0.0,
+            });
+        }
+    }
+}
+
+/// Books `job`'s release time under its id, growing the table as needed.
+fn book_release(releases: &mut Vec<SimTime>, job: &Job) {
+    let idx = job.id.index();
+    if releases.len() <= idx {
+        releases.resize(idx + 1, SimTime::ZERO);
+    }
+    releases[idx] = job.release;
 }
 
 #[cfg(test)]
@@ -952,7 +1061,7 @@ mod tests {
             t = (t + cfg.quantum).min(horizon);
             engine.advance(t, sched.as_mut(), &mut NullSink);
         }
-        let segmented = engine.finalize(sched.as_mut(), &mut NullSink);
+        let segmented = engine.finalize(sched.as_mut(), &mut NullSink).result;
         assert_eq!(straight.quality.to_bits(), segmented.quality.to_bits());
         assert_eq!(straight.energy_j.to_bits(), segmented.energy_j.to_bits());
         assert_eq!(straight.schedule_epochs, segmented.schedule_epochs);

@@ -16,7 +16,13 @@
 //! * [`baselines`] — best-effort family (BE/OQ/BE-P/BE-S via GE machinery
 //!   with policy knobs) and the four single-job queue policies.
 //! * [`driver`] — the event loop: arrivals, quantum/counter/idle triggers,
-//!   queue-expiry, quality monitoring, speed sampling, energy metering.
+//!   queue-expiry, quality monitoring, speed sampling, energy metering —
+//!   and [`Run`], the one handle batch runs, fleet shards and serve
+//!   sessions advance it through.
+//! * [`shard`] — the fleet and serve controls on a [`Run`]: job injection,
+//!   whole-server crash/recover, budget and speed factors.
+//! * [`resume`] — [`Run`] checkpoints: snapshot/restore and periodic
+//!   checkpointing via [`Run::drive`].
 //! * [`result`] — [`RunResult`]: the measurements every figure is built
 //!   from.
 //! * [`clairvoyant`] — an offline hindsight planner quantifying the price
@@ -51,9 +57,8 @@ pub mod shard;
 
 pub use clairvoyant::{clairvoyant_plan, ClairvoyantOutcome};
 pub use config::{PowerPolicy, SimConfig};
-pub use driver::{run, run_scheduler_with_sink, run_with_sink, RunTrace, TrajectorySink};
+pub use driver::{run, run_scheduler_with_sink, run_with_sink, Run, RunTrace, TrajectorySink};
 pub use ge::GeScheduler;
 pub use policy::{Algorithm, ScheduleCtx, Scheduler, TriggerSet, MODE_AES, MODE_BQ};
-pub use result::RunResult;
-pub use resume::{resume_from, run_resumable, CheckpointPolicy, ResumableOutcome, ResumableRun};
-pub use shard::{ShardEngine, ShardOutcome};
+pub use result::{RunResult, ShardOutcome};
+pub use resume::{CheckpointPolicy, DriveOutcome};

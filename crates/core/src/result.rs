@@ -40,6 +40,19 @@ pub struct RunResult {
     pub core_energy_cv: f64,
 }
 
+/// A run's final measurements plus the ledger sums a fleet needs to
+/// aggregate quality across shards (fleet quality is a ratio of summed
+/// achieved over summed full values, not a mean of per-shard ratios).
+#[derive(Debug, Clone)]
+pub struct ShardOutcome {
+    /// The ordinary single-server run measurements.
+    pub result: RunResult,
+    /// `Σ f(c_j)` over every job recorded by the run's ledger.
+    pub achieved_sum: f64,
+    /// `Σ f(p_j)` over every job recorded by the run's ledger.
+    pub full_sum: f64,
+}
+
 impl RunResult {
     /// Average power over the active span (watts); 0 for an empty run.
     pub fn average_power_w(&self, span_secs: f64) -> f64 {

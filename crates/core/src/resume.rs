@@ -1,12 +1,14 @@
-//! Crash-safe checkpoint/resume for full simulation runs.
+//! Crash-safe checkpoint/resume for a [`Run`]: batch run, fleet shard or
+//! serve session alike.
 //!
 //! A checkpoint captures **everything** mutable about a run mid-flight —
-//! the simulator clock and pending event queue (with sequence numbers, so
-//! FIFO tie-breaking survives), every core's resident jobs/plan/clock, the
-//! energy meter's Kahan compensation terms, the quality ledger, metric
-//! trackers, the driver's queue/cursor/fault state, and the policy's own
-//! cross-epoch state via [`Scheduler::encode_state`]. The run environment
-//! (workload, fault schedule, configuration) is *not* stored: it is
+//! the jobs injected since it started, the crash flag, the simulator clock
+//! and pending event queue (with sequence numbers, so FIFO tie-breaking
+//! survives), every core's resident jobs/plan/clock, the energy meter's
+//! Kahan compensation terms, the quality ledger, metric trackers, the
+//! driver's queue/cursor/fault state, and the policy's own cross-epoch
+//! state via [`Scheduler::encode_state`]. The run environment (starting
+//! workload, fault schedule, configuration) is *not* stored: it is
 //! deterministic from the same inputs, which the envelope pins with an
 //! input digest so a checkpoint cannot be resumed against the wrong run.
 //!
@@ -35,12 +37,12 @@ use ge_recover::checkpoint::{seal, unseal};
 use ge_recover::codec::fnv1a64;
 use ge_recover::{write_atomic, CheckpointError, CodecError, Decoder, Encoder};
 use ge_server::{Core, CoreJob, Server};
-use ge_simcore::{EventEntry, SimDuration, SimTime, Simulator};
+use ge_simcore::{EventEntry, SimTime, Simulator};
 use ge_trace::TraceSink;
 use ge_workload::{Job, JobId, Trace};
 
 use crate::config::SimConfig;
-use crate::driver::{Engine, Ev};
+use crate::driver::{Engine, Ev, Run};
 use crate::policy::{Algorithm, Scheduler};
 use crate::result::RunResult;
 
@@ -70,9 +72,9 @@ impl CheckpointPolicy {
     }
 }
 
-/// The outcome of [`run_resumable`] / [`resume_from`].
+/// The outcome of [`Run::drive`].
 #[derive(Debug, Clone)]
-pub enum ResumableOutcome {
+pub enum DriveOutcome {
     /// The run reached its horizon; the final measurements.
     Finished(RunResult),
     /// The run stopped early per [`CheckpointPolicy::stop_after`]; the
@@ -85,70 +87,65 @@ pub enum ResumableOutcome {
     },
 }
 
-/// A simulation that can be checkpointed between quantum-aligned segments
-/// and reconstructed bit-exactly from any of those checkpoints.
-pub struct ResumableRun {
-    cfg: SimConfig,
-    digest: u64,
-    sched: Box<dyn Scheduler>,
-    engine: Engine,
-}
+/// Injected job ids are bounded on restore so a crafted checkpoint cannot
+/// make the release table (indexed by id) allocate without limit.
+const MAX_INJECTED_ID: u64 = u32::MAX as u64;
 
-impl ResumableRun {
-    /// Starts a fresh run at t = 0 (emitting the `RunStart` trace event).
-    pub fn start(
-        cfg: &SimConfig,
-        trace: &Trace,
-        algorithm: &Algorithm,
-        faults: Option<&ge_faults::FaultSchedule>,
-        sink: &mut dyn TraceSink,
-    ) -> Self {
-        let sched = algorithm.build(cfg);
-        let engine = Engine::new(cfg, trace, faults, sched.current_mode());
-        let digest = input_digest(cfg, sched.name(), &engine);
-        let run = ResumableRun {
-            cfg: cfg.clone(),
-            digest,
-            sched,
-            engine,
-        };
-        run.engine.emit_run_start(run.sched.as_ref(), sink);
-        run
+impl Run {
+    /// Serializes the complete run state into a sealed checkpoint: the
+    /// injected jobs, the crash flag, then the engine state.
+    pub fn snapshot(&self) -> Vec<u8> {
+        let _span = ge_telemetry::SpanGuard::enter("checkpoint_encode");
+        let mut enc = Encoder::new();
+        let injected = &self.engine.all_jobs[self.base_jobs..];
+        enc.put_usize(injected.len());
+        for j in injected {
+            put_job(&mut enc, j);
+        }
+        enc.put_bool(self.crashed);
+        encode_engine_state(&mut enc, &self.engine, self.sched.as_ref());
+        seal(self.digest, &enc.into_bytes())
     }
 
-    /// Reconstructs a run from checkpoint `bytes`, given the *same*
-    /// `(cfg, trace, algorithm, faults)` the original run was started
-    /// with; a mismatch is rejected via the input digest. Does not re-emit
-    /// `RunStart` — a sink attached across save/resume sees one contiguous
-    /// event stream.
-    pub fn resume(
+    /// Reconstructs a run bit-exactly from [`Run::snapshot`] bytes, given
+    /// the *same* `(cfg, trace, algorithm, faults)` the original was
+    /// started with; a mismatch is rejected via the input digest. Does not
+    /// re-emit `RunStart` — a sink attached across save/resume sees one
+    /// contiguous event stream.
+    pub fn restore(
         cfg: &SimConfig,
         trace: &Trace,
         algorithm: &Algorithm,
         faults: Option<&ge_faults::FaultSchedule>,
         bytes: &[u8],
     ) -> Result<Self, CheckpointError> {
-        let mut sched = algorithm.build(cfg);
-        let mut engine = Engine::new(cfg, trace, faults, sched.current_mode());
-        let digest = input_digest(cfg, sched.name(), &engine);
+        let mut run = Run::build(cfg, trace, algorithm, faults);
         let (stored_digest, payload) = unseal(bytes)?;
-        if stored_digest != digest {
+        if stored_digest != run.digest {
             return Err(CheckpointError::DigestMismatch {
                 checkpoint: stored_digest,
-                current: digest,
+                current: run.digest,
             });
         }
-        decode_engine_state(&mut engine, sched.as_mut(), payload)?;
-        Ok(ResumableRun {
-            cfg: cfg.clone(),
-            digest,
-            sched,
-            engine,
-        })
+        let mut dec = Decoder::new(payload);
+        let injected = dec.get_len("run.injected")?;
+        for _ in 0..injected {
+            let job = get_job(&mut dec)?;
+            if job.id.0 > MAX_INJECTED_ID {
+                return Err(CheckpointError::Invalid("injected job id out of range"));
+            }
+            // Rebuilds the release table exactly as live injection did:
+            // in order, the last job with an id winning.
+            run.engine.push_job(job);
+        }
+        run.crashed = dec.get_bool("run.crashed")?;
+        decode_engine_state(&mut dec, &mut run.engine, run.sched.as_mut())?;
+        dec.finish("checkpoint")?;
+        Ok(run)
     }
 
-    /// [`ResumableRun::resume`] from a checkpoint file.
-    pub fn resume_from_path(
+    /// [`Run::restore`] from a checkpoint file.
+    pub fn restore_file(
         cfg: &SimConfig,
         trace: &Trace,
         algorithm: &Algorithm,
@@ -156,49 +153,10 @@ impl ResumableRun {
         path: &Path,
     ) -> Result<Self, CheckpointError> {
         let bytes = std::fs::read(path)?;
-        Self::resume(cfg, trace, algorithm, faults, &bytes)
+        Self::restore(cfg, trace, algorithm, faults, &bytes)
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.engine.sim.now()
-    }
-
-    /// The run's horizon (covers every deadline, so ≥ `cfg.horizon`).
-    pub fn horizon(&self) -> SimTime {
-        self.engine.horizon
-    }
-
-    /// The scheduling quantum driving segment boundaries.
-    pub fn quantum(&self) -> SimDuration {
-        self.cfg.quantum
-    }
-
-    /// The digest pinning this run's inputs, stored in every checkpoint.
-    pub fn input_digest(&self) -> u64 {
-        self.digest
-    }
-
-    /// Whether the event loop has reached the horizon.
-    pub fn is_done(&self) -> bool {
-        self.now().at_or_after(self.horizon())
-    }
-
-    /// Advances the event loop to `t` (clamped to the horizon). Segment
-    /// boundaries are invisible to the simulation.
-    pub fn advance_to(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
-        let until = t.min(self.engine.horizon);
-        self.engine.advance(until, self.sched.as_mut(), sink);
-    }
-
-    /// Serializes the complete run state into a sealed checkpoint.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let _span = ge_telemetry::SpanGuard::enter("checkpoint_encode");
-        let payload = encode_engine_state(&self.engine, self.sched.as_ref());
-        seal(self.digest, &payload)
-    }
-
-    /// Writes [`ResumableRun::snapshot`] to `path` atomically.
+    /// Writes [`Run::snapshot`] to `path` atomically.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let _span = ge_telemetry::SpanGuard::enter("checkpoint_write");
         let bytes = self.snapshot();
@@ -212,75 +170,46 @@ impl ResumableRun {
         Ok(())
     }
 
-    /// Runs final accounting at the horizon and returns the measurements.
-    /// Call once the run [`is_done`](ResumableRun::is_done) (any remaining
-    /// gap is advanced first).
-    pub fn finish(mut self, sink: &mut dyn TraceSink) -> RunResult {
-        let horizon = self.engine.horizon;
-        self.engine.advance(horizon, self.sched.as_mut(), sink);
-        self.engine.finalize(self.sched.as_mut(), sink)
-    }
-}
-
-/// Runs a simulation with periodic checkpoints per `policy`.
-pub fn run_resumable(
-    cfg: &SimConfig,
-    trace: &Trace,
-    algorithm: &Algorithm,
-    faults: Option<&ge_faults::FaultSchedule>,
-    policy: &CheckpointPolicy,
-    sink: &mut dyn TraceSink,
-) -> Result<ResumableOutcome, CheckpointError> {
-    let run = ResumableRun::start(cfg, trace, algorithm, faults, sink);
-    drive(run, policy, sink)
-}
-
-/// Resumes a checkpointed run from `policy.path` and continues it (with
-/// further periodic checkpoints) to completion.
-pub fn resume_from(
-    cfg: &SimConfig,
-    trace: &Trace,
-    algorithm: &Algorithm,
-    faults: Option<&ge_faults::FaultSchedule>,
-    policy: &CheckpointPolicy,
-    sink: &mut dyn TraceSink,
-) -> Result<ResumableOutcome, CheckpointError> {
-    let run = ResumableRun::resume_from_path(cfg, trace, algorithm, faults, &policy.path)?;
-    drive(run, policy, sink)
-}
-
-fn drive(
-    mut run: ResumableRun,
-    policy: &CheckpointPolicy,
-    sink: &mut dyn TraceSink,
-) -> Result<ResumableOutcome, CheckpointError> {
-    assert!(policy.every_quanta >= 1, "checkpoint interval must be >= 1");
-    let quantum = run.quantum();
-    let mut ticks = 0u64;
-    let mut written = 0u64;
-    while !run.is_done() {
-        let next = (run.now() + quantum).min(run.horizon());
-        run.advance_to(next, sink);
-        ticks += 1;
-        if ticks % policy.every_quanta == 0 && !run.is_done() {
-            run.save(&policy.path)?;
-            written += 1;
-            if policy.stop_after.is_some_and(|n| written >= n) {
-                return Ok(ResumableOutcome::Stopped {
-                    at: run.now(),
-                    checkpoints: written,
-                });
+    /// Runs to the horizon in quantum-sized segments, checkpointing to
+    /// `policy.path` every `policy.every_quanta` quanta.
+    pub fn drive(
+        mut self,
+        policy: &CheckpointPolicy,
+        sink: &mut dyn TraceSink,
+    ) -> Result<DriveOutcome, CheckpointError> {
+        assert!(policy.every_quanta >= 1, "checkpoint interval must be >= 1");
+        let quantum = self.engine.cfg.quantum;
+        let mut ticks = 0u64;
+        let mut written = 0u64;
+        while !self.is_done() {
+            self.advance_to(self.now() + quantum, sink);
+            ticks += 1;
+            if ticks % policy.every_quanta == 0 && !self.is_done() {
+                self.save(&policy.path)?;
+                written += 1;
+                if policy.stop_after.is_some_and(|n| written >= n) {
+                    return Ok(DriveOutcome::Stopped {
+                        at: self.now(),
+                        checkpoints: written,
+                    });
+                }
             }
         }
+        Ok(DriveOutcome::Finished(self.finish(sink).result))
     }
-    Ok(ResumableOutcome::Finished(run.finish(sink)))
 }
 
 // ---------------------------------------------------------------------------
-// Input digest: pins (cfg, algorithm, derived workload, fault stream).
+// Input digest: pins (cfg, algorithm, job set at construction, fault stream).
 // ---------------------------------------------------------------------------
 
-fn encode_config_inputs(enc: &mut Encoder, cfg: &SimConfig, algorithm_label: &str) {
+/// Digest pinning a run's inputs. Computed at construction, so the job set
+/// is the derived workload (trace + surge jobs + estimate noise) — empty
+/// for a fleet shard or serve session, whose injected jobs the checkpoint
+/// payload carries instead.
+pub(crate) fn input_digest(engine: &Engine, algorithm_label: &str) -> u64 {
+    let cfg = &engine.cfg;
+    let mut enc = Encoder::new();
     enc.put_str(algorithm_label);
     enc.put_usize(cfg.cores);
     enc.put_f64(cfg.budget_w);
@@ -310,9 +239,10 @@ fn encode_config_inputs(enc: &mut Encoder, cfg: &SimConfig, algorithm_label: &st
         }
     }
     enc.put_f64(cfg.load_window_secs);
-}
-
-fn encode_fault_inputs(enc: &mut Encoder, engine: &Engine) {
+    enc.put_usize(engine.all_jobs.len());
+    for j in &engine.all_jobs {
+        put_job(&mut enc, j);
+    }
     match &engine.injector {
         None => enc.put_u8(0),
         Some(inj) => {
@@ -320,38 +250,10 @@ fn encode_fault_inputs(enc: &mut Encoder, engine: &Engine) {
             enc.put_usize(inj.transitions().len());
             for tr in inj.transitions() {
                 enc.put_f64(tr.at.as_secs());
-                encode_fault_transition(enc, tr.transition);
+                encode_fault_transition(&mut enc, tr.transition);
             }
         }
     }
-}
-
-fn input_digest(cfg: &SimConfig, algorithm_label: &str, engine: &Engine) -> u64 {
-    let mut enc = Encoder::new();
-    encode_config_inputs(&mut enc, cfg, algorithm_label);
-    // The derived workload (trace + surge jobs + estimate noise) and the
-    // compiled fault-transition stream cover the trace and fault schedule
-    // exactly as the run sees them.
-    enc.put_usize(engine.all_jobs.len());
-    for j in &engine.all_jobs {
-        enc.put_u64(j.id.0);
-        enc.put_f64(j.release.as_secs());
-        enc.put_f64(j.deadline.as_secs());
-        enc.put_f64(j.demand);
-        enc.put_f64(j.estimate);
-    }
-    encode_fault_inputs(&mut enc, engine);
-    fnv1a64(&enc.into_bytes())
-}
-
-/// Digest pinning a shard checkpoint's environment: configuration,
-/// algorithm, and fault stream — but *not* the job set, which a serving
-/// shard grows online and therefore stores inside the snapshot itself.
-pub(crate) fn shard_input_digest(cfg: &SimConfig, algorithm_label: &str, engine: &Engine) -> u64 {
-    let mut enc = Encoder::new();
-    enc.put_str("shard-v1");
-    encode_config_inputs(&mut enc, cfg, algorithm_label);
-    encode_fault_inputs(&mut enc, engine);
     fnv1a64(&enc.into_bytes())
 }
 
@@ -475,8 +377,8 @@ fn encode_core_job(enc: &mut Encoder, j: &CoreJob) {
 fn decode_core_job(dec: &mut Decoder<'_>) -> Result<CoreJob, CodecError> {
     Ok(CoreJob {
         id: JobId(dec.get_u64("core_job.id")?),
-        release: SimTime::from_secs(dec.get_f64("core_job.release")?),
-        deadline: SimTime::from_secs(dec.get_f64("core_job.deadline")?),
+        release: get_time(dec, "core_job.release")?,
+        deadline: get_time(dec, "core_job.deadline")?,
         full_demand: dec.get_f64("core_job.full_demand")?,
         estimate: dec.get_f64("core_job.estimate")?,
         target_demand: dec.get_f64("core_job.target_demand")?,
@@ -484,14 +386,52 @@ fn decode_core_job(dec: &mut Decoder<'_>) -> Result<CoreJob, CodecError> {
     })
 }
 
-pub(crate) fn encode_engine_state(engine: &Engine, sched: &dyn Scheduler) -> Vec<u8> {
+/// `SimTime` refuses non-finite values; a checkpoint holding one is
+/// corrupt, not a reason to panic.
+fn finite_time(secs: f64, field: &'static str) -> Result<SimTime, CodecError> {
+    if !secs.is_finite() {
+        return Err(CodecError::Invalid {
+            field,
+            reason: "non-finite time",
+        });
+    }
+    Ok(SimTime::from_secs(secs))
+}
+
+fn get_time(dec: &mut Decoder<'_>, field: &'static str) -> Result<SimTime, CodecError> {
+    finite_time(dec.get_f64(field)?, field)
+}
+
+fn put_job(enc: &mut Encoder, j: &Job) {
+    enc.put_u64(j.id.0);
+    enc.put_f64(j.release.as_secs());
+    enc.put_f64(j.deadline.as_secs());
+    enc.put_f64(j.demand);
+    enc.put_f64(j.estimate);
+}
+
+fn get_job(dec: &mut Decoder<'_>) -> Result<Job, CheckpointError> {
+    let job = Job {
+        id: JobId(dec.get_u64("job.id")?),
+        release: get_time(dec, "job.release")?,
+        deadline: get_time(dec, "job.deadline")?,
+        demand: dec.get_f64("job.demand")?,
+        estimate: dec.get_f64("job.estimate")?,
+    };
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if !(positive(job.demand) && positive(job.estimate)) {
+        return Err(CheckpointError::Invalid("malformed job demand"));
+    }
+    Ok(job)
+}
+
+fn encode_engine_state(enc: &mut Encoder, engine: &Engine, sched: &dyn Scheduler) {
     // Shed jobs are drained within each scheduling epoch, so the buffer is
     // always empty at segment boundaries; the format relies on that.
     assert!(
         engine.shed_buf.is_empty(),
         "snapshot taken mid-epoch: shed buffer not drained"
     );
-    let mut enc = Encoder::new();
 
     // 1. Simulator: clock, handled count, event queue with seq numbers.
     enc.put_f64(engine.sim.now().as_secs());
@@ -503,7 +443,7 @@ pub(crate) fn encode_engine_state(engine: &Engine, sched: &dyn Scheduler) -> Vec
         enc.put_f64(e.time.as_secs());
         enc.put_u32(e.priority);
         enc.put_u64(e.seq);
-        encode_ev(&mut enc, e.event);
+        encode_ev(enc, e.event);
     }
 
     // 2. Server: per-core state, then the energy meter's Kahan pairs.
@@ -512,9 +452,9 @@ pub(crate) fn encode_engine_state(engine: &Engine, sched: &dyn Scheduler) -> Vec
         let core = engine.server.core(i);
         enc.put_usize(core.jobs().len());
         for j in core.jobs() {
-            encode_core_job(&mut enc, j);
+            encode_core_job(enc, j);
         }
-        encode_profile(&mut enc, core.profile());
+        encode_profile(enc, core.profile());
         enc.put_f64(core.power_cap());
         enc.put_f64(core.clock().as_secs());
         enc.put_opt_u64(core.running_job().map(|id| id.0));
@@ -564,11 +504,7 @@ pub(crate) fn encode_engine_state(engine: &Engine, sched: &dyn Scheduler) -> Vec
     // 5. Driver-local state.
     enc.put_usize(engine.queue.len());
     for j in &engine.queue {
-        enc.put_u64(j.id.0);
-        enc.put_f64(j.release.as_secs());
-        enc.put_f64(j.deadline.as_secs());
-        enc.put_f64(j.demand);
-        enc.put_f64(j.estimate);
+        put_job(enc, j);
     }
     enc.put_usize(engine.arrivals_window.len());
     for &t in &engine.arrivals_window {
@@ -580,7 +516,7 @@ pub(crate) fn encode_engine_state(engine: &Engine, sched: &dyn Scheduler) -> Vec
     enc.put_opt_f64(engine.next_check.map(|t| t.as_secs()));
     enc.put_usize(engine.orphans.len());
     for j in &engine.orphans {
-        encode_core_job(&mut enc, j);
+        encode_core_job(enc, j);
     }
     enc.put_f64(engine.budget_factor);
     enc.put_u64(engine.jobs_shed);
@@ -599,14 +535,12 @@ pub(crate) fn encode_engine_state(engine: &Engine, sched: &dyn Scheduler) -> Vec
     let mut sub = Encoder::new();
     sched.encode_state(&mut sub);
     enc.put_bytes(&sub.into_bytes());
-
-    enc.into_bytes()
 }
 
-pub(crate) fn decode_engine_state(
+fn decode_engine_state(
+    dec: &mut Decoder<'_>,
     engine: &mut Engine,
     sched: &mut dyn Scheduler,
-    payload: &[u8],
 ) -> Result<(), CheckpointError> {
     let cores = engine.cfg.cores;
     let jobs = engine.all_jobs.len();
@@ -614,19 +548,21 @@ pub(crate) fn decode_engine_state(
         .injector
         .as_ref()
         .map_or(0, |inj| inj.transitions().len());
-    let mut dec = Decoder::new(payload);
 
     // 1. Simulator.
-    let now = SimTime::from_secs(dec.get_f64("sim.now")?);
+    let now = get_time(dec, "sim.now")?;
     let handled = dec.get_u64("sim.handled")?;
     let next_seq = dec.get_u64("sim.next_seq")?;
     let n_pending = dec.get_len("sim.pending")?;
     let mut pending = Vec::with_capacity(n_pending);
     for _ in 0..n_pending {
-        let time = SimTime::from_secs(dec.get_f64("sim.event.time")?);
+        let time = get_time(dec, "sim.event.time")?;
+        if time.as_secs() < 0.0 {
+            return Err(CheckpointError::Invalid("negative event time"));
+        }
         let priority = dec.get_u32("sim.event.priority")?;
         let seq = dec.get_u64("sim.event.seq")?;
-        let event = decode_ev(&mut dec, jobs, transitions)?;
+        let event = decode_ev(dec, jobs, transitions)?;
         pending.push(EventEntry {
             time,
             priority,
@@ -648,11 +584,11 @@ pub(crate) fn decode_engine_state(
         let n_jobs = dec.get_len("core.jobs")?;
         let mut core_jobs = Vec::with_capacity(n_jobs);
         for _ in 0..n_jobs {
-            core_jobs.push(decode_core_job(&mut dec)?);
+            core_jobs.push(decode_core_job(dec)?);
         }
-        let profile = decode_profile(&mut dec)?;
+        let profile = decode_profile(dec)?;
         let power_cap = dec.get_f64("core.power_cap")?;
-        let clock = SimTime::from_secs(dec.get_f64("core.clock")?);
+        let clock = get_time(dec, "core.clock")?;
         let running = dec.get_opt_u64("core.running")?.map(JobId);
         let online = dec.get_bool("core.online")?;
         let speed_factor = dec.get_f64("core.speed_factor")?;
@@ -724,7 +660,7 @@ pub(crate) fn decode_engine_state(
     if residency.is_empty() {
         return Err(CheckpointError::Invalid("empty mode residency vector"));
     }
-    let since = SimTime::from_secs(dec.get_f64("mode.since")?);
+    let since = get_time(dec, "mode.since")?;
     let mode_transitions = dec.get_u64("mode.transitions")?;
     engine.mode_tracker =
         ge_metrics::ModeTracker::restore(residency, current, since, mode_transitions);
@@ -749,18 +685,7 @@ pub(crate) fn decode_engine_state(
     let n_queue = dec.get_len("driver.queue")?;
     let mut queue = Vec::with_capacity(n_queue);
     for _ in 0..n_queue {
-        let id = JobId(dec.get_u64("queue.job.id")?);
-        let release = SimTime::from_secs(dec.get_f64("queue.job.release")?);
-        let deadline = SimTime::from_secs(dec.get_f64("queue.job.deadline")?);
-        let demand = dec.get_f64("queue.job.demand")?;
-        let estimate = dec.get_f64("queue.job.estimate")?;
-        queue.push(Job {
-            id,
-            release,
-            deadline,
-            demand,
-            estimate,
-        });
+        queue.push(get_job(dec)?);
     }
     engine.queue = queue;
     let n_window = dec.get_len("driver.arrivals_window")?;
@@ -770,7 +695,7 @@ pub(crate) fn decode_engine_state(
     }
     engine.arrivals_window = arrivals;
     engine.epochs = dec.get_u64("driver.epochs")?;
-    engine.last_t = SimTime::from_secs(dec.get_f64("driver.last_t")?);
+    engine.last_t = get_time(dec, "driver.last_t")?;
     engine.last_speeds = dec.get_f64_vec("driver.last_speeds")?;
     if engine.last_speeds.len() != cores {
         return Err(CheckpointError::Invalid(
@@ -779,11 +704,12 @@ pub(crate) fn decode_engine_state(
     }
     engine.next_check = dec
         .get_opt_f64("driver.next_check")?
-        .map(SimTime::from_secs);
+        .map(|t| finite_time(t, "driver.next_check"))
+        .transpose()?;
     let n_orphans = dec.get_len("driver.orphans")?;
     let mut orphans = Vec::with_capacity(n_orphans);
     for _ in 0..n_orphans {
-        orphans.push(decode_core_job(&mut dec)?);
+        orphans.push(decode_core_job(dec)?);
     }
     engine.orphans = orphans;
     engine.shed_buf.clear();
@@ -828,8 +754,6 @@ pub(crate) fn decode_engine_state(
     let mut sub = Decoder::new(&sched_bytes);
     sched.restore_state(&mut sub)?;
     sub.finish("scheduler.state")?;
-
-    dec.finish("engine")?;
     Ok(())
 }
 
@@ -880,15 +804,15 @@ mod tests {
         let trace = small_trace(140.0, 11);
         let straight = crate::driver::run(&cfg, &trace, &Algorithm::Ge);
 
-        let mut run = ResumableRun::start(&cfg, &trace, &Algorithm::Ge, None, &mut NullSink);
+        let mut run = Run::start(&cfg, &trace, &Algorithm::Ge, None, &mut NullSink);
         let mid = SimTime::from_secs(6.0);
         run.advance_to(mid, &mut NullSink);
         let snap = run.snapshot();
         drop(run);
 
-        let resumed = ResumableRun::resume(&cfg, &trace, &Algorithm::Ge, None, &snap)
-            .expect("resume must succeed");
-        let result = resumed.finish(&mut NullSink);
+        let resumed =
+            Run::restore(&cfg, &trace, &Algorithm::Ge, None, &snap).expect("resume must succeed");
+        let result = resumed.finish(&mut NullSink).result;
         assert_eq!(bits(&straight), bits(&result));
     }
 
@@ -896,17 +820,17 @@ mod tests {
     fn digest_rejects_mismatched_inputs() {
         let cfg = small_cfg();
         let trace = small_trace(140.0, 11);
-        let mut run = ResumableRun::start(&cfg, &trace, &Algorithm::Ge, None, &mut NullSink);
+        let mut run = Run::start(&cfg, &trace, &Algorithm::Ge, None, &mut NullSink);
         run.advance_to(SimTime::from_secs(2.0), &mut NullSink);
         let snap = run.snapshot();
 
         let other_trace = small_trace(140.0, 12);
-        let err = ResumableRun::resume(&cfg, &other_trace, &Algorithm::Ge, None, &snap)
+        let err = Run::restore(&cfg, &other_trace, &Algorithm::Ge, None, &snap)
             .err()
             .expect("wrong trace must be rejected");
         assert!(matches!(err, CheckpointError::DigestMismatch { .. }));
 
-        let err = ResumableRun::resume(&cfg, &trace, &Algorithm::Be, None, &snap)
+        let err = Run::restore(&cfg, &trace, &Algorithm::Be, None, &snap)
             .err()
             .expect("wrong algorithm must be rejected");
         assert!(matches!(err, CheckpointError::DigestMismatch { .. }));
@@ -926,29 +850,22 @@ mod tests {
             every_quanta: 3,
             stop_after: Some(2),
         };
-        let out = run_resumable(&cfg, &trace, &Algorithm::Ge, None, &policy, &mut NullSink)
+        let out = Run::start(&cfg, &trace, &Algorithm::Ge, None, &mut NullSink)
+            .drive(&policy, &mut NullSink)
             .expect("checkpointed run");
-        assert!(matches!(
-            out,
-            ResumableOutcome::Stopped { checkpoints: 2, .. }
-        ));
+        assert!(matches!(out, DriveOutcome::Stopped { checkpoints: 2, .. }));
 
         let resume_policy = CheckpointPolicy {
             path: path.clone(),
             every_quanta: 3,
             stop_after: None,
         };
-        let out = resume_from(
-            &cfg,
-            &trace,
-            &Algorithm::Ge,
-            None,
-            &resume_policy,
-            &mut NullSink,
-        )
-        .expect("resumed run");
+        let out = Run::restore_file(&cfg, &trace, &Algorithm::Ge, None, &path)
+            .expect("checkpoint restores")
+            .drive(&resume_policy, &mut NullSink)
+            .expect("resumed run");
         let result = match out {
-            ResumableOutcome::Finished(r) => r,
+            DriveOutcome::Finished(r) => r,
             other => panic!("expected Finished, got {other:?}"),
         };
         assert_eq!(bits(&straight), bits(&result));

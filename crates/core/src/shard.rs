@@ -1,131 +1,46 @@
-//! One fleet shard: a single-server [`Engine`](crate::driver::Engine)
-//! wrapped for external job injection and whole-server fault control.
+//! Fleet and serve controls on a [`Run`]: the knobs a router or a serving
+//! front end needs on top of the plain advance/finish lifecycle.
 //!
-//! The fleet router (`ge-fleet`) owns N of these. Each shard is exactly
-//! the engine every single-server run uses — same event loop, same
-//! accounting, same checkpointable state — so per-shard behaviour needs no
-//! re-validation. The wrapper adds only what a router needs:
+//! A fleet shard or serve session is a [`Run`] started over an *empty*
+//! trace — exactly the engine every single-server run uses, so per-shard
+//! behaviour needs no re-validation:
 //!
-//! * [`ShardEngine::inject_job`] — feed an arrival decided by the router
-//!   (shards are built over an *empty* trace; the router is the sole
-//!   source of work),
-//! * [`ShardEngine::advance_to`] — lockstep time advance. The engine's
+//! * [`Run::inject_job`] — feed an arrival decided by the router or the
+//!   wire (the owner is the sole source of work),
+//! * [`Run::advance_to`] — lockstep time advance. The engine's
 //!   segmented-advance invariant (proven by the resume suite) guarantees
 //!   that advancing in router-event-sized segments observes the same
 //!   `(now, event)` sequence as one straight run, which is what makes the
 //!   whole fleet bit-reproducible,
-//! * [`ShardEngine::crash`] / [`ShardEngine::recover`] — whole-server
-//!   loss and rejoin. A crash preempts running work onto the orphan list
-//!   (partial credit, exactly like a core fault) and hands the
-//!   queued-unstarted jobs back to the router for failover,
-//! * [`ShardEngine::set_budget_factor`] — the global partitioner's knob:
-//!   the shard's effective budget is `factor ×` its nominal `H_i`.
+//! * [`Run::crash`] / [`Run::recover`] — whole-server loss and rejoin. A
+//!   crash preempts running work onto the orphan list (partial credit,
+//!   exactly like a core fault) and hands the queued-unstarted jobs back
+//!   to the router for failover,
+//! * [`Run::set_budget_factor`] — the global partitioner's knob: the
+//!   shard's effective budget is `factor ×` its nominal `H_i`.
 //!
-//! Per-shard fault schedules may carry core outages, throttles, and DVFS
-//! windows, but not surges or demand noise (surge jobs would collide with
-//! the router's global job ids); outage windows should not overlap a
+//! Outage windows in a shard's own fault schedule should not overlap a
 //! whole-server crash of the same shard.
 
-use crate::config::SimConfig;
-use crate::driver::{Engine, Ev, PRIO_ARRIVAL};
-use crate::policy::{Algorithm, Scheduler};
-use crate::result::RunResult;
-use crate::resume::{decode_engine_state, encode_engine_state, shard_input_digest};
-use ge_faults::FaultSchedule;
+use crate::driver::{Ev, Run, PRIO_ARRIVAL};
 use ge_quality::QualityFunction;
-use ge_recover::checkpoint::{seal, unseal};
-use ge_recover::{CheckpointError, Decoder, Encoder};
 use ge_simcore::SimTime;
-use ge_trace::{NullSink, TraceSink};
-use ge_workload::{Job, JobId, Trace};
+use ge_workload::Job;
 
-/// A shard's final measurements plus the ledger sums the fleet needs to
-/// aggregate quality across shards (fleet quality is a ratio of summed
-/// achieved over summed full values, not a mean of per-shard ratios).
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// The ordinary single-server run measurements.
-    pub result: RunResult,
-    /// `Σ f(c_j)` over every job recorded by this shard's ledger.
-    pub achieved_sum: f64,
-    /// `Σ f(p_j)` over every job recorded by this shard's ledger.
-    pub full_sum: f64,
-}
-
-/// A single server of a fleet: one engine plus its scheduler, driven by
-/// the router in lockstep with its siblings.
-pub struct ShardEngine {
-    engine: Engine,
-    sched: Box<dyn Scheduler>,
-    crashed: bool,
-}
-
-impl ShardEngine {
-    /// Builds a shard over an empty workload. `cfg.horizon` must already
-    /// be the fleet-wide horizon (covering every job deadline the router
-    /// may inject).
+impl Run {
+    /// Hands the run a job at simulation time `at` (the router's dispatch
+    /// instant). The job keeps its original release time for latency
+    /// accounting, so retried or failed-over jobs pay their routing delay
+    /// in the latency histogram.
     ///
     /// # Panics
-    /// Panics if `cfg` is invalid or `faults` carries surge windows or
-    /// demand noise (both are fleet-level concerns).
-    pub fn new(cfg: &SimConfig, algorithm: &Algorithm, faults: Option<&FaultSchedule>) -> Self {
-        if let Some(fs) = faults {
-            assert!(
-                fs.surges().is_empty() && fs.demand_noise() == 0.0,
-                "per-shard fault schedules must not carry surges or demand noise"
-            );
-        }
-        let sched = algorithm.build(cfg);
-        let empty = Trace::new(Vec::new());
-        let engine = Engine::new(cfg, &empty, faults, sched.current_mode());
-        ShardEngine {
-            engine,
-            sched,
-            crashed: false,
-        }
-    }
-
-    /// Hands the shard a job at simulation time `at` (the router's
-    /// dispatch instant). The job keeps its original release time for
-    /// latency accounting, so retried or failed-over jobs pay their
-    /// routing delay in the latency histogram.
-    ///
-    /// # Panics
-    /// Panics if `at` precedes the shard's current time (the router must
-    /// advance the shard first).
+    /// Panics if `at` precedes the run's current time (the owner must
+    /// advance the run first).
     pub fn inject_job(&mut self, job: Job, at: SimTime) {
-        let idx = job.id.index();
-        if self.engine.releases.len() <= idx {
-            self.engine.releases.resize(idx + 1, SimTime::ZERO);
-        }
-        self.engine.releases[idx] = job.release;
-        self.engine.all_jobs.push(job);
-        let slot = self.engine.all_jobs.len() - 1;
+        let slot = self.engine.push_job(job);
         self.engine
             .sim
             .schedule(at, PRIO_ARRIVAL, Ev::Arrival(slot));
-    }
-
-    /// Runs the shard's event loop up to `until` (inclusive). Events are
-    /// recorded nowhere — shard-internal traces would interleave
-    /// non-monotonically across the fleet; the router emits the fleet
-    /// trace instead.
-    pub fn advance_to(&mut self, until: SimTime) {
-        self.engine
-            .advance(until, self.sched.as_mut(), &mut NullSink);
-    }
-
-    /// [`ShardEngine::advance_to`], but recording engine events
-    /// (`JobFinish`, `JobShed`, …) into `sink`. A single-shard owner like
-    /// the serving front end uses this to observe per-job outcomes; the
-    /// fleet router keeps the sinkless variant.
-    pub fn advance_to_with(&mut self, until: SimTime, sink: &mut dyn TraceSink) {
-        self.engine.advance(until, self.sched.as_mut(), sink);
-    }
-
-    /// Current simulated time of the shard's event loop.
-    pub fn now(&self) -> SimTime {
-        self.engine.sim.now()
     }
 
     /// The ledger's running quality ratio `Σf(c_j) / Σf(p_j)` over every
@@ -134,17 +49,12 @@ impl ShardEngine {
         self.engine.ledger.quality()
     }
 
-    /// Ledger counters: `(recorded, discarded, completed_fully)`.
-    pub fn ledger_counts(&self) -> (u64, u64, u64) {
-        self.engine.ledger.counters()
-    }
-
     /// Whole-server crash: every core fails. Jobs with work already done
     /// are preempted onto the orphan list for partial credit (exactly as
     /// under a core fault); every queued-unstarted job — whether still in
-    /// the shard queue or assigned to a core but untouched — is handed
-    /// back, in id order, for failover. The shard stays in the fleet's
-    /// accounting: its energy spent and its orphans' fates still count.
+    /// the queue or assigned to a core but untouched — is handed back, in
+    /// id order, for failover. The run stays in the fleet's accounting:
+    /// its energy spent and its orphans' fates still count.
     pub fn crash(&mut self) -> Vec<Job> {
         self.crashed = true;
         let mut failed_over: Vec<Job> = std::mem::take(&mut self.engine.queue);
@@ -165,7 +75,7 @@ impl ShardEngine {
     }
 
     /// The server rejoins the fleet, empty and at nominal speed. Cores the
-    /// shard's own fault schedule currently holds offline stay offline.
+    /// run's own fault schedule currently holds offline stay offline.
     pub fn recover(&mut self) {
         self.crashed = false;
         for core in 0..self.engine.cfg.cores {
@@ -185,9 +95,9 @@ impl ShardEngine {
         self.crashed
     }
 
-    /// Sets the partitioner's budget multiplier: the shard's effective
-    /// power budget becomes `factor ×` its nominal `H_i`. The scheduler
-    /// observes the change at its next trigger and replans.
+    /// Sets the partitioner's budget multiplier: the effective power
+    /// budget becomes `factor ×` the nominal `H_i`. The scheduler observes
+    /// the change at its next trigger and replans.
     pub fn set_budget_factor(&mut self, factor: f64) {
         assert!(
             factor.is_finite() && factor >= 0.0,
@@ -209,8 +119,8 @@ impl ShardEngine {
         self.engine.queue.len()
     }
 
-    /// Total unfinished demand on the shard (queued + on-core backlog),
-    /// in service units — the router's load signal.
+    /// Total unfinished demand (queued + on-core backlog), in service
+    /// units — the router's load signal.
     pub fn load_units(&self) -> f64 {
         let queued: f64 = self.engine.queue.iter().map(|j| j.demand).sum();
         self.engine.server.total_backlog_units() + queued
@@ -221,139 +131,22 @@ impl ShardEngine {
         self.engine.server.online_count()
     }
 
-    /// Energy consumed so far (joules).
-    pub fn energy_j(&self) -> f64 {
-        self.engine.server.total_energy()
-    }
-
-    /// Jobs this shard's scheduler shed under its `q_min` floor.
-    pub fn jobs_shed(&self) -> u64 {
-        self.engine.jobs_shed
-    }
-
-    /// The quality value `f(demand)` under the shard's quality function
+    /// The quality value `f(demand)` under the run's quality function
     /// (identical across shards; exposed so the router can account shed
     /// jobs in the fleet-wide quality ratio).
     pub fn quality_value(&self, demand: f64) -> f64 {
         self.engine.f.value(demand)
-    }
-
-    /// The fleet-wide horizon this shard runs to.
-    pub fn horizon(&self) -> SimTime {
-        self.engine.horizon
-    }
-
-    /// Closes the shard's books at the horizon and returns its
-    /// measurements plus ledger sums.
-    pub fn finalize(self) -> ShardOutcome {
-        self.finalize_with(&mut NullSink)
-    }
-
-    /// [`ShardEngine::finalize`], but recording the closing `JobFinish`
-    /// events (leftover work discarded at the books' close) into `sink`,
-    /// so an owner tracking per-job outcomes sees every job reach a
-    /// terminal state.
-    pub fn finalize_with(self, sink: &mut dyn TraceSink) -> ShardOutcome {
-        let ShardEngine {
-            mut engine,
-            mut sched,
-            ..
-        } = self;
-        engine.close_books(sink);
-        let achieved_sum = engine.ledger.achieved_sum();
-        let full_sum = engine.ledger.full_sum();
-        let result = engine.finalize(sched.as_mut(), sink);
-        ShardOutcome {
-            result,
-            achieved_sum,
-            full_sum,
-        }
-    }
-
-    /// Serializes the complete shard state — injected job set included —
-    /// into a sealed checkpoint. Unlike a batch-run checkpoint (whose job
-    /// set is deterministic from the workload inputs and therefore pinned
-    /// by the digest, not stored), a shard's jobs arrive online, so the
-    /// snapshot carries them; the seal digest pins configuration,
-    /// algorithm, and fault stream.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_usize(self.engine.all_jobs.len());
-        for j in &self.engine.all_jobs {
-            enc.put_u64(j.id.0);
-            enc.put_f64(j.release.as_secs());
-            enc.put_f64(j.deadline.as_secs());
-            enc.put_f64(j.demand);
-            enc.put_f64(j.estimate);
-        }
-        enc.put_usize(self.engine.releases.len());
-        for &t in &self.engine.releases {
-            enc.put_f64(t.as_secs());
-        }
-        enc.put_bool(self.crashed);
-        enc.put_bytes(&encode_engine_state(&self.engine, self.sched.as_ref()));
-        let digest = shard_input_digest(&self.engine.cfg, self.sched.name(), &self.engine);
-        seal(digest, &enc.into_bytes())
-    }
-
-    /// Reconstructs a shard bit-exactly from [`ShardEngine::snapshot`]
-    /// bytes, given the same `(cfg, algorithm, faults)` the original was
-    /// built with; a mismatch is rejected via the sealed input digest.
-    pub fn restore(
-        cfg: &SimConfig,
-        algorithm: &Algorithm,
-        faults: Option<&FaultSchedule>,
-        bytes: &[u8],
-    ) -> Result<Self, CheckpointError> {
-        let mut shard = ShardEngine::new(cfg, algorithm, faults);
-        let digest = shard_input_digest(&shard.engine.cfg, shard.sched.name(), &shard.engine);
-        let (stored_digest, payload) = unseal(bytes)?;
-        if stored_digest != digest {
-            return Err(CheckpointError::DigestMismatch {
-                checkpoint: stored_digest,
-                current: digest,
-            });
-        }
-        let mut dec = Decoder::new(payload);
-        let n_jobs = dec.get_len("shard.jobs")?;
-        let mut jobs = Vec::with_capacity(n_jobs);
-        for _ in 0..n_jobs {
-            let id = JobId(dec.get_u64("shard.job.id")?);
-            let release = SimTime::from_secs(dec.get_f64("shard.job.release")?);
-            let deadline = SimTime::from_secs(dec.get_f64("shard.job.deadline")?);
-            let demand = dec.get_f64("shard.job.demand")?;
-            let estimate = dec.get_f64("shard.job.estimate")?;
-            if !(demand.is_finite() && demand > 0.0 && estimate.is_finite() && estimate > 0.0) {
-                return Err(CheckpointError::Invalid("malformed shard job demand"));
-            }
-            jobs.push(Job {
-                id,
-                release,
-                deadline,
-                demand,
-                estimate,
-            });
-        }
-        shard.engine.all_jobs = jobs;
-        let n_releases = dec.get_len("shard.releases")?;
-        let mut releases = Vec::with_capacity(n_releases);
-        for _ in 0..n_releases {
-            releases.push(SimTime::from_secs(dec.get_f64("shard.release")?));
-        }
-        shard.engine.releases = releases;
-        shard.crashed = dec.get_bool("shard.crashed")?;
-        let engine_payload = dec.get_bytes("shard.engine")?;
-        decode_engine_state(&mut shard.engine, shard.sched.as_mut(), &engine_payload)?;
-        dec.finish("shard")?;
-        Ok(shard)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Algorithm;
+    use crate::SimConfig;
     use ge_simcore::SimDuration;
-    use ge_workload::JobId;
+    use ge_trace::NullSink;
+    use ge_workload::{JobId, Trace};
 
     fn shard_cfg() -> SimConfig {
         SimConfig {
@@ -365,6 +158,10 @@ mod tests {
         }
     }
 
+    fn empty_run(cfg: &SimConfig) -> Run {
+        Run::start(cfg, &Trace::default(), &Algorithm::Ge, None, &mut NullSink)
+    }
+
     fn job(id: u64, release_s: f64, demand: f64) -> Job {
         let r = SimTime::from_secs(release_s);
         Job::new(JobId(id), r, r + SimDuration::from_millis(150.0), demand)
@@ -373,15 +170,15 @@ mod tests {
     #[test]
     fn injected_jobs_run_and_are_accounted() {
         let cfg = shard_cfg();
-        let mut shard = ShardEngine::new(&cfg, &Algorithm::Ge, None);
+        let mut shard = empty_run(&cfg);
         for i in 0..20 {
             shard.inject_job(
                 job(i, 0.1 * i as f64, 400.0),
                 SimTime::from_secs(0.1 * i as f64),
             );
         }
-        shard.advance_to(shard.horizon());
-        let out = shard.finalize();
+        shard.advance_to(shard.horizon(), &mut NullSink);
+        let out = shard.finish(&mut NullSink);
         assert_eq!(out.result.jobs_finished, 20);
         assert!(out.result.quality > 0.5, "{}", out.result.quality);
         assert!(out.result.energy_j > 0.0);
@@ -392,7 +189,7 @@ mod tests {
     fn segmented_advance_matches_straight_run() {
         let cfg = shard_cfg();
         let build = || {
-            let mut s = ShardEngine::new(&cfg, &Algorithm::Ge, None);
+            let mut s = empty_run(&cfg);
             for i in 0..30 {
                 s.inject_job(
                     job(i, 0.05 * i as f64, 300.0 + 20.0 * i as f64),
@@ -402,16 +199,16 @@ mod tests {
             s
         };
         let mut a = build();
-        a.advance_to(a.horizon());
-        let ra = a.finalize();
+        a.advance_to(a.horizon(), &mut NullSink);
+        let ra = a.finish(&mut NullSink);
         let mut b = build();
         let mut t = 0.0f64;
         while t < 10.0 {
             t += 0.37;
-            b.advance_to(SimTime::from_secs(t.min(10.0)));
+            b.advance_to(SimTime::from_secs(t.min(10.0)), &mut NullSink);
         }
-        b.advance_to(b.horizon());
-        let rb = b.finalize();
+        b.advance_to(b.horizon(), &mut NullSink);
+        let rb = b.finish(&mut NullSink);
         assert_eq!(ra.result.quality.to_bits(), rb.result.quality.to_bits());
         assert_eq!(ra.result.energy_j.to_bits(), rb.result.energy_j.to_bits());
         assert_eq!(ra.result.jobs_finished, rb.result.jobs_finished);
@@ -420,26 +217,26 @@ mod tests {
     #[test]
     fn crash_returns_queue_recover_restores_capacity() {
         let cfg = shard_cfg();
-        let mut shard = ShardEngine::new(&cfg, &Algorithm::Ge, None);
+        let mut shard = empty_run(&cfg);
         // Enough simultaneous work that some of it is still queued at the
         // crash instant.
         for i in 0..40 {
             shard.inject_job(job(i, 1.0, 900.0), SimTime::from_secs(1.0));
         }
-        shard.advance_to(SimTime::from_secs(1.0));
+        shard.advance_to(SimTime::from_secs(1.0), &mut NullSink);
         let failed_over = shard.crash();
         assert!(shard.is_crashed());
         assert_eq!(shard.online_cores(), 0);
         // Cores are occupied by at most one job each; the rest fail over.
         assert!(failed_over.len() >= 40 - cfg.cores, "{}", failed_over.len());
         // A dead shard is inert but advanceable.
-        shard.advance_to(SimTime::from_secs(3.0));
+        shard.advance_to(SimTime::from_secs(3.0), &mut NullSink);
         shard.recover();
         assert_eq!(shard.online_cores(), cfg.cores);
         // The recovered shard accepts and completes new work.
         shard.inject_job(job(100, 3.0, 500.0), SimTime::from_secs(3.0));
-        shard.advance_to(shard.horizon());
-        let out = shard.finalize();
+        shard.advance_to(shard.horizon(), &mut NullSink);
+        let out = shard.finish(&mut NullSink);
         assert!(out.result.energy_j > 0.0);
         // Conservation: every job not failed over is in the ledger.
         assert_eq!(
@@ -453,7 +250,7 @@ mod tests {
     fn budget_factor_scales_capacity() {
         let cfg = shard_cfg();
         let run = |factor: f64| {
-            let mut s = ShardEngine::new(&cfg, &Algorithm::Ge, None);
+            let mut s = empty_run(&cfg);
             s.set_budget_factor(factor);
             for i in 0..60 {
                 s.inject_job(
@@ -461,8 +258,8 @@ mod tests {
                     SimTime::from_secs(0.02 * i as f64),
                 );
             }
-            s.advance_to(s.horizon());
-            s.finalize()
+            s.advance_to(s.horizon(), &mut NullSink);
+            s.finish(&mut NullSink)
         };
         let starved = run(0.4);
         let nominal = run(1.0);

@@ -28,8 +28,7 @@
 use std::path::Path;
 
 use ge_core::{
-    resume_from, run, run_resumable, run_with_sink, Algorithm, CheckpointPolicy, ResumableOutcome,
-    RunResult, SimConfig,
+    run, run_with_sink, Algorithm, CheckpointPolicy, DriveOutcome, Run, RunResult, SimConfig,
 };
 use ge_faults::{CoreOutage, DvfsWindow, FaultSchedule, ThrottleWindow};
 use ge_oracle::{
@@ -370,33 +369,20 @@ fn resume_check(
     let alg = Algorithm::Ge;
     let straight = run_resume_free(case, &alg, faults_opt);
 
-    let stopped = run_resumable(
-        &case.cfg,
-        &case.trace,
-        &alg,
-        faults_opt,
-        &policy,
-        &mut NullSink,
-    );
+    let stopped = Run::start(&case.cfg, &case.trace, &alg, faults_opt, &mut NullSink)
+        .drive(&policy, &mut NullSink);
     let resumed = match stopped {
-        Ok(ResumableOutcome::Stopped { .. }) => {
+        Ok(DriveOutcome::Stopped { .. }) => {
             let mut cont = policy.clone();
             cont.stop_after = None;
-            resume_from(
-                &case.cfg,
-                &case.trace,
-                &alg,
-                faults_opt,
-                &cont,
-                &mut NullSink,
-            )
+            Run::restore_file(&case.cfg, &case.trace, &alg, faults_opt, &path)
+                .and_then(|run| run.drive(&cont, &mut NullSink))
         }
-        Ok(ResumableOutcome::Finished(r)) => Ok(ResumableOutcome::Finished(r)),
-        Err(e) => Err(e),
+        finished => finished,
     };
     let _ = std::fs::remove_file(&path);
     match resumed {
-        Ok(ResumableOutcome::Finished(r)) => {
+        Ok(DriveOutcome::Finished(r)) => {
             report.resume_checked += 1;
             let same = r.energy_j.to_bits() == straight.energy_j.to_bits()
                 && r.quality.to_bits() == straight.quality.to_bits()
@@ -429,7 +415,7 @@ fn resume_check(
                 &mut report.disagreements,
             );
         }
-        Ok(ResumableOutcome::Stopped { .. }) => {
+        Ok(DriveOutcome::Stopped { .. }) => {
             report.disagreements.push(format!(
                 "instance {instance} (seed {seed}): resumed run stopped again unexpectedly"
             ));

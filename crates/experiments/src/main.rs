@@ -9,9 +9,7 @@
 //! Each figure prints its table(s) and writes CSVs under `--out`
 //! (default `results/`).
 
-use ge_core::{
-    resume_from, run_resumable, Algorithm, CheckpointPolicy, ResumableOutcome, RunResult, SimConfig,
-};
+use ge_core::{Algorithm, CheckpointPolicy, DriveOutcome, Run, RunResult, SimConfig};
 use ge_experiments::supervise::{run_supervised_with_injection, write_manifest, SupervisorConfig};
 use ge_experiments::trace::TraceError;
 use ge_experiments::{figures, Scale};
@@ -411,28 +409,23 @@ fn checkpoint_exemplar(
         every_quanta,
         stop_after,
     };
-    let outcome = if resume {
-        resume_from(
-            &sim,
-            &trace,
-            &Algorithm::Ge,
-            schedule.as_ref(),
-            &policy,
-            &mut NullSink,
-        )
+    let faults = schedule.as_ref();
+    let run = if resume {
+        Run::restore_file(&sim, &trace, &Algorithm::Ge, faults, path)
     } else {
-        run_resumable(
+        Ok(Run::start(
             &sim,
             &trace,
             &Algorithm::Ge,
-            schedule.as_ref(),
-            &policy,
+            faults,
             &mut NullSink,
-        )
-    }
-    .map_err(|source| CliError::Checkpoint { source })?;
+        ))
+    };
+    let outcome = run
+        .and_then(|run| run.drive(&policy, &mut NullSink))
+        .map_err(|source| CliError::Checkpoint { source })?;
     match outcome {
-        ResumableOutcome::Finished(r) => {
+        DriveOutcome::Finished(r) => {
             println!(
                 "finished: digest=0x{:016x} quality={:.6} energy_j={:.3} discarded={}",
                 result_digest(&r),
@@ -441,7 +434,7 @@ fn checkpoint_exemplar(
                 r.jobs_discarded
             );
         }
-        ResumableOutcome::Stopped { at, checkpoints } => {
+        DriveOutcome::Stopped { at, checkpoints } => {
             println!(
                 "stopped: t={:.3}s checkpoints={checkpoints} checkpoint={} (continue with --resume)",
                 at.as_secs(),

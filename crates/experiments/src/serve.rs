@@ -91,11 +91,8 @@ pub fn generate_arrivals(seed: u64, requests: u64, horizon_secs: f64) -> Vec<Arr
 /// The three decision-latency percentiles reported for a drained
 /// session, in nanoseconds: `(p50, p99, p999)`.
 pub fn latency_percentiles(out: &DrainOutcome) -> (u64, u64, u64) {
-    (
-        out.latency_percentile_ns(0.50),
-        out.latency_percentile_ns(0.99),
-        out.latency_percentile_ns(0.999),
-    )
+    let [p50, p99, p999] = out.latency_percentiles_ns([0.50, 0.99, 0.999]);
+    (p50, p99, p999)
 }
 
 /// Appends the session's decision-latency percentiles as one

@@ -17,8 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use ge_core::resume::{resume_from, run_resumable, CheckpointPolicy, ResumableOutcome};
-use ge_core::{Algorithm, RunResult, SimConfig};
+use ge_core::{Algorithm, CheckpointPolicy, DriveOutcome, Run, RunResult, SimConfig};
 use ge_faults::{FaultScenario, ScenarioKind};
 use ge_metrics::Table;
 use ge_recover::{supervise, write_atomic, CellOutcome, CellReport, RetryPolicy};
@@ -187,36 +186,23 @@ fn supervise_cell(cell: SupervisedCell<'_>) -> (CellReport, Option<RunResult>) {
         let trace = WorkloadGenerator::new(workload.clone(), seed).generate();
         let schedule = scenario.build(sim.cores, sim.horizon, seed);
         if policy.path.exists() {
-            match resume_from(
-                &sim,
-                &trace,
-                &algorithm,
-                Some(&schedule),
-                &policy,
-                &mut NullSink,
-            ) {
-                Ok(ResumableOutcome::Finished(r)) => {
+            let restored =
+                Run::restore_file(&sim, &trace, &algorithm, Some(&schedule), &policy.path);
+            match restored.and_then(|run| run.drive(&policy, &mut NullSink)) {
+                Ok(DriveOutcome::Finished(r)) => {
                     used.store(true, Ordering::SeqCst);
                     return Ok(r);
                 }
                 // `stop_after` is None, so Stopped is unreachable; a load
                 // error (corrupt/mismatched checkpoint) falls through to a
                 // fresh run below.
-                Ok(ResumableOutcome::Stopped { .. }) | Err(_) => {}
+                Ok(DriveOutcome::Stopped { .. }) | Err(_) => {}
             }
         }
-        match run_resumable(
-            &sim,
-            &trace,
-            &algorithm,
-            Some(&schedule),
-            &policy,
-            &mut NullSink,
-        ) {
-            Ok(ResumableOutcome::Finished(r)) => Ok(r),
-            Ok(ResumableOutcome::Stopped { .. }) => {
-                Err("run stopped before the horizon".to_string())
-            }
+        let run = Run::start(&sim, &trace, &algorithm, Some(&schedule), &mut NullSink);
+        match run.drive(&policy, &mut NullSink) {
+            Ok(DriveOutcome::Finished(r)) => Ok(r),
+            Ok(DriveOutcome::Stopped { .. }) => Err("run stopped before the horizon".to_string()),
             Err(e) => Err(e.to_string()),
         }
     };

@@ -207,6 +207,17 @@ impl FaultSchedule {
         &self.surges
     }
 
+    /// This schedule without its workload faults (surge windows and demand
+    /// noise): only the machine-side transitions remain, the part a run
+    /// over injected jobs — a fleet shard — may carry.
+    pub fn machine_faults(&self) -> FaultSchedule {
+        FaultSchedule {
+            surges: Vec::new(),
+            demand_noise: 0.0,
+            ..self.clone()
+        }
+    }
+
     /// Compiles the windows into a time-sorted transition stream. Ties
     /// preserve insertion order (outages, then throttles, then DVFS).
     pub fn transitions(&self) -> Vec<TimedTransition> {

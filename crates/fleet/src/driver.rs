@@ -13,11 +13,11 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use ge_core::{RunResult, ShardEngine};
+use ge_core::{Run, RunResult};
 use ge_faults::{FaultSchedule, FleetFaultSchedule, FleetInjector, FleetTransition};
 use ge_simcore::{RngStream, SimTime};
 use ge_telemetry::Telemetry;
-use ge_trace::{TraceEvent, TraceSink};
+use ge_trace::{NullSink, TraceEvent, TraceSink};
 use ge_workload::{Job, Trace};
 
 use crate::config::{FleetConfig, Partitioner, RoutingPolicy};
@@ -128,7 +128,7 @@ impl FleetTelemetry {
 struct Router<'a> {
     cfg: &'a FleetConfig,
     schedule: &'a FleetFaultSchedule,
-    shards: Vec<ShardEngine>,
+    shards: Vec<Run>,
     injector: FleetInjector,
     horizon: SimTime,
     heap: BinaryHeap<Entry>,
@@ -463,8 +463,10 @@ impl<'a> Router<'a> {
 /// every invocation.
 ///
 /// # Panics
-/// Panics if `cfg` is invalid or `shard_faults` is neither empty nor
-/// `cfg.servers` long.
+/// Panics if `cfg` is invalid, `shard_faults` is neither empty nor
+/// `cfg.servers` long, or a per-server schedule carries surge windows or
+/// demand noise (surge jobs would collide with the router's global job
+/// ids; both are fleet-level concerns).
 pub fn run_fleet(
     cfg: &FleetConfig,
     trace: &Trace,
@@ -479,6 +481,10 @@ pub fn run_fleet(
         shard_faults.len(),
         cfg.servers
     );
+    assert!(
+        shard_faults.iter().all(|fs| *fs == fs.machine_faults()),
+        "per-shard fault schedules must not carry surges or demand noise"
+    );
 
     // Every server runs to the same horizon, stretched so the last
     // injected job's fate is on the books even after retries.
@@ -490,8 +496,12 @@ pub fn run_fleet(
     let mut shard_cfg = cfg.shard.clone();
     shard_cfg.horizon = horizon;
 
-    let shards: Vec<ShardEngine> = (0..cfg.servers)
-        .map(|i| ShardEngine::new(&shard_cfg, &cfg.algorithm, shard_faults.get(i)))
+    let empty = Trace::default();
+    let shards: Vec<Run> = (0..cfg.servers)
+        .map(|i| {
+            let faults = shard_faults.get(i);
+            Run::start(&shard_cfg, &empty, &cfg.algorithm, faults, &mut NullSink)
+        })
         .collect();
     let injector = FleetInjector::new(fleet_faults, cfg.servers);
     let nominal = cfg.shard.budget_w;
@@ -551,7 +561,7 @@ pub fn run_fleet(
     while let Some(entry) = router.heap.pop() {
         let t = entry.at.min(horizon);
         for s in &mut router.shards {
-            s.advance_to(t);
+            s.advance_to(t, &mut NullSink);
         }
         match entry.ev {
             FEv::Fault(k) => router.apply_fault(t, k, sink),
@@ -562,14 +572,10 @@ pub fn run_fleet(
             }
         }
     }
-    for s in &mut router.shards {
-        s.advance_to(horizon);
-    }
-
     let outcomes: Vec<_> = router
         .shards
         .into_iter()
-        .map(ShardEngine::finalize)
+        .map(|s| s.finish(&mut NullSink))
         .collect();
     let achieved: f64 = outcomes.iter().map(|o| o.achieved_sum).sum();
     let full: f64 = outcomes.iter().map(|o| o.full_sum).sum::<f64>() + router.shed_full_sum;

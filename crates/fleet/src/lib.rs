@@ -98,6 +98,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must not carry surges or demand noise")]
+    fn shard_schedules_with_workload_faults_are_refused() {
+        // Surge jobs would take ids the router also assigns.
+        let cfg = base_cfg(2, 4.0);
+        use ge_faults::{FaultScenario, FaultSchedule, ScenarioKind};
+        let surge =
+            FaultScenario::new(ScenarioKind::Surge, 1.0).build(4, SimTime::from_secs(4.0), 1);
+        let shard_faults = vec![FaultSchedule::new(1), surge];
+        run_fleet(
+            &cfg,
+            &workload(10, 2.0, 3),
+            &FleetFaultSchedule::new(42),
+            &shard_faults,
+            &mut NullSink,
+        );
+    }
+
+    #[test]
     fn every_routing_policy_is_deterministic() {
         for policy in RoutingPolicy::ALL {
             let mut cfg = base_cfg(4, 10.0);

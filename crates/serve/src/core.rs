@@ -21,16 +21,16 @@
 //!
 //! Draining closes admission, runs the engine to the horizon so every
 //! in-flight request reaches its deadline (nothing is silently lost),
-//! seals a `ge-recover` checkpoint of the final shard state, and proves
+//! seals a `ge-recover` checkpoint of the final engine state, and proves
 //! the checkpoint restores bit-exactly before the books close.
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionState};
-use ge_core::{Algorithm, ShardEngine, SimConfig};
+use ge_core::{Algorithm, Run, SimConfig};
 use ge_recover::codec::fnv1a64;
 use ge_simcore::SimTime;
 use ge_telemetry::{Registry, Telemetry};
-use ge_trace::{RejectReason, TraceEvent, VecSink};
-use ge_workload::{Job, JobId};
+use ge_trace::{NullSink, RejectReason, TraceEvent, VecSink};
+use ge_workload::{Job, JobId, Trace};
 use std::time::Instant;
 
 /// Cap on retained decision-latency samples (~8 MiB of `u64`s); samples
@@ -254,7 +254,7 @@ pub struct DrainOutcome {
     /// FNV-1a accounting digest over `(req, outcome, processed)` in
     /// request-id order — the cross-run comparison key.
     pub digest: u64,
-    /// The sealed final checkpoint of the shard state.
+    /// The sealed final checkpoint of the engine state.
     pub checkpoint: Vec<u8>,
     /// Whether restoring [`DrainOutcome::checkpoint`] re-encoded to the
     /// identical bytes (the bit-exact resume proof).
@@ -276,16 +276,19 @@ impl DrainOutcome {
         self.completed + self.rejected + self.timed_out + self.shed == self.requests
     }
 
-    /// Exact sorted percentile of the decision-latency samples
-    /// (`p ∈ [0, 1]`; 0 with no samples).
-    pub fn latency_percentile_ns(&self, p: f64) -> u64 {
+    /// Exact sorted percentiles of the decision-latency samples, one per
+    /// `p ∈ [0, 1]` in `ps` (all 0 with no samples). Sorts once.
+    pub fn latency_percentiles_ns<const N: usize>(&self, ps: [f64; N]) -> [u64; N] {
         if self.latency_ns.is_empty() {
-            return 0;
+            return [0; N];
         }
         let mut sorted = self.latency_ns.clone();
         sorted.sort_unstable();
-        let rank = ((p.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
+        let last = sorted.len() - 1;
+        ps.map(|p| {
+            let rank = (p.clamp(0.0, 1.0) * last as f64).round() as usize;
+            sorted[rank.min(last)]
+        })
     }
 }
 
@@ -350,10 +353,10 @@ fn tel() -> Option<&'static Registry> {
     Telemetry::is_enabled().then(Telemetry::registry)
 }
 
-/// The deterministic serving state machine over one [`ShardEngine`].
+/// The deterministic serving state machine over one engine [`Run`].
 pub struct ServeCore {
     cfg: ServeConfig,
-    shard: ShardEngine,
+    run: Run,
     admission: AdmissionController,
     draining: bool,
     next_req: u64,
@@ -372,7 +375,13 @@ impl ServeCore {
     /// Panics if `cfg` fails [`ServeConfig::validate`].
     pub fn new(cfg: ServeConfig) -> Self {
         cfg.validate();
-        let shard = ShardEngine::new(&cfg.sim, &cfg.algorithm, None);
+        let run = Run::start(
+            &cfg.sim,
+            &Trace::default(),
+            &cfg.algorithm,
+            None,
+            &mut NullSink,
+        );
         let admission = AdmissionController::new(cfg.queue_high, cfg.queue_low, cfg.sim.q_min);
         let events = vec![TraceEvent::ServeRunStart {
             t: 0.0,
@@ -385,7 +394,7 @@ impl ServeCore {
         }];
         ServeCore {
             cfg,
-            shard,
+            run,
             admission,
             draining: false,
             next_req: 0,
@@ -412,11 +421,11 @@ impl ServeCore {
     /// accounting.
     fn advance(&mut self, t: f64) {
         let until = SimTime::from_secs(t);
-        if !until.after(self.shard.now()) {
+        if !until.after(self.run.now()) {
             return;
         }
         let mut sink = VecSink::new();
-        self.shard.advance_to_with(until, &mut sink);
+        self.run.advance_to(until, &mut sink);
         fold_engine_events(
             sink.into_events(),
             &mut self.counts,
@@ -432,7 +441,7 @@ impl ServeCore {
                 now: self.last_t,
             });
         }
-        let horizon = self.shard.horizon().as_secs();
+        let horizon = self.run.horizon().as_secs();
         if t >= horizon {
             return Err(SubmitError::BeyondHorizon {
                 field: "t",
@@ -453,7 +462,7 @@ impl ServeCore {
     ) -> Result<SubmitOutcome, SubmitError> {
         let started = Instant::now();
         self.check_time(t)?;
-        let horizon = self.shard.horizon().as_secs();
+        let horizon = self.run.horizon().as_secs();
         let deadline = t + deadline_rel;
         if deadline > horizon {
             return Err(SubmitError::BeyondHorizon {
@@ -474,7 +483,7 @@ impl ServeCore {
         });
         let decision = self.admission.decide(
             self.in_flight() as usize,
-            self.shard.ledger_quality(),
+            self.run.ledger_quality(),
             self.draining,
         );
         let out = match decision {
@@ -485,7 +494,7 @@ impl ServeCore {
                     SimTime::from_secs(deadline),
                     demand,
                 );
-                self.shard.inject_job(job, SimTime::from_secs(t));
+                self.run.inject_job(job, SimTime::from_secs(t));
                 self.counts.admitted += 1;
                 let queue_len = self.in_flight() as usize;
                 self.events.push(TraceEvent::ServeAdmit {
@@ -547,7 +556,7 @@ impl ServeCore {
     /// A point-in-time accounting snapshot.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
-            now_s: self.shard.now().as_secs(),
+            now_s: self.run.now().as_secs(),
             requests: self.counts.requests,
             admitted: self.counts.admitted,
             completed: self.counts.completed,
@@ -555,7 +564,7 @@ impl ServeCore {
             timed_out: self.counts.timed_out,
             shed: self.counts.shed,
             queue_len: self.in_flight() as usize,
-            quality: self.shard.ledger_quality(),
+            quality: self.run.ledger_quality(),
             draining: self.draining,
         }
     }
@@ -584,7 +593,7 @@ impl ServeCore {
         self.draining = true;
         let pending = self.in_flight();
         self.events.push(TraceEvent::ServeDrain {
-            t: self.last_t.max(self.shard.now().as_secs()),
+            t: self.last_t.max(self.run.now().as_secs()),
             pending,
         });
     }
@@ -595,23 +604,28 @@ impl ServeCore {
     /// bit-exactly, close the books, and emit `serve_summary`.
     pub fn finish_drain(mut self) -> DrainOutcome {
         self.begin_drain();
-        let horizon = self.shard.horizon();
+        let horizon = self.run.horizon();
         let mut sink = VecSink::new();
-        self.shard.advance_to_with(horizon, &mut sink);
+        self.run.advance_to(horizon, &mut sink);
         fold_engine_events(
             sink.into_events(),
             &mut self.counts,
             &mut self.events,
             &mut self.terminals,
         );
-        let checkpoint = self.shard.snapshot();
-        let resume_bit_exact =
-            match ShardEngine::restore(&self.cfg.sim, &self.cfg.algorithm, None, &checkpoint) {
-                Ok(restored) => restored.snapshot() == checkpoint,
-                Err(_) => false,
-            };
+        let checkpoint = self.run.snapshot();
+        let resume_bit_exact = match Run::restore(
+            &self.cfg.sim,
+            &Trace::default(),
+            &self.cfg.algorithm,
+            None,
+            &checkpoint,
+        ) {
+            Ok(restored) => restored.snapshot() == checkpoint,
+            Err(_) => false,
+        };
         let ServeCore {
-            shard,
+            run,
             mut counts,
             mut events,
             mut terminals,
@@ -621,7 +635,7 @@ impl ServeCore {
         } = self;
         // Close the books; leftover discards fold like any engine event.
         let mut close_sink = VecSink::new();
-        let outcome = shard.finalize_with(&mut close_sink);
+        let outcome = run.finish(&mut close_sink);
         fold_engine_events(
             close_sink.into_events(),
             &mut counts,

@@ -6,13 +6,16 @@
 //! and the identical decision-trace suffix as the uninterrupted run — for
 //! the fault-free baseline and for the combined fault scenario, across
 //! seeds. Corrupted checkpoints (truncated, bit-flipped, wrong version,
-//! wrong inputs) must be rejected with typed errors, never a panic.
+//! wrong inputs) must be rejected with typed errors, never a panic — also
+//! the fleet/serve shape, whose checkpoint carries injected jobs. A run
+//! started over a trace equals an empty run handed the same jobs.
 
-use ge_core::{run, run_with_sink, Algorithm, ResumableRun, RunResult, SimConfig};
+use ge_core::{run, run_with_sink, Algorithm, Run, RunResult, SimConfig};
 use ge_faults::{FaultScenario, FaultSchedule, ScenarioKind};
+use ge_recover::checkpoint::{seal, unseal};
 use ge_simcore::SimTime;
 use ge_trace::{NullSink, TraceEvent, VecSink};
-use ge_workload::{Trace, WorkloadConfig, WorkloadGenerator};
+use ge_workload::{Job, JobId, Trace, WorkloadConfig, WorkloadGenerator};
 
 const HORIZON_SECS: f64 = 6.0;
 const RATE: f64 = 140.0;
@@ -71,8 +74,8 @@ fn run_with_snapshots(
     faults: Option<&FaultSchedule>,
 ) -> (RunResult, Vec<TraceEvent>, Vec<Vec<u8>>) {
     let mut sink = VecSink::new();
-    let mut run = ResumableRun::start(c, trace, &Algorithm::Ge, faults, &mut sink);
-    let quantum = run.quantum();
+    let mut run = Run::start(c, trace, &Algorithm::Ge, faults, &mut sink);
+    let quantum = c.quantum;
     let mut snaps = Vec::new();
     while !run.is_done() {
         let next = (run.now() + quantum).min(run.horizon());
@@ -81,7 +84,7 @@ fn run_with_snapshots(
             snaps.push(run.snapshot());
         }
     }
-    let result = run.finish(&mut sink);
+    let result = run.finish(&mut sink).result;
     (result, sink.into_events(), snaps)
 }
 
@@ -115,9 +118,9 @@ fn assert_every_boundary_bit_exact(c: &SimConfig, trace: &Trace, faults: Option<
 
     for (i, snap) in snaps.iter().enumerate() {
         let mut sink = VecSink::new();
-        let resumed = ResumableRun::resume(c, trace, &Algorithm::Ge, faults, snap)
+        let resumed = Run::restore(c, trace, &Algorithm::Ge, faults, snap)
             .unwrap_or_else(|e| panic!("boundary {i}: resume failed: {e}"));
-        let result = resumed.finish(&mut sink);
+        let result = resumed.finish(&mut sink).result;
         assert_eq!(
             bits(&straight),
             bits(&result),
@@ -202,7 +205,7 @@ fn resume_across_forced_full_replans_is_bit_exact() {
 // ---------------------------------------------------------------------------
 
 fn midrun_snapshot(c: &SimConfig, trace: &Trace) -> Vec<u8> {
-    let mut run = ResumableRun::start(c, trace, &Algorithm::Ge, None, &mut NullSink);
+    let mut run = Run::start(c, trace, &Algorithm::Ge, None, &mut NullSink);
     run.advance_to(SimTime::from_secs(HORIZON_SECS / 2.0), &mut NullSink);
     run.snapshot()
 }
@@ -216,7 +219,7 @@ fn truncated_checkpoints_are_rejected_not_panics() {
     // length field, payload, checksum).
     let mut len = 0;
     while len < snap.len() {
-        let err = ResumableRun::resume(&c, &trace, &Algorithm::Ge, None, &snap[..len]);
+        let err = Run::restore(&c, &trace, &Algorithm::Ge, None, &snap[..len]);
         assert!(err.is_err(), "truncation to {len} bytes must be rejected");
         len += 7; // co-prime with the 8-byte field layout: hits odd cuts
     }
@@ -234,7 +237,7 @@ fn bit_flips_are_rejected_not_panics() {
     for offset in (0..snap.len()).step_by(stride) {
         let mut bad = snap.clone();
         bad[offset] ^= 1 << (offset % 8);
-        let out = ResumableRun::resume(&c, &trace, &Algorithm::Ge, None, &bad);
+        let out = Run::restore(&c, &trace, &Algorithm::Ge, None, &bad);
         assert!(
             out.is_err(),
             "bit flip at byte {offset} must be detected (checksum or validation)"
@@ -252,30 +255,206 @@ fn wrong_version_and_wrong_inputs_are_typed_errors() {
     // version must be refused up front.
     let mut future = snap.clone();
     future[8] = 0xEE;
-    assert!(ResumableRun::resume(&c, &trace, &Algorithm::Ge, None, &future).is_err());
+    assert!(Run::restore(&c, &trace, &Algorithm::Ge, None, &future).is_err());
 
     // Structurally valid checkpoint, wrong run inputs: digest mismatch.
     let other = workload(SEEDS[2] + 1);
     assert!(matches!(
-        ResumableRun::resume(&c, &other, &Algorithm::Ge, None, &snap),
+        Run::restore(&c, &other, &Algorithm::Ge, None, &snap),
         Err(ge_recover::CheckpointError::DigestMismatch { .. })
     ));
     assert!(matches!(
-        ResumableRun::resume(&c, &trace, &Algorithm::Be, None, &snap),
+        Run::restore(&c, &trace, &Algorithm::Be, None, &snap),
         Err(ge_recover::CheckpointError::DigestMismatch { .. })
     ));
     // A fault schedule the checkpoint never saw is also an input mismatch.
     let schedule = combined_schedule(&c, SEEDS[2]);
-    assert!(ResumableRun::resume(&c, &trace, &Algorithm::Ge, Some(&schedule), &snap).is_err());
+    assert!(Run::restore(&c, &trace, &Algorithm::Ge, Some(&schedule), &snap).is_err());
 }
 
 #[test]
 fn empty_and_garbage_blobs_are_rejected() {
     let c = cfg();
     let trace = workload(SEEDS[0]);
-    assert!(ResumableRun::resume(&c, &trace, &Algorithm::Ge, None, &[]).is_err());
+    assert!(Run::restore(&c, &trace, &Algorithm::Ge, None, &[]).is_err());
     let garbage: Vec<u8> = (0..4096u32)
         .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
         .collect();
-    assert!(ResumableRun::resume(&c, &trace, &Algorithm::Ge, None, &garbage).is_err());
+    assert!(Run::restore(&c, &trace, &Algorithm::Ge, None, &garbage).is_err());
+}
+
+// ---------------------------------------------------------------------------
+// One handle for batch, fleet and serve: a run started over a trace equals
+// a run started empty that is handed the same jobs.
+// ---------------------------------------------------------------------------
+
+/// The workload a run derives from `trace` under `faults` at construction:
+/// the trace jobs, the surge jobs numbered after them, and every estimate
+/// under the schedule's demand noise.
+fn derived_jobs(trace: &Trace, faults: Option<&FaultSchedule>) -> Vec<Job> {
+    let mut jobs = trace.jobs().to_vec();
+    if let Some(fs) = faults {
+        jobs.extend(fs.surge_jobs(jobs.len() as u64));
+        for j in &mut jobs {
+            *j = j.with_estimate(fs.demand_estimate(j.id.0, j.demand));
+        }
+    }
+    jobs
+}
+
+fn assert_trace_built_equals_injected(
+    c: &SimConfig,
+    trace: &Trace,
+    faults: Option<&FaultSchedule>,
+) {
+    let built = Run::start(c, trace, &Algorithm::Ge, faults, &mut NullSink);
+    let machine = faults.map(FaultSchedule::machine_faults);
+    let empty = Trace::default();
+    let mut injected = Run::start(c, &empty, &Algorithm::Ge, machine.as_ref(), &mut NullSink);
+    for job in derived_jobs(trace, faults) {
+        injected.inject_job(job, job.release);
+    }
+    assert_eq!(
+        built.horizon(),
+        injected.horizon(),
+        "every deadline must fall inside cfg.horizon for the runs to align"
+    );
+    let built = built.finish(&mut NullSink);
+    let injected = injected.finish(&mut NullSink);
+    assert_eq!(bits(&built.result), bits(&injected.result));
+    assert_eq!(
+        built.achieved_sum.to_bits(),
+        injected.achieved_sum.to_bits()
+    );
+    assert_eq!(built.full_sum.to_bits(), injected.full_sum.to_bits());
+}
+
+#[test]
+fn trace_built_run_equals_injected_run() {
+    let c = cfg();
+    for seed in SEEDS {
+        // Deadlines end inside cfg.horizon, so the trace-built run's
+        // horizon is not stretched past the empty run's.
+        let trace = WorkloadGenerator::new(
+            WorkloadConfig {
+                horizon: SimTime::from_secs(HORIZON_SECS - 0.5),
+                ..WorkloadConfig::paper_default(RATE)
+            },
+            seed,
+        )
+        .generate();
+        assert_trace_built_equals_injected(&c, &trace, None);
+        let schedule = combined_schedule(&c, seed);
+        assert!(!schedule.surges().is_empty() && schedule.demand_noise() > 0.0);
+        assert_trace_built_equals_injected(&c, &trace, Some(&schedule));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints carrying injected jobs: the fleet/serve shape.
+// ---------------------------------------------------------------------------
+
+fn small_shard_cfg() -> SimConfig {
+    SimConfig {
+        cores: 4,
+        budget_w: 80.0,
+        horizon: SimTime::from_secs(4.0),
+        critical_load_rps: 154.0 / 4.0,
+        ..SimConfig::paper_default()
+    }
+}
+
+/// A run over an empty trace, stopped mid-run after it was handed jobs,
+/// crashed with work queued, recovered, and re-handed a failed-over job
+/// under its old id (with a later release).
+fn injected_run(c: &SimConfig) -> Run {
+    let mut run = Run::start(c, &Trace::default(), &Algorithm::Ge, None, &mut NullSink);
+    let job = |id: u64, at: f64, deadline: f64| {
+        let r = SimTime::from_secs(at);
+        Job::new(JobId(id), r, SimTime::from_secs(deadline), 600.0)
+    };
+    for i in 0..4 {
+        let j = job(i, 0.1 * i as f64, 2.5);
+        run.inject_job(j, j.release);
+    }
+    run.advance_to(SimTime::from_secs(1.0), &mut NullSink);
+    // A burst overfills the cores, so the crash hands queued work back.
+    for i in 4..16 {
+        run.inject_job(job(i, 1.0, 3.0), SimTime::from_secs(1.0));
+    }
+    run.advance_to(SimTime::from_secs(1.05), &mut NullSink);
+    let failed_over = run.crash();
+    assert!(!failed_over.is_empty(), "the burst must leave queued work");
+    run.advance_to(SimTime::from_secs(1.5), &mut NullSink);
+    run.recover();
+    let again = failed_over[0];
+    run.inject_job(job(again.id.0, 1.5, 3.5), SimTime::from_secs(1.5));
+    run.inject_job(job(99, 2.2, 3.8), SimTime::from_secs(2.2));
+    run.advance_to(SimTime::from_secs(2.0), &mut NullSink);
+    run
+}
+
+#[test]
+fn injected_job_checkpoint_round_trips_and_rejects_corruption() {
+    let c = small_shard_cfg();
+    let empty = Trace::default();
+    let restore = |bytes: &[u8]| Run::restore(&c, &empty, &Algorithm::Ge, None, bytes);
+    let snap = injected_run(&c).snapshot();
+
+    let restored = restore(&snap).expect("uncorrupted checkpoint restores");
+    assert_eq!(
+        restored.snapshot(),
+        snap,
+        "re-encoding must be bit-identical"
+    );
+    let mut down = injected_run(&c);
+    down.crash();
+    let down = restore(&down.snapshot()).expect("crashed run restores");
+    assert!(
+        down.is_crashed(),
+        "the crash flag must survive a checkpoint"
+    );
+
+    // The envelope catches every truncation and every flipped bit.
+    for len in 0..snap.len() {
+        assert!(restore(&snap[..len]).is_err(), "truncation to {len} bytes");
+    }
+    for offset in 0..snap.len() {
+        let mut bad = snap.clone();
+        bad[offset] ^= 1 << (offset % 8);
+        assert!(restore(&bad).is_err(), "bit flip at byte {offset}");
+    }
+
+    // Re-sealed with a valid checksum, a truncated payload reaches the
+    // decoder, which must fail with a typed error at every cut.
+    let (digest, payload) = unseal(&snap).expect("valid envelope");
+    for cut in 0..payload.len() {
+        assert!(
+            restore(&seal(digest, &payload[..cut])).is_err(),
+            "payload truncated to {cut} bytes"
+        );
+    }
+    // A re-sealed flipped bit may decode to a different valid state, but
+    // it must never panic the decoder (every 7th byte, so each bit
+    // position is hit across the stride).
+    for offset in (0..payload.len()).step_by(7) {
+        let mut bad = payload.to_vec();
+        bad[offset] ^= 1 << (offset % 8);
+        let _ = restore(&seal(digest, &bad));
+    }
+}
+
+#[test]
+fn resumed_injected_run_matches_straight_run() {
+    // Restoring rebuilds the injected jobs and their release table, so the
+    // resumed run finishes exactly as the original does.
+    let c = small_shard_cfg();
+    let run = injected_run(&c);
+    let snap = run.snapshot();
+    let straight = run.finish(&mut NullSink);
+    let resumed = Run::restore(&c, &Trace::default(), &Algorithm::Ge, None, &snap)
+        .expect("restores")
+        .finish(&mut NullSink);
+    assert_eq!(bits(&straight.result), bits(&resumed.result));
+    assert!(straight.result.mean_latency_ms > 0.0);
 }

@@ -24,7 +24,7 @@ use ge_experiments::Scale;
 use ge_faults::{FleetFaultSchedule, FleetScenario, FleetScenarioKind, ServerOutage};
 use ge_fleet::{run_fleet, FleetConfig, Partitioner, RoutingPolicy};
 use ge_simcore::{RngStream, SimDuration, SimTime};
-use ge_trace::{parse_jsonl, replay_fleet, write_jsonl, TraceEvent, VecSink};
+use ge_trace::{parse_jsonl, replay_fleet, write_jsonl, NullSink, TraceEvent, VecSink};
 use ge_workload::{Job, JobId, Trace};
 
 fn shard_cfg(horizon_s: f64) -> SimConfig {
@@ -220,10 +220,10 @@ fn study_artifacts_show_repartitioning_dominating_equal_split() {
 
 #[test]
 fn double_crash_fails_over_each_queued_job_exactly_once() {
-    use ge_core::{Algorithm, ShardEngine};
+    use ge_core::{Algorithm, Run};
 
     let cfg = shard_cfg(10.0);
-    let mut shard = ShardEngine::new(&cfg, &Algorithm::Ge, None);
+    let mut shard = Run::start(&cfg, &Trace::default(), &Algorithm::Ge, None, &mut NullSink);
     // Early arrivals start on the 4 cores; a burst then overfills the
     // queue, so the crash instant holds both started jobs (orphans,
     // partial credit) and queued-unstarted jobs (failover).
@@ -232,13 +232,13 @@ fn double_crash_fails_over_each_queued_job_exactly_once() {
         let j = Job::new(JobId(i), r, SimTime::from_secs(6.0), 600.0).with_estimate(600.0);
         shard.inject_job(j, r);
     }
-    shard.advance_to(SimTime::from_secs(1.0));
+    shard.advance_to(SimTime::from_secs(1.0), &mut NullSink);
     for i in 4..20u64 {
         let r = SimTime::from_secs(1.0);
         let j = Job::new(JobId(i), r, SimTime::from_secs(6.0), 600.0).with_estimate(600.0);
         shard.inject_job(j, r);
     }
-    shard.advance_to(SimTime::from_secs(1.05));
+    shard.advance_to(SimTime::from_secs(1.05), &mut NullSink);
 
     let first = shard.crash();
     assert!(
@@ -267,7 +267,7 @@ fn double_crash_fails_over_each_queued_job_exactly_once() {
 
 #[test]
 fn crash_at_epoch_boundary_recovers_idempotently_with_one_budget_restore() {
-    use ge_core::{Algorithm, ShardEngine};
+    use ge_core::{Algorithm, Run};
 
     // Two runs of the same scripted outage — crash exactly on a quantum
     // boundary (quantum = 500 ms, so t = 2.0 s is a trigger instant),
@@ -276,13 +276,13 @@ fn crash_at_epoch_boundary_recovers_idempotently_with_one_budget_restore() {
     // called twice. The duplicates must change nothing, bit for bit.
     let run = |double: bool| {
         let cfg = shard_cfg(10.0);
-        let mut shard = ShardEngine::new(&cfg, &Algorithm::Ge, None);
+        let mut shard = Run::start(&cfg, &Trace::default(), &Algorithm::Ge, None, &mut NullSink);
         for i in 0..24u64 {
             let r = SimTime::from_secs(0.05 * i as f64);
             let j = Job::new(JobId(i), r, SimTime::from_secs(7.0), 500.0).with_estimate(500.0);
             shard.inject_job(j, r);
         }
-        shard.advance_to(SimTime::from_secs(2.0));
+        shard.advance_to(SimTime::from_secs(2.0), &mut NullSink);
         // The fleet partitioner reacts to a sibling's death by boosting
         // this shard's slice — then this shard dies too.
         shard.set_budget_factor(1.5);
@@ -291,7 +291,7 @@ fn crash_at_epoch_boundary_recovers_idempotently_with_one_budget_restore() {
             let again = shard.crash();
             assert!(again.is_empty(), "second crash must fail over nothing");
         }
-        shard.advance_to(SimTime::from_secs(4.0));
+        shard.advance_to(SimTime::from_secs(4.0), &mut NullSink);
         // Recovery restores the nominal slice. The duplicate transition
         // must be absorbed — the slice comes back exactly once, not
         // compounded or re-zeroed.
@@ -310,9 +310,9 @@ fn crash_at_epoch_boundary_recovers_idempotently_with_one_budget_restore() {
                 .with_estimate(j.estimate);
             shard.inject_job(again, redispatch_at);
         }
-        shard.advance_to(SimTime::from_secs(10.0));
+        shard.advance_to(SimTime::from_secs(10.0), &mut NullSink);
         let ids: Vec<usize> = failed_over.iter().map(|j| j.id.index()).collect();
-        (ids, snapshot, shard.finalize())
+        (ids, snapshot, shard.finish(&mut NullSink))
     };
 
     let (ids_once, snap_once, out_once) = run(false);

@@ -4,10 +4,7 @@
 //! dictates, and — with the `mutation` feature — proof that a broken
 //! scheduler is caught with a shrunk counterexample of a handful of jobs.
 
-use ge_core::{
-    resume_from, run, run_resumable, run_with_sink, Algorithm, CheckpointPolicy, ResumableOutcome,
-    SimConfig,
-};
+use ge_core::{run, run_with_sink, Algorithm, CheckpointPolicy, DriveOutcome, Run, SimConfig};
 use ge_faults::{CoreOutage, FaultSchedule, ThrottleWindow};
 use ge_integration_tests::prop::{check, find_failure, PropConfig, Shrink, TinyInstance};
 use ge_oracle::{
@@ -200,19 +197,21 @@ fn resume_preserves_the_oracle_verdict() {
     let path = dir.join("verdict.ckpt");
     let mut policy = CheckpointPolicy::new(&path, 2);
     policy.stop_after = Some(1);
-    let stopped = run_resumable(&cfg, &trace, &Algorithm::Ge, None, &policy, &mut NullSink)
+    let stopped = Run::start(&cfg, &trace, &Algorithm::Ge, None, &mut NullSink)
+        .drive(&policy, &mut NullSink)
         .expect("resumable run");
     assert!(
-        matches!(stopped, ResumableOutcome::Stopped { .. }),
+        matches!(stopped, DriveOutcome::Stopped { .. }),
         "run must stop at the first checkpoint"
     );
     let mut cont = policy.clone();
     cont.stop_after = None;
-    let resumed = match resume_from(&cfg, &trace, &Algorithm::Ge, None, &cont, &mut NullSink)
+    let resumed = match Run::restore_file(&cfg, &trace, &Algorithm::Ge, None, &path)
+        .and_then(|run| run.drive(&cont, &mut NullSink))
         .expect("resume")
     {
-        ResumableOutcome::Finished(r) => r,
-        ResumableOutcome::Stopped { .. } => panic!("resume stopped again"),
+        DriveOutcome::Finished(r) => r,
+        DriveOutcome::Stopped { .. } => panic!("resume stopped again"),
     };
     let _ = std::fs::remove_file(&path);
 

@@ -10,10 +10,11 @@
 //! accounting digest, and every request must land in exactly one
 //! terminal state.
 
-use ge_core::ShardEngine;
+use ge_core::Run;
 use ge_experiments::serve::{exemplar_config, run_replay, run_soak};
 use ge_serve::{ServeConfig, ServeServer};
 use ge_trace::replay_serve;
+use ge_workload::Trace;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -188,8 +189,8 @@ fn drained_checkpoint_restores_bit_exactly_through_ge_core() {
 
     // The independent proof: ge-core restores the sealed checkpoint and
     // re-encodes it to the identical bytes.
-    let restored =
-        ShardEngine::restore(&sim, &algorithm, None, &out.checkpoint).expect("checkpoint restores");
+    let restored = Run::restore(&sim, &Trace::default(), &algorithm, None, &out.checkpoint)
+        .expect("checkpoint restores");
     assert_eq!(
         restored.snapshot(),
         out.checkpoint,

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use ge_core::{run_resumable, Algorithm, CheckpointPolicy, SimConfig};
+use ge_core::{Algorithm, CheckpointPolicy, DriveOutcome, Run, SimConfig};
 use ge_experiments::supervise::{
     run_supervised, run_supervised_with_injection, write_manifest, SupervisorConfig,
 };
@@ -112,22 +112,17 @@ fn crashed_cell_with_checkpoint_is_salvaged() {
         scale.root_seed,
     );
     let ckpt = dir.join(format!("throttle-i000-ge-s{}.ckpt", scale.root_seed));
-    let staged = run_resumable(
-        &sim,
-        &trace,
-        &Algorithm::Ge,
-        Some(&schedule),
-        &CheckpointPolicy {
-            path: ckpt.clone(),
-            every_quanta: 2,
-            stop_after: Some(1),
-        },
-        &mut NullSink,
-    )
-    .expect("staging run");
+    let policy = CheckpointPolicy {
+        path: ckpt.clone(),
+        every_quanta: 2,
+        stop_after: Some(1),
+    };
+    let staged = Run::start(&sim, &trace, &Algorithm::Ge, Some(&schedule), &mut NullSink)
+        .drive(&policy, &mut NullSink)
+        .expect("staging run");
     assert!(matches!(
         staged,
-        ge_core::ResumableOutcome::Stopped { checkpoints: 1, .. }
+        DriveOutcome::Stopped { checkpoints: 1, .. }
     ));
     assert!(ckpt.exists(), "staged checkpoint must exist");
 
