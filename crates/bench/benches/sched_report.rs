@@ -3,7 +3,8 @@
 //! One target collecting everything the incremental-replanning work is
 //! measured by: the per-epoch kernels (LF cut, YDS, inversion — with and
 //! without scratch/memo reuse), the server's share of one engine event,
-//! end-to-end GE runs with the dirty-bit path on and forced off, and
+//! end-to-end GE runs with the dirty-bit path on and forced off, whole
+//! fleets at N ∈ {1, 4, 16} servers, the trace codec per event, and
 //! representative figure pipelines at [`Scale::bench`]. Run with
 //! `--json <path>` to write the `ge-bench-sched/v1` report (Cargo runs
 //! benches from the package directory, so give the repository-root path
@@ -16,15 +17,17 @@
 use ge_bench::harness::{black_box, Harness};
 use ge_bench::{bench_config, bench_trace};
 use ge_core::ge::{GeOptions, GeScheduler};
-use ge_core::run_scheduler_with_sink;
+use ge_core::{run_scheduler_with_sink, run_with_sink, Algorithm, SimConfig};
 use ge_experiments::{figures, Scale};
+use ge_faults::{FaultScenario, FleetScenario, FleetScenarioKind, ScenarioKind};
+use ge_fleet::{run_fleet, FleetConfig, Partitioner, RoutingPolicy};
 use ge_power::{
     yds_schedule, yds_schedule_with, PolynomialPower, SpeedProfile, YdsJob, YdsScratch,
 };
 use ge_quality::{lf_cut, lf_cut_with, CutOutcome, CutScratch, ExpConcave, QualityFunction};
 use ge_server::Server;
 use ge_simcore::{RngStream, SimDuration, SimTime};
-use ge_trace::NullSink;
+use ge_trace::{jsonl_line, parse_jsonl_line, NullSink, TraceEvent, VecSink};
 use ge_workload::{BoundedPareto, Job, JobId, Sampler, UNITS_PER_GHZ_SEC};
 
 fn demands(n: usize, seed: u64) -> Vec<f64> {
@@ -157,6 +160,89 @@ fn bench_e2e_telemetry(h: &Harness) {
     ge_telemetry::reset_profile();
 }
 
+/// The `fleet_crash` benchmark shape at bench size: `n` servers of 4
+/// cores and 80 W, JSQ routing, `prop` repartitioning, 45 req/s per
+/// server, `q_min = 0.8`, the `servercrash` scenario at intensity 1.0.
+fn fleet_crash_cfg(n: usize, secs: f64) -> FleetConfig {
+    let shard = SimConfig {
+        cores: 4,
+        budget_w: 80.0,
+        critical_load_rps: 154.0 / 4.0,
+        q_min: 0.8,
+        ..bench_config(secs)
+    };
+    let mut cfg = FleetConfig::new(n, shard);
+    cfg.routing = RoutingPolicy::JoinShortestQueue;
+    cfg.partitioner = Partitioner::ProportionalLoad;
+    cfg.seed = 11;
+    cfg
+}
+
+/// Whole fleet runs, 10 s of the `fleet_crash` shape at N = 1, 4, 16:
+/// the router, failover and repartitioning on top of N engines.
+fn bench_fleet_e2e(h: &Harness) {
+    for n in [1usize, 4, 16] {
+        let cfg = fleet_crash_cfg(n, 10.0);
+        let trace = bench_trace(45.0 * n as f64, 10.0, 11);
+        let (fleet_faults, shard_faults) = FleetScenario::new(FleetScenarioKind::ServerCrash, 1.0)
+            .build(n, cfg.shard.cores, cfg.shard.horizon, cfg.seed);
+        h.bench(&format!("fleet_e2e/{n}"), || {
+            run_fleet(
+                &cfg,
+                black_box(&trace),
+                &fleet_faults,
+                &shard_faults,
+                &mut NullSink,
+            )
+        });
+    }
+}
+
+/// A fixed mixed-event stream: a 3 s GE run under the `combined` fault
+/// scenario (arrivals, epochs, power splits, exec slices, finishes,
+/// faults) followed by a 3 s 4-server fleet under `fleetcombined`
+/// (dispatches, retries, failovers, budget epochs).
+fn mixed_events() -> Vec<TraceEvent> {
+    let mut sink = VecSink::new();
+    let cfg = bench_config(3.0);
+    let faults = FaultScenario::new(ScenarioKind::Combined, 1.0).build(cfg.cores, cfg.horizon, 5);
+    run_with_sink(
+        &cfg,
+        &bench_trace(150.0, 3.0, 5),
+        &Algorithm::Ge,
+        Some(&faults),
+        &mut sink,
+    );
+    let fleet = fleet_crash_cfg(4, 3.0);
+    let (fleet_faults, shard_faults) = FleetScenario::new(FleetScenarioKind::FleetCombined, 1.0)
+        .build(4, fleet.shard.cores, fleet.shard.horizon, 5);
+    run_fleet(
+        &fleet,
+        &bench_trace(180.0, 3.0, 5),
+        &fleet_faults,
+        &shard_faults,
+        &mut sink,
+    );
+    sink.into_events()
+}
+
+/// The JSONL trace codec, in ns per event: each iteration encodes (or
+/// decodes) the next event of the fixed mixed stream, cycling.
+fn bench_trace_codec(h: &Harness) {
+    let events = mixed_events();
+    let lines: Vec<String> = events.iter().map(jsonl_line).collect();
+    let mut i = 0;
+    h.bench("trace/encode_jsonl", || {
+        i = (i + 1) % events.len();
+        jsonl_line(black_box(&events[i]))
+    });
+    let mut i = 0;
+    h.bench("trace/decode_jsonl", || {
+        i = (i + 1) % lines.len();
+        parse_jsonl_line(black_box(&lines[i])).map(|_| ())
+    });
+}
+
 /// Representative figure pipelines (workload → sweep → tables).
 fn bench_figures(h: &Harness) {
     let scale = Scale::bench();
@@ -176,6 +262,8 @@ fn main() {
     bench_server_advance(&h);
     bench_e2e(&h);
     bench_e2e_telemetry(&h);
+    bench_fleet_e2e(&h);
+    bench_trace_codec(&h);
     bench_figures(&h);
     h.finish().expect("write bench report");
 }

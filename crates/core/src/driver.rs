@@ -18,8 +18,8 @@
 //! shards and serve sessions (`crate::shard`) all advance it in segments.
 //! Segment boundaries are invisible to the handler —
 //! `Simulator::run_until` delivers the identical `(now, event)` sequence
-//! either way — which is what makes resumed runs and lockstep fleets
-//! bit-exact.
+//! either way — which is what makes resumed runs and fleets whose router
+//! advances each shard only to the instants where it has work bit-exact.
 
 use ge_faults::{FaultInjector, FaultSchedule, FaultTransition};
 use ge_power::PolynomialPower;
@@ -232,9 +232,25 @@ impl Run {
         }
     }
 
-    /// Current simulated time.
+    /// Current simulated time: the end of the last [`Run::advance_to`].
+    /// A fleet shard's clock may lag the router's, because the router
+    /// advances a shard only when one of its events is due.
     pub fn now(&self) -> SimTime {
         self.engine.sim.now()
+    }
+
+    /// The time of the run's earliest pending event, if any. An
+    /// [`Run::advance_to`]`(t)` handles no event — and changes nothing but
+    /// [`Run::now`] — unless this time is not `after(t)`.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.engine.sim.peek_time()
+    }
+
+    /// Engine events handled so far. Outside [`Run::crash`] and
+    /// [`Run::recover`], [`Run::queue_len`] and [`Run::load_units`] change
+    /// only when this count does, so it stamps a cached load signal.
+    pub fn events_handled(&self) -> u64 {
+        self.engine.sim.handled_count()
     }
 
     /// The run's horizon: `cfg.horizon`, stretched to cover every deadline

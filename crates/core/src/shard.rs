@@ -7,11 +7,16 @@
 //!
 //! * [`Run::inject_job`] — feed an arrival decided by the router or the
 //!   wire (the owner is the sole source of work),
-//! * [`Run::advance_to`] — lockstep time advance. The engine's
+//! * [`Run::advance_to`] — time advance in segments. The engine's
 //!   segmented-advance invariant (proven by the resume suite) guarantees
 //!   that advancing in router-event-sized segments observes the same
 //!   `(now, event)` sequence as one straight run, which is what makes the
-//!   whole fleet bit-reproducible,
+//!   whole fleet bit-reproducible. The router skips a segment in which
+//!   [`Run::next_event_time`] shows no due event: such an advance would
+//!   move only [`Run::now`],
+//! * [`Run::queue_len`] / [`Run::load_units`] — the router's load signal,
+//!   which changes only with [`Run::events_handled`], a crash or a
+//!   recovery, so the router caches it,
 //! * [`Run::crash`] / [`Run::recover`] — whole-server loss and rejoin. A
 //!   crash preempts running work onto the orphan list (partial credit,
 //!   exactly like a core fault) and hands the queued-unstarted jobs back

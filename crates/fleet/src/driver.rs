@@ -1,14 +1,27 @@
 //! The fleet event loop: routing, budget repartitioning, and failover.
 //!
-//! One binary heap orders the router's three event kinds — fleet fault
-//! transitions, budget-reallocation epochs, and job dispatches — by
-//! `(time, priority, sequence)`, mirroring the per-server engine's
+//! The router's three event kinds — fleet fault transitions,
+//! budget-reallocation epochs, and job dispatches — fire in
+//! `(time, priority, sequence)` order, mirroring the per-server engine's
 //! discipline (faults fire before the scheduler observes the instant;
-//! dispatches come last). Before handling any event the router advances
-//! *every* server to the event time; the engine's segmented-advance
-//! invariant makes those lockstep segments bit-identical to a straight
-//! per-server run, which is what makes the whole fleet reproducible from
-//! one seed.
+//! dispatches come last). Each router event costs work only in the servers
+//! it touches:
+//!
+//! * **Due servers only.** Before an event at `t` the router advances the
+//!   servers whose earliest pending engine event is not after `t`. An
+//!   advance with nothing due would move only the server's clock, which
+//!   no later step depends on, so skipping it is exact; the engine's
+//!   segmented-advance invariant makes the remaining segments
+//!   bit-identical to a straight per-server run, which is what makes the
+//!   whole fleet reproducible from one seed.
+//! * **Stamped load cache.** A server's load signal `(queue_len,
+//!   load_units)` changes only when it handles an event, crashes or
+//!   recovers, so the router caches it stamped with the server's
+//!   handled-event count and drops it on crash and recover.
+//! * **Dispatch cursor.** First dispatches are not heap entries: a cursor
+//!   walks the release-ordered trace, job `j` carrying sequence
+//!   `base + j`, and merges with the heap of faults, epochs and retries
+//!   under the same entry order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -125,13 +138,44 @@ impl FleetTelemetry {
     }
 }
 
+/// A server's load signal, valid while `stamp` equals the server's
+/// [`Run::events_handled`].
+#[derive(Debug, Clone, Copy)]
+struct LoadSig {
+    stamp: u64,
+    queue_len: usize,
+    units: f64,
+}
+
+impl LoadSig {
+    /// Matches no handled-event count.
+    const STALE: LoadSig = LoadSig {
+        stamp: u64::MAX,
+        queue_len: 0,
+        units: 0.0,
+    };
+}
+
 struct Router<'a> {
     cfg: &'a FleetConfig,
     schedule: &'a FleetFaultSchedule,
     shards: Vec<Run>,
+    /// Per-server cached load signal.
+    loads: Vec<LoadSig>,
+    /// Servers not crashed, in index order; changes only on crash and
+    /// recover.
+    live: Vec<usize>,
     injector: FleetInjector,
     horizon: SimTime,
+    /// Faults, budget epochs and retries. First dispatches come from the
+    /// trace cursor instead.
     heap: BinaryHeap<Entry>,
+    /// The offered workload, release-ordered.
+    jobs: &'a [Job],
+    /// The next job whose first dispatch is still to come.
+    cursor: usize,
+    /// Sequence of job 0's first dispatch; job `j`'s is `dispatch_seq + j`.
+    dispatch_seq: u64,
     seq: u64,
     rr_cursor: usize,
     route_rng_root: RngStream,
@@ -156,8 +200,57 @@ impl<'a> Router<'a> {
         self.heap.push(Entry { at, prio, seq, ev });
     }
 
-    fn live_count(&self) -> usize {
-        self.shards.iter().filter(|s| !s.is_crashed()).count()
+    /// Pops the earliest pending event: the heap top or the cursor's next
+    /// first dispatch, whichever comes first in entry order.
+    fn next_entry(&mut self) -> Option<Entry> {
+        let head = self.jobs.get(self.cursor).map(|job| Entry {
+            at: job.release,
+            prio: PRIO_DISPATCH,
+            seq: self.dispatch_seq + self.cursor as u64,
+            ev: FEv::Dispatch {
+                job: self.cursor,
+                attempt: 0,
+            },
+        });
+        match (head, self.heap.peek()) {
+            // Entry order is reversed for the max-heap: greater is earlier.
+            (Some(head), Some(top)) if head < *top => self.heap.pop(),
+            (Some(head), _) => {
+                self.cursor += 1;
+                Some(head)
+            }
+            (None, _) => self.heap.pop(),
+        }
+    }
+
+    /// Advances every server with an engine event due at or before `t`.
+    fn advance_due(&mut self, t: SimTime) {
+        for s in &mut self.shards {
+            if s.next_event_time().is_some_and(|e| !e.after(t)) {
+                s.advance_to(t, &mut NullSink);
+            }
+        }
+    }
+
+    /// Server `i`'s load signal, recomputed only if it handled an event
+    /// since the last read.
+    fn load(&mut self, i: usize) -> LoadSig {
+        let stamp = self.shards[i].events_handled();
+        if self.loads[i].stamp != stamp {
+            self.loads[i] = LoadSig {
+                stamp,
+                queue_len: self.shards[i].queue_len(),
+                units: self.shards[i].load_units(),
+            };
+        }
+        self.loads[i]
+    }
+
+    /// Brings every live server's cached load signal up to date.
+    fn refresh_live_loads(&mut self) {
+        for k in 0..self.live.len() {
+            self.load(self.live[k]);
+        }
     }
 
     /// The admission guard's backlog ceiling (service units).
@@ -166,12 +259,11 @@ impl<'a> Router<'a> {
     }
 
     /// Picks a live server for a job, or `None` when the whole fleet is
-    /// down or the overload guard rejects (only with `q_min > 0`).
-    fn route(&mut self, _job: &Job) -> Option<usize> {
-        let live: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| !self.shards[i].is_crashed())
-            .collect();
-        if live.is_empty() {
+    /// down or the overload guard rejects (only with `q_min > 0`). Reads
+    /// only cached load signals, refreshing those that went stale, and
+    /// allocates nothing. Among equal keys the lowest index wins.
+    fn route(&mut self) -> Option<usize> {
+        if self.live.is_empty() {
             return None;
         }
         let chosen = match self.cfg.routing {
@@ -182,24 +274,33 @@ impl<'a> Router<'a> {
                     break c;
                 }
             },
-            RoutingPolicy::JoinShortestQueue => *live
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let ka = (self.shards[a].queue_len(), self.shards[a].load_units());
-                    let kb = (self.shards[b].queue_len(), self.shards[b].load_units());
-                    ka.0.cmp(&kb.0).then(ka.1.total_cmp(&kb.1)).then(a.cmp(&b))
-                })
-                .unwrap_or(&live[0]),
+            RoutingPolicy::JoinShortestQueue => {
+                self.refresh_live_loads();
+                let loads = &self.loads;
+                *self
+                    .live
+                    .iter()
+                    .min_by(|&&a, &&b| {
+                        let (ka, kb) = (loads[a], loads[b]);
+                        ka.queue_len
+                            .cmp(&kb.queue_len)
+                            .then(ka.units.total_cmp(&kb.units))
+                            .then(a.cmp(&b))
+                    })
+                    .unwrap_or(&self.live[0])
+            }
             RoutingPolicy::PowerOfD(d) => {
                 let draw = self.route_draws;
                 self.route_draws += 1;
                 let mut rng = self.route_rng_root.substream(draw);
-                let mut best = live[rng.next_below(live.len() as u64) as usize];
+                let n = self.live.len() as u64;
+                let mut best = self.live[rng.next_below(n) as usize];
                 for _ in 1..d.max(1) {
-                    let cand = live[rng.next_below(live.len() as u64) as usize];
-                    let better = self.shards[cand]
-                        .load_units()
-                        .total_cmp(&self.shards[best].load_units())
+                    let cand = self.live[rng.next_below(n) as usize];
+                    let better = self
+                        .load(cand)
+                        .units
+                        .total_cmp(&self.load(best).units)
                         .then(cand.cmp(&best))
                         == Ordering::Less;
                     if better {
@@ -208,32 +309,35 @@ impl<'a> Router<'a> {
                 }
                 best
             }
-            RoutingPolicy::EnergyAware => *live
-                .iter()
-                .min_by(|&&a, &&b| {
-                    // Backlog per allocated watt; an (unlikely) zero-watt
-                    // live server sorts last via +inf.
-                    let ka = self.shards[a].load_units() / self.slices[a].max(f64::MIN_POSITIVE);
-                    let kb = self.shards[b].load_units() / self.slices[b].max(f64::MIN_POSITIVE);
-                    ka.total_cmp(&kb).then(a.cmp(&b))
-                })
-                .unwrap_or(&live[0]),
+            RoutingPolicy::EnergyAware => {
+                self.refresh_live_loads();
+                let (loads, slices) = (&self.loads, &self.slices);
+                *self
+                    .live
+                    .iter()
+                    .min_by(|&&a, &&b| {
+                        // Backlog per allocated watt; an (unlikely)
+                        // zero-watt live server sorts last via +inf.
+                        let ka = loads[a].units / slices[a].max(f64::MIN_POSITIVE);
+                        let kb = loads[b].units / slices[b].max(f64::MIN_POSITIVE);
+                        ka.total_cmp(&kb).then(a.cmp(&b))
+                    })
+                    .unwrap_or(&self.live[0])
+            }
         };
         // Overload guard: only sheds when the shard config carries a
         // degradation floor; the fault-free default queues everything.
         if self.cfg.shard.q_min > 0.0 {
             let limit = self.backlog_limit_units();
-            if self.shards[chosen].load_units() > limit {
-                let fallback = *live
+            if self.load(chosen).units > limit {
+                self.refresh_live_loads();
+                let loads = &self.loads;
+                let fallback = *self
+                    .live
                     .iter()
-                    .min_by(|&&a, &&b| {
-                        self.shards[a]
-                            .load_units()
-                            .total_cmp(&self.shards[b].load_units())
-                            .then(a.cmp(&b))
-                    })
-                    .unwrap_or(&live[0]);
-                if self.shards[fallback].load_units() > limit {
+                    .min_by(|&&a, &&b| loads[a].units.total_cmp(&loads[b].units).then(a.cmp(&b)))
+                    .unwrap_or(&self.live[0]);
+                if loads[fallback].units > limit {
                     return None;
                 }
                 return Some(fallback);
@@ -311,7 +415,7 @@ impl<'a> Router<'a> {
             }
             return;
         }
-        match self.route(&job) {
+        match self.route() {
             Some(server) => {
                 self.dispatched += 1;
                 if let Some(tel) = &self.telemetry {
@@ -336,9 +440,8 @@ impl<'a> Router<'a> {
         let n = self.shards.len();
         let total = self.cfg.total_budget_w();
         let nominal = total / n as f64;
-        let live: Vec<usize> = (0..n).filter(|&i| !self.shards[i].is_crashed()).collect();
         let mut slices = vec![0.0f64; n];
-        if live.is_empty() || self.cfg.partitioner == Partitioner::EqualSplit {
+        if self.live.is_empty() || self.cfg.partitioner == Partitioner::EqualSplit {
             // Equal split never moves budget — a dead server's slice is
             // wasted, which is exactly the baseline the repartitioners
             // are measured against. (An all-dead fleet also parks every
@@ -349,23 +452,25 @@ impl<'a> Router<'a> {
             // steer the *reclaimed* budget, so a momentarily idle server
             // is never starved below its fault-free slice. Dead servers
             // surrender theirs to the pool.
-            let pool = total - nominal * live.len() as f64;
+            let pool = total - nominal * self.live.len() as f64;
             let beta = self.cfg.shard.power_beta;
             let weight = |load: f64| match self.cfg.partitioner {
                 Partitioner::ProportionalLoad => load,
                 Partitioner::SumPowerAware => load.powf(beta),
                 Partitioner::EqualSplit => unreachable!("handled above"),
             };
-            let weights: Vec<f64> = live
+            self.refresh_live_loads();
+            let weights: Vec<f64> = self
+                .live
                 .iter()
-                .map(|&i| weight(self.shards[i].load_units()))
+                .map(|&i| weight(self.loads[i].units))
                 .collect();
             let wsum: f64 = weights.iter().sum();
-            for (k, &i) in live.iter().enumerate() {
+            for (k, &i) in self.live.iter().enumerate() {
                 let share = if wsum > 0.0 {
                     weights[k] / wsum
                 } else {
-                    1.0 / live.len() as f64
+                    1.0 / self.live.len() as f64
                 };
                 slices[i] = nominal + pool * share;
             }
@@ -401,6 +506,8 @@ impl<'a> Router<'a> {
                     return;
                 }
                 let reclaimed = self.shards[server].crash();
+                self.loads[server] = LoadSig::STALE;
+                self.live.retain(|&i| i != server);
                 if sink.is_enabled() {
                     sink.record(&TraceEvent::ShardFault {
                         t: t.as_secs(),
@@ -409,7 +516,7 @@ impl<'a> Router<'a> {
                     });
                 }
                 if let Some(tel) = &self.telemetry {
-                    tel.live_shards.set(self.live_count() as f64);
+                    tel.live_shards.set(self.live.len() as f64);
                     tel.failovers.add(reclaimed.len() as u64);
                 }
                 self.failovers += reclaimed.len() as u64;
@@ -431,6 +538,9 @@ impl<'a> Router<'a> {
                     return;
                 }
                 self.shards[server].recover();
+                self.loads[server] = LoadSig::STALE;
+                let at = self.live.partition_point(|&i| i < server);
+                self.live.insert(at, server);
                 if sink.is_enabled() {
                     sink.record(&TraceEvent::ShardFault {
                         t: t.as_secs(),
@@ -439,7 +549,7 @@ impl<'a> Router<'a> {
                     });
                 }
                 if let Some(tel) = &self.telemetry {
-                    tel.live_shards.set(self.live_count() as f64);
+                    tel.live_shards.set(self.live.len() as f64);
                 }
             }
             FleetTransition::ServerSpeedFactor { server, factor } => {
@@ -463,10 +573,11 @@ impl<'a> Router<'a> {
 /// every invocation.
 ///
 /// # Panics
-/// Panics if `cfg` is invalid, `shard_faults` is neither empty nor
-/// `cfg.servers` long, or a per-server schedule carries surge windows or
-/// demand noise (surge jobs would collide with the router's global job
-/// ids; both are fleet-level concerns).
+/// Panics if `cfg` is invalid, `trace` is not release-ordered,
+/// `shard_faults` is neither empty nor `cfg.servers` long, or a per-server
+/// schedule carries surge windows or demand noise (surge jobs would
+/// collide with the router's global job ids; both are fleet-level
+/// concerns).
 pub fn run_fleet(
     cfg: &FleetConfig,
     trace: &Trace,
@@ -484,6 +595,12 @@ pub fn run_fleet(
     assert!(
         shard_faults.iter().all(|fs| *fs == fs.machine_faults()),
         "per-shard fault schedules must not carry surges or demand noise"
+    );
+    let jobs = trace.jobs();
+    assert!(
+        jobs.windows(2)
+            .all(|w| w[0].release.total_cmp(&w[1].release) != Ordering::Greater),
+        "the fleet trace must be release-ordered"
     );
 
     // Every server runs to the same horizon, stretched so the last
@@ -527,9 +644,14 @@ pub fn run_fleet(
         cfg,
         schedule: fleet_faults,
         shards,
+        loads: vec![LoadSig::STALE; cfg.servers],
+        live: (0..cfg.servers).collect(),
         injector,
         horizon,
         heap: BinaryHeap::new(),
+        jobs,
+        cursor: 0,
+        dispatch_seq: 0,
         seq: 0,
         rr_cursor: 0,
         route_rng_root: RngStream::from_root(cfg.seed, "fleet/route"),
@@ -550,25 +672,19 @@ pub fn run_fleet(
         }
     }
     router.push(SimTime::ZERO, PRIO_REALLOC, FEv::Realloc);
-    for (j, job) in trace.jobs().iter().enumerate() {
-        router.push(
-            job.release,
-            PRIO_DISPATCH,
-            FEv::Dispatch { job: j, attempt: 0 },
-        );
-    }
+    // The first dispatches take the next `jobs.len()` sequence numbers,
+    // in trace order, exactly as if each had been pushed here.
+    router.dispatch_seq = router.seq;
+    router.seq += jobs.len() as u64;
 
-    while let Some(entry) = router.heap.pop() {
+    while let Some(entry) = router.next_entry() {
         let t = entry.at.min(horizon);
-        for s in &mut router.shards {
-            s.advance_to(t, &mut NullSink);
-        }
+        router.advance_due(t);
         match entry.ev {
             FEv::Fault(k) => router.apply_fault(t, k, sink),
             FEv::Realloc => router.realloc(t, sink),
             FEv::Dispatch { job, attempt } => {
-                let j = trace.jobs()[job];
-                router.dispatch(t, j, job, attempt, true, sink);
+                router.dispatch(t, jobs[job], job, attempt, true, sink);
             }
         }
     }

@@ -9,9 +9,10 @@
 //! * [`config`] — [`FleetConfig`] plus the [`RoutingPolicy`] (round-robin,
 //!   join-shortest-queue, power-of-d, energy-aware) and [`Partitioner`]
 //!   (equal-split baseline, proportional-load, sum-power-aware) menus.
-//! * [`driver`] — [`run_fleet`]: one event heap interleaving fault
-//!   transitions, budget epochs, and dispatches; every server advances in
-//!   lockstep, so the per-server engines behave bit-identically to
+//! * [`driver`] — [`run_fleet`]: one event order interleaving fault
+//!   transitions, budget epochs, and dispatches. A router event advances
+//!   only the servers with an engine event due and reads cached load
+//!   signals, yet the per-server engines behave bit-identically to
 //!   standalone runs and the whole fleet is reproducible from one seed.
 //!
 //! Degradation is explicit, never silent: a crashed server's
@@ -270,5 +271,140 @@ mod tests {
         for (_, sum) in per_t {
             assert!((sum - h).abs() < 1e-6 * h, "slices sum {sum} != H {h}");
         }
+    }
+
+    #[test]
+    fn dispatch_order_is_time_then_priority_then_sequence() {
+        // Three orderings the router must keep: equal releases dispatch in
+        // trace order, a budget epoch at a dispatch instant goes first,
+        // and a retry landing on later jobs' release instant goes after
+        // their first dispatches (it was scheduled after them).
+        let mut cfg = base_cfg(2, 4.0);
+        cfg.seed = 3;
+        let at = SimTime::from_secs;
+        let retry_at = at(2.0) + SimDuration::from_secs(cfg.retry_backoff.as_secs());
+        let job = |id: u64, release: SimTime| {
+            Job::new(
+                JobId(id),
+                release,
+                release + SimDuration::from_millis(500.0),
+                400.0,
+            )
+            .with_estimate(400.0)
+        };
+        let trace = Trace::new(vec![
+            job(7, at(0.5)),
+            job(3, at(0.5)),
+            job(9, at(0.5)),
+            job(4, at(1.0)),
+            job(5, at(2.0)),
+            job(6, retry_at),
+            job(8, retry_at),
+        ]);
+        // Job 5's first attempt is certainly lost; the window closes
+        // before its retry.
+        let faults =
+            FleetFaultSchedule::new(cfg.seed).with_dispatch_loss(ge_faults::DispatchLossWindow {
+                start: at(1.9),
+                end: at(2.005),
+                drop_prob: 1.0,
+            });
+        let mut sink = VecSink::new();
+        let r = run_fleet(&cfg, &trace, &faults, &[], &mut sink);
+        assert_eq!((r.dispatches, r.retries), (7, 1));
+
+        #[derive(Debug, PartialEq)]
+        enum Step {
+            Budget(u64),
+            Dispatch(u64, u64, u64),
+            Retry(u64, u64),
+        }
+        let steps: Vec<Step> = sink
+            .events()
+            .iter()
+            .filter_map(|ev| match *ev {
+                ge_trace::TraceEvent::FleetBudget { t, .. } => Some(Step::Budget(t.to_bits())),
+                ge_trace::TraceEvent::FleetDispatch {
+                    t, job, attempt, ..
+                } => Some(Step::Dispatch(t.to_bits(), job, attempt)),
+                ge_trace::TraceEvent::FleetRetry { t, job, .. } => {
+                    Some(Step::Retry(t.to_bits(), job))
+                }
+                _ => None,
+            })
+            .collect();
+        let routed: Vec<&Step> = steps
+            .iter()
+            .filter(|s| !matches!(s, Step::Budget(_)))
+            .collect();
+        let b = |t: SimTime| t.as_secs().to_bits();
+        assert_eq!(
+            routed,
+            [
+                &Step::Dispatch(b(at(0.5)), 7, 0),
+                &Step::Dispatch(b(at(0.5)), 3, 0),
+                &Step::Dispatch(b(at(0.5)), 9, 0),
+                &Step::Dispatch(b(at(1.0)), 4, 0),
+                &Step::Retry(b(at(2.0)), 5),
+                &Step::Dispatch(b(retry_at), 6, 0),
+                &Step::Dispatch(b(retry_at), 8, 0),
+                &Step::Dispatch(b(retry_at), 5, 1),
+            ]
+        );
+        // The epoch at t = 1.0 (one budget event per server) precedes the
+        // dispatch at the same instant.
+        let pos = |want: &Step| steps.iter().position(|s| s == want).unwrap();
+        let first_epoch_budget = pos(&Step::Budget(b(at(1.0))));
+        let dispatch = pos(&Step::Dispatch(b(at(1.0)), 4, 0));
+        assert_eq!(dispatch, first_epoch_budget + cfg.servers);
+    }
+
+    #[test]
+    fn a_server_back_from_a_blip_crash_is_seen_empty() {
+        // Server 0 crashes and recovers between two of its own engine
+        // events, so its handled-event count — the load cache's stamp —
+        // never moves. The router must still see it empty afterwards:
+        // with a backlog ceiling that any queued work exceeds, job 3 is
+        // admitted to server 0, not shed on its pre-crash load.
+        let mut cfg = base_cfg(2, 4.0);
+        cfg.routing = RoutingPolicy::RoundRobin;
+        cfg.shard.q_min = 0.8;
+        cfg.shed_backlog_factor = 1e-9;
+        let at = SimTime::from_secs;
+        let job = |id: u64, release: SimTime| {
+            Job::new(
+                JobId(id),
+                release,
+                release + SimDuration::from_millis(500.0),
+                400.0,
+            )
+            .with_estimate(400.0)
+        };
+        // Round-robin: job 0 → server 0, job 1 → server 1, job 2 → server
+        // 0 (both now loaded: shed), job 0's failover → server 1 (shed),
+        // job 3 → server 0.
+        let trace = Trace::new(vec![
+            job(0, at(1.0)),
+            job(1, at(1.0)),
+            job(2, at(1.0)),
+            job(3, at(1.0 + 3e-6)),
+        ]);
+        let faults = FleetFaultSchedule::new(cfg.seed).with_server_outage(ServerOutage {
+            server: 0,
+            start: at(1.0 + 1e-6),
+            end: Some(at(1.0 + 2e-6)),
+        });
+        let mut sink = VecSink::new();
+        let r = run_fleet(&cfg, &trace, &faults, &[], &mut sink);
+        let dispatched: Vec<(u64, u64)> = sink
+            .events()
+            .iter()
+            .filter_map(|ev| match *ev {
+                ge_trace::TraceEvent::FleetDispatch { job, shard, .. } => Some((job, shard)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(dispatched, [(0, 0), (1, 1), (3, 0)]);
+        assert_eq!((r.failovers, r.jobs_shed_router), (1, 2));
     }
 }

@@ -107,6 +107,13 @@ impl<E> Simulator<E> {
         self.queue.len()
     }
 
+    /// The firing time of the earliest pending event, if any. A
+    /// [`Simulator::run_until`] to `horizon` handles an event iff this
+    /// time is not `after(horizon)`.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// Schedules an event from outside the run loop (setup).
     pub fn schedule(&mut self, at: SimTime, priority: EventPriority, event: E) {
         assert!(at.at_or_after(self.now), "cannot schedule into the past");

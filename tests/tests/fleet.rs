@@ -15,6 +15,10 @@
 //!    (the quality table the CLI writes), at equal global budget every
 //!    routing policy with a live partitioner strictly beats the
 //!    equal-split baseline once a crash actually removes a server.
+//!
+//! A metamorphic check ties the fleet back to the single-server engine: a
+//! 1-server round-robin fleet with no faults is `ge_core::run` on the same
+//! trace, bit for bit.
 
 use std::collections::BTreeSet;
 
@@ -25,7 +29,7 @@ use ge_faults::{FleetFaultSchedule, FleetScenario, FleetScenarioKind, ServerOuta
 use ge_fleet::{run_fleet, FleetConfig, Partitioner, RoutingPolicy};
 use ge_simcore::{RngStream, SimDuration, SimTime};
 use ge_trace::{parse_jsonl, replay_fleet, write_jsonl, NullSink, TraceEvent, VecSink};
-use ge_workload::{Job, JobId, Trace};
+use ge_workload::{Job, JobId, Trace, WorkloadConfig, WorkloadGenerator};
 
 fn shard_cfg(horizon_s: f64) -> SimConfig {
     SimConfig {
@@ -347,4 +351,66 @@ fn crash_at_epoch_boundary_recovers_idempotently_with_one_budget_restore() {
         out_twice.achieved_sum.to_bits()
     );
     assert_eq!(out_once.full_sum.to_bits(), out_twice.full_sum.to_bits());
+}
+
+#[test]
+fn one_server_round_robin_fleet_equals_the_single_server_run() {
+    // With one server, no faults and round-robin routing, the router is
+    // a pass-through: every job is injected at its release, and the only
+    // budget epoch hands the lone server its nominal slice. The fleet must
+    // then be the plain engine run over the same trace, to the last bit.
+    for seed in 1..=3u64 {
+        let cfg = SimConfig {
+            horizon: SimTime::from_secs(30.0),
+            ..SimConfig::paper_default()
+        };
+        let trace = WorkloadGenerator::new(
+            WorkloadConfig {
+                horizon: cfg.horizon,
+                ..WorkloadConfig::paper_default(150.0)
+            },
+            seed,
+        )
+        .generate();
+        let single = ge_core::run(&cfg, &trace, &ge_core::Algorithm::Ge);
+
+        let mut fleet_cfg = FleetConfig::new(1, cfg);
+        fleet_cfg.routing = RoutingPolicy::RoundRobin;
+        fleet_cfg.seed = seed;
+        let fleet = run_fleet(
+            &fleet_cfg,
+            &trace,
+            &FleetFaultSchedule::new(seed),
+            &[],
+            &mut NullSink,
+        );
+        assert_eq!(fleet.dispatches, trace.len() as u64, "seed {seed}");
+        let shard = &fleet.shards[0];
+        assert_eq!(
+            shard.energy_j.to_bits(),
+            single.energy_j.to_bits(),
+            "seed {seed}: shard energy {} J vs single {} J",
+            shard.energy_j,
+            single.energy_j
+        );
+        assert_eq!(
+            fleet.energy_j.to_bits(),
+            single.energy_j.to_bits(),
+            "seed {seed}"
+        );
+        assert_eq!(
+            shard.quality.to_bits(),
+            single.quality.to_bits(),
+            "seed {seed}: shard quality {} vs single {}",
+            shard.quality,
+            single.quality
+        );
+        assert_eq!(
+            fleet.quality.to_bits(),
+            single.quality.to_bits(),
+            "seed {seed}: fleet quality {} vs single {}",
+            fleet.quality,
+            single.quality
+        );
+    }
 }
