@@ -2,8 +2,8 @@
 //!
 //! One target collecting everything the incremental-replanning work is
 //! measured by: the per-epoch kernels (LF cut, YDS, inversion — with and
-//! without scratch/memo reuse), the server's share of one engine event,
-//! end-to-end GE runs with the dirty-bit path on and forced off, whole
+//! without scratch/memo reuse), the engine's event queue at two pending
+//! depths, the server's share of one engine event, end-to-end GE runs with the dirty-bit path on and forced off, whole
 //! fleets at N ∈ {1, 4, 16} servers, the trace codec per event, and
 //! representative figure pipelines at [`Scale::bench`]. Run with
 //! `--json <path>` to write the `ge-bench-sched/v1` report (Cargo runs
@@ -26,7 +26,7 @@ use ge_power::{
 };
 use ge_quality::{lf_cut, lf_cut_with, CutOutcome, CutScratch, ExpConcave, QualityFunction};
 use ge_server::Server;
-use ge_simcore::{RngStream, SimDuration, SimTime};
+use ge_simcore::{EventQueue, RngStream, SimDuration, SimTime};
 use ge_trace::{jsonl_line, parse_jsonl_line, NullSink, TraceEvent, VecSink};
 use ge_workload::{BoundedPareto, Job, JobId, Sampler, UNITS_PER_GHZ_SEC};
 
@@ -83,6 +83,38 @@ fn bench_inverse(h: &Harness) {
 /// events per job), then project the next core event and snapshot the
 /// speeds. Every core is mid-job on a long plan, so this is the steady
 /// state between scheduler epochs.
+/// The engine's event queue at a fixed pending depth: ns per pop of the
+/// earliest event plus one push, the cycle every handled event pays. The
+/// payload is a whole job, as an injected arrival carries. Depth 16 is
+/// about `paper_light`'s heap with trace arrivals streamed from a cursor;
+/// 90,000 is that heap with all of its arrivals queued up front.
+fn bench_event_queue(h: &Harness) {
+    let mut rng = RngStream::from_root(11, "bench/event_queue");
+    let gaps: Vec<f64> = (0..4096).map(|_| rng.uniform_range(0.0, 1.0)).collect();
+    let job = Job::new(JobId(0), SimTime::ZERO, SimTime::from_secs(1.0), 1.0);
+    for depth in [16usize, 90_000] {
+        let mut q = EventQueue::new();
+        for i in 0..depth {
+            q.push(
+                SimTime::from_secs(gaps[i % gaps.len()]),
+                (i % 4) as u32,
+                job,
+            );
+        }
+        let mut k = 0;
+        h.bench(&format!("engine/event_queue/{depth}"), || {
+            let e = q.pop().expect("the queue stays at its depth");
+            k = (k + 1) % gaps.len();
+            q.push(
+                e.time + SimDuration::from_secs(gaps[k]),
+                e.priority,
+                e.event,
+            );
+            e.seq
+        });
+    }
+}
+
 fn bench_server_advance(h: &Harness) {
     let mut server = Server::new(
         16,
@@ -259,6 +291,7 @@ fn main() {
     bench_lf_cut(&h);
     bench_yds(&h);
     bench_inverse(&h);
+    bench_event_queue(&h);
     bench_server_advance(&h);
     bench_e2e(&h);
     bench_e2e_telemetry(&h);

@@ -11,6 +11,14 @@
 //! checks, which are observed before the quantum tick — so a quantum epoch
 //! always sees the jobs that arrived "now".
 //!
+//! Trace arrivals stream from a cursor. The simulator reserves sequence
+//! numbers `0..n` for the `n` jobs present at construction, which are
+//! kept stably sorted by release bits, and only the arrival at the cursor
+//! is pending; when it fires, the next job enters the heap under its own
+//! reserved number. Every event thus pops in the `(time, priority, seq)`
+//! order it would have had with all `n` arrivals queued up front, while
+//! the heap holds only live events. Injected jobs ride in their event.
+//!
 //! The driver is factored as an [`Engine`] holding every piece of mutable
 //! run state, advanced in segments over the shared event loop. A straight
 //! run is one segment to the horizon. [`Run`] is the one public handle
@@ -32,7 +40,7 @@ use ge_workload::{Job, Trace};
 use std::collections::VecDeque;
 
 use crate::config::SimConfig;
-use crate::policy::{Algorithm, ScheduleCtx, Scheduler};
+use crate::policy::{Algorithm, ScheduleCtx, Scheduler, TriggerSet};
 use crate::result::{RunResult, ShardOutcome};
 use crate::resume::input_digest;
 
@@ -71,12 +79,14 @@ impl DriverTelemetry {
 }
 
 /// Driver events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// Fault transition `k` of the injected schedule takes effect.
     Fault(usize),
-    /// Job `jobs[i]` arrives.
-    Arrival(usize),
+    /// The trace job at the arrival cursor arrives.
+    Arrival,
+    /// A job handed over by [`Run::inject_job`] arrives.
+    Inject(Job),
     /// Periodic quantum tick.
     Quantum,
     /// Projected core completion/deadline — re-examine the server.
@@ -193,8 +203,6 @@ pub struct Run {
     pub(crate) crashed: bool,
     /// The input digest sealed into every checkpoint of this run.
     pub(crate) digest: u64,
-    /// Jobs present at construction; later ones were injected.
-    pub(crate) base_jobs: usize,
 }
 
 impl Run {
@@ -225,7 +233,6 @@ impl Run {
         let engine = Engine::new(cfg, trace, faults, sched.current_mode());
         Run {
             digest: input_digest(&engine, sched.name()),
-            base_jobs: engine.all_jobs.len(),
             engine,
             sched,
             crashed: false,
@@ -283,21 +290,25 @@ impl Run {
 
 /// The full mutable state of one simulation run plus its (deterministic,
 /// rebuildable) environment. `crate::resume` serializes every field listed
-/// under "mutable run state" plus the injected tail of `all_jobs`; the
-/// rest is reconstructed from the same `(cfg, trace, faults)` inputs on
-/// resume.
+/// under "mutable run state" (the pending trace arrival as the cursor
+/// alone); the rest is reconstructed from the same `(cfg, trace, faults)`
+/// inputs on resume. Injected jobs live only in their pending `Ev::Inject`
+/// and, once arrived, in the queue, on a core or among the orphans, so the
+/// state grows with live work, not with the workload.
 pub(crate) struct Engine {
     // -- Environment: deterministic from (cfg, trace, faults) ------------
     pub(crate) cfg: SimConfig,
     pub(crate) f: ExpConcave,
     pub(crate) horizon: SimTime,
+    /// The jobs present at construction (trace plus surge jobs), stably
+    /// sorted by release bits; job `i` arrives under sequence number `i`.
     pub(crate) all_jobs: Vec<Job>,
-    /// Release time by job id; the last job pushed with an id wins.
-    /// Derived from `all_jobs`, never serialized.
-    pub(crate) releases: Vec<SimTime>,
 
     // -- Mutable run state ----------------------------------------------
     pub(crate) sim: Simulator<Ev>,
+    /// Index in `all_jobs` of the next trace arrival; while it is below
+    /// `all_jobs.len()`, that arrival is the one `Ev::Arrival` pending.
+    pub(crate) next_arrival: usize,
     pub(crate) server: Server,
     pub(crate) ledger: QualityLedger,
     pub(crate) mode_tracker: ge_metrics::ModeTracker,
@@ -323,8 +334,8 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Builds a fresh engine at t = 0 with all arrivals, fault transitions,
-    /// and the first quantum tick pre-scheduled.
+    /// Builds a fresh engine at t = 0 with the first trace arrival, every
+    /// fault transition and the first quantum tick scheduled.
     pub(crate) fn new(
         cfg: &SimConfig,
         trace: &Trace,
@@ -352,10 +363,10 @@ impl Engine {
                 }
             }
         }
-        let mut releases = Vec::with_capacity(all_jobs.len());
-        for j in &all_jobs {
-            book_release(&mut releases, j);
-        }
+        // Surge jobs break release order; a stable sort restores it with
+        // ties in trace order, the heap's `(time, seq)` order for arrivals
+        // (bit order is time order for non-negative times).
+        all_jobs.sort_by_key(|j| j.release.as_secs().to_bits());
         let injector = faults.map(|fs| FaultInjector::new(fs, cfg.cores));
 
         // The run must cover every job's deadline so each job's fate lands
@@ -365,9 +376,9 @@ impl Engine {
             .map(|j| j.deadline)
             .fold(cfg.horizon, SimTime::max);
 
-        let mut sim: Simulator<Ev> = Simulator::new();
-        for (i, job) in all_jobs.iter().enumerate() {
-            sim.schedule(job.release, PRIO_ARRIVAL, Ev::Arrival(i));
+        let mut sim: Simulator<Ev> = Simulator::with_reserved(all_jobs.len() as u64);
+        if let Some(first) = all_jobs.first() {
+            sim.schedule_reserved(first.release, PRIO_ARRIVAL, 0, Ev::Arrival);
         }
         if let Some(inj) = &injector {
             for (k, tr) in inj.transitions().iter().enumerate() {
@@ -383,8 +394,8 @@ impl Engine {
             f,
             horizon,
             all_jobs,
-            releases,
             sim,
+            next_arrival: 0,
             server,
             ledger: QualityLedger::new(cfg.ledger_mode),
             mode_tracker: ge_metrics::ModeTracker::new(2, initial_mode, SimTime::ZERO),
@@ -404,14 +415,6 @@ impl Engine {
             telemetry: Telemetry::is_enabled().then(DriverTelemetry::new),
             finished: Vec::with_capacity(cfg.cores),
         }
-    }
-
-    /// Appends an injected job to the job table and books its release;
-    /// returns its slot for the `Ev::Arrival` event.
-    pub(crate) fn push_job(&mut self, job: Job) -> usize {
-        book_release(&mut self.releases, &job);
-        self.all_jobs.push(job);
-        self.all_jobs.len() - 1
     }
 
     /// Emits the `RunStart` trace event (once, before the first segment).
@@ -477,7 +480,6 @@ impl Engine {
             ledger: &mut self.ledger,
             f: &self.f,
             latency: &mut self.latency,
-            releases: &self.releases,
         };
         self.queue.retain(|j| {
             let expired = j.deadline.at_or_before(now);
@@ -555,36 +557,20 @@ impl Engine {
                     }
                 }
             }
-            Ev::Arrival(i) => {
-                let job = self.all_jobs[i];
-                self.queue.push(job);
-                self.arrivals_window.push_back(now.as_secs());
-                if sink.is_enabled() {
-                    sink.record(&TraceEvent::JobArrival {
-                        t: now.as_secs(),
-                        job: job.id.index() as u64,
-                        deadline_s: job.deadline.as_secs(),
-                        demand: job.demand,
-                    });
-                    if (job.estimate - job.demand).abs() > 1e-12 {
-                        sink.record(&TraceEvent::DemandMisestimate {
-                            t: now.as_secs(),
-                            job: job.id.index() as u64,
-                            estimate: job.estimate,
-                            full_demand: job.demand,
-                        });
-                    }
+            Ev::Arrival => {
+                let job = self.all_jobs[self.next_arrival];
+                self.next_arrival += 1;
+                if let Some(next) = self.all_jobs.get(self.next_arrival) {
+                    ctx.schedule_reserved(
+                        next.release,
+                        PRIO_ARRIVAL,
+                        self.next_arrival as u64,
+                        Ev::Arrival,
+                    );
                 }
-                if triggers.counter && self.queue.len() >= self.cfg.counter_trigger {
-                    fire = Some(TriggerKind::Counter);
-                }
-                if fire.is_none()
-                    && triggers.idle_core
-                    && self.server.cores().any(|c| c.is_idle() && c.is_online())
-                {
-                    fire = Some(TriggerKind::IdleCore);
-                }
+                fire = self.arrive(now, job, triggers, sink);
             }
+            Ev::Inject(job) => fire = self.arrive(now, job, triggers, sink),
             Ev::Quantum => {
                 if triggers.quantum {
                     fire = Some(TriggerKind::Quantum);
@@ -695,6 +681,41 @@ impl Engine {
         self.last_t = now;
     }
 
+    /// Queues an arriving job and returns the trigger it fires, if any.
+    fn arrive(
+        &mut self,
+        now: SimTime,
+        job: Job,
+        triggers: TriggerSet,
+        sink: &mut dyn TraceSink,
+    ) -> Option<TriggerKind> {
+        self.queue.push(job);
+        self.arrivals_window.push_back(now.as_secs());
+        if sink.is_enabled() {
+            sink.record(&TraceEvent::JobArrival {
+                t: now.as_secs(),
+                job: job.id.index() as u64,
+                deadline_s: job.deadline.as_secs(),
+                demand: job.demand,
+            });
+            if (job.estimate - job.demand).abs() > 1e-12 {
+                sink.record(&TraceEvent::DemandMisestimate {
+                    t: now.as_secs(),
+                    job: job.id.index() as u64,
+                    estimate: job.estimate,
+                    full_demand: job.demand,
+                });
+            }
+        }
+        if triggers.counter && self.queue.len() >= self.cfg.counter_trigger {
+            Some(TriggerKind::Counter)
+        } else if triggers.idle_core && self.server.cores().any(|c| c.is_idle() && c.is_online()) {
+            Some(TriggerKind::IdleCore)
+        } else {
+            None
+        }
+    }
+
     /// Advances every core to `now` and books the jobs that finished.
     fn sweep_server(&mut self, now: SimTime, sink: &mut dyn TraceSink) {
         let mut finished = std::mem::take(&mut self.finished);
@@ -703,9 +724,8 @@ impl Engine {
             self.ledger
                 .record(self.f.value(fin.processed), self.f.value(fin.full_demand));
             if fin.processed > 0.0 {
-                let release = self.releases[fin.id.index()];
                 self.latency
-                    .record(fin.finish_time.saturating_since(release).as_secs());
+                    .record(fin.finish_time.saturating_since(fin.release).as_secs());
             }
             if sink.is_enabled() {
                 sink.record(&TraceEvent::JobFinish {
@@ -726,7 +746,6 @@ impl Engine {
             ledger: &mut self.ledger,
             f: &self.f,
             latency: &mut self.latency,
-            releases: &self.releases,
         }
     }
 
@@ -817,7 +836,6 @@ struct Books<'a> {
     ledger: &'a mut QualityLedger,
     f: &'a ExpConcave,
     latency: &'a mut ge_metrics::Histogram,
-    releases: &'a [SimTime],
 }
 
 impl Books<'_> {
@@ -844,9 +862,8 @@ impl Books<'_> {
         self.ledger
             .record(self.f.value(credited), self.f.value(j.full_demand));
         if credited > 0.0 {
-            let release = self.releases[j.id.index()];
             self.latency
-                .record(latency_end.saturating_since(release).as_secs());
+                .record(latency_end.saturating_since(j.release).as_secs());
         }
         if sink.is_enabled() {
             sink.record(&TraceEvent::JobFinish {
@@ -858,15 +875,6 @@ impl Books<'_> {
             });
         }
     }
-}
-
-/// Books `job`'s release time under its id, growing the table as needed.
-fn book_release(releases: &mut Vec<SimTime>, job: &Job) {
-    let idx = job.id.index();
-    if releases.len() <= idx {
-        releases.resize(idx + 1, SimTime::ZERO);
-    }
-    releases[idx] = job.release;
 }
 
 #[cfg(test)]
@@ -1059,6 +1067,37 @@ mod tests {
         assert_eq!(r.jobs_finished, 0);
         assert_eq!(r.energy_j, 0.0);
         assert_eq!(r.quality, 1.0);
+    }
+
+    #[test]
+    fn orphan_expiring_inside_the_tolerance_measures_latency_to_its_deadline() {
+        // One FCFS core serves job 0 (released 0, due 150 ms) until the core
+        // fails at 50 ms; with no core left, the partly served job stays an
+        // orphan. Job 1 arrives half a tolerance before that deadline, so
+        // its event already expires the orphan: the credited latency must
+        // run to the deadline (150 ms), not to the expiring event.
+        use ge_faults::CoreOutage;
+        use ge_workload::JobId;
+        let cfg = SimConfig {
+            cores: 1,
+            horizon: SimTime::from_secs(1.0),
+            ..SimConfig::paper_default()
+        };
+        let deadline = SimTime::from_secs(0.15);
+        let expiring_event = SimTime::from_secs(0.15 - ge_simcore::TIME_EPS / 2.0);
+        let trace = Trace::new(vec![
+            Job::new(JobId(0), SimTime::ZERO, deadline, 300.0),
+            Job::new(JobId(1), expiring_event, SimTime::from_secs(0.3), 300.0),
+        ]);
+        let faults = FaultSchedule::new(1).with_outage(CoreOutage {
+            core: 0,
+            start: SimTime::from_secs(0.05),
+            end: None,
+        });
+        let r = run_with_sink(&cfg, &trace, &Algorithm::Fcfs, Some(&faults), &mut NullSink);
+        assert_eq!(r.jobs_finished, 2);
+        assert_eq!(r.jobs_discarded, 1, "job 1 never runs");
+        assert_eq!(r.mean_latency_ms.to_bits(), 150.0f64.to_bits());
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //! serve session alike.
 //!
 //! A checkpoint captures **everything** mutable about a run mid-flight —
-//! the jobs injected since it started, the crash flag, the simulator clock
-//! and pending event queue (with sequence numbers, so FIFO tie-breaking
-//! survives), every core's resident jobs/plan/clock, the energy meter's
-//! Kahan compensation terms, the quality ledger, metric trackers, the
-//! driver's queue/cursor/fault state, and the policy's own cross-epoch
-//! state via [`Scheduler::encode_state`]. The run environment (starting
+//! the crash flag, the simulator clock, the trace-arrival cursor and the
+//! pending event queue (with sequence numbers, so FIFO tie-breaking
+//! survives; injected jobs ride in their events), every core's resident
+//! jobs/plan/clock, the energy meter's Kahan compensation terms, the
+//! quality ledger, metric trackers, the driver's queue/fault state, and
+//! the policy's own cross-epoch state via [`Scheduler::encode_state`]. The run environment (starting
 //! workload, fault schedule, configuration) is *not* stored: it is
 //! deterministic from the same inputs, which the envelope pins with an
 //! input digest so a checkpoint cannot be resumed against the wrong run.
+//! Its size therefore follows the live work, not the workload: future
+//! trace arrivals are the cursor alone, and finished jobs leave no trace.
 //!
 //! The core guarantee is **bit-exactness**: a run resumed from any
 //! checkpoint produces the identical [`RunResult`] (floats compared by bit
@@ -42,7 +44,7 @@ use ge_trace::TraceSink;
 use ge_workload::{Job, JobId, Trace};
 
 use crate::config::SimConfig;
-use crate::driver::{Engine, Ev, Run};
+use crate::driver::{Engine, Ev, Run, PRIO_ARRIVAL};
 use crate::policy::{Algorithm, Scheduler};
 use crate::result::RunResult;
 
@@ -87,21 +89,12 @@ pub enum DriveOutcome {
     },
 }
 
-/// Injected job ids are bounded on restore so a crafted checkpoint cannot
-/// make the release table (indexed by id) allocate without limit.
-const MAX_INJECTED_ID: u64 = u32::MAX as u64;
-
 impl Run {
     /// Serializes the complete run state into a sealed checkpoint: the
-    /// injected jobs, the crash flag, then the engine state.
+    /// crash flag, then the engine state.
     pub fn snapshot(&self) -> Vec<u8> {
         let _span = ge_telemetry::SpanGuard::enter("checkpoint_encode");
         let mut enc = Encoder::new();
-        let injected = &self.engine.all_jobs[self.base_jobs..];
-        enc.put_usize(injected.len());
-        for j in injected {
-            put_job(&mut enc, j);
-        }
         enc.put_bool(self.crashed);
         encode_engine_state(&mut enc, &self.engine, self.sched.as_ref());
         seal(self.digest, &enc.into_bytes())
@@ -128,16 +121,6 @@ impl Run {
             });
         }
         let mut dec = Decoder::new(payload);
-        let injected = dec.get_len("run.injected")?;
-        for _ in 0..injected {
-            let job = get_job(&mut dec)?;
-            if job.id.0 > MAX_INJECTED_ID {
-                return Err(CheckpointError::Invalid("injected job id out of range"));
-            }
-            // Rebuilds the release table exactly as live injection did:
-            // in order, the last job with an id winning.
-            run.engine.push_job(job);
-        }
         run.crashed = dec.get_bool("run.crashed")?;
         decode_engine_state(&mut dec, &mut run.engine, run.sched.as_mut())?;
         dec.finish("checkpoint")?;
@@ -205,8 +188,8 @@ impl Run {
 
 /// Digest pinning a run's inputs. Computed at construction, so the job set
 /// is the derived workload (trace + surge jobs + estimate noise) — empty
-/// for a fleet shard or serve session, whose injected jobs the checkpoint
-/// payload carries instead.
+/// for a fleet shard or serve session, whose injected jobs ride in their
+/// pending events in the checkpoint payload instead.
 pub(crate) fn input_digest(engine: &Engine, algorithm_label: &str) -> u64 {
     let cfg = &engine.cfg;
     let mut enc = Encoder::new();
@@ -285,35 +268,38 @@ fn encode_fault_transition(enc: &mut Encoder, tr: ge_faults::FaultTransition) {
 // any change.
 // ---------------------------------------------------------------------------
 
+/// Encodes a pending event. The trace arrival at the cursor is never
+/// encoded: restore re-queues it from the cursor. Tag 1 (an arrival index
+/// before format 4) is retired.
 fn encode_ev(enc: &mut Encoder, ev: Ev) {
     match ev {
         Ev::Fault(k) => {
             enc.put_u8(0);
             enc.put_usize(k);
         }
-        Ev::Arrival(i) => {
-            enc.put_u8(1);
-            enc.put_usize(i);
-        }
         Ev::Quantum => enc.put_u8(2),
         Ev::CoreCheck => enc.put_u8(3),
+        Ev::Inject(job) => {
+            enc.put_u8(4);
+            put_job(enc, &job);
+        }
+        Ev::Arrival => unreachable!("the trace arrival is stored as the cursor"),
     }
 }
 
-fn decode_ev(dec: &mut Decoder<'_>, jobs: usize, transitions: usize) -> Result<Ev, CodecError> {
+fn decode_ev(dec: &mut Decoder<'_>, transitions: usize) -> Result<Ev, CheckpointError> {
     match dec.get_u8("ev.tag")? {
         0 => Ok(Ev::Fault(
             dec.get_usize_bounded("ev.fault", transitions.saturating_sub(1))?,
         )),
-        1 => Ok(Ev::Arrival(
-            dec.get_usize_bounded("ev.arrival", jobs.saturating_sub(1))?,
-        )),
         2 => Ok(Ev::Quantum),
         3 => Ok(Ev::CoreCheck),
+        4 => Ok(Ev::Inject(get_job(dec)?)),
         tag => Err(CodecError::BadTag {
             field: "ev.tag",
             tag,
-        }),
+        }
+        .into()),
     }
 }
 
@@ -433,11 +419,14 @@ fn encode_engine_state(enc: &mut Encoder, engine: &Engine, sched: &dyn Scheduler
         "snapshot taken mid-epoch: shed buffer not drained"
     );
 
-    // 1. Simulator: clock, handled count, event queue with seq numbers.
+    // 1. Simulator: clock, handled count, next free seq number, the
+    //    arrival cursor, then every pending event but the cursor's arrival.
     enc.put_f64(engine.sim.now().as_secs());
     enc.put_u64(engine.sim.handled_count());
     enc.put_u64(engine.sim.next_seq());
-    let pending = engine.sim.snapshot_pending();
+    enc.put_usize(engine.next_arrival);
+    let mut pending = engine.sim.snapshot_pending();
+    pending.retain(|e| !matches!(e.event, Ev::Arrival));
     enc.put_usize(pending.len());
     for e in &pending {
         enc.put_f64(e.time.as_secs());
@@ -543,7 +532,6 @@ fn decode_engine_state(
     sched: &mut dyn Scheduler,
 ) -> Result<(), CheckpointError> {
     let cores = engine.cfg.cores;
-    let jobs = engine.all_jobs.len();
     let transitions = engine
         .injector
         .as_ref()
@@ -553,6 +541,7 @@ fn decode_engine_state(
     let now = get_time(dec, "sim.now")?;
     let handled = dec.get_u64("sim.handled")?;
     let next_seq = dec.get_u64("sim.next_seq")?;
+    let next_arrival = dec.get_usize_bounded("sim.next_arrival", engine.all_jobs.len())?;
     let n_pending = dec.get_len("sim.pending")?;
     let mut pending = Vec::with_capacity(n_pending);
     for _ in 0..n_pending {
@@ -562,7 +551,7 @@ fn decode_engine_state(
         }
         let priority = dec.get_u32("sim.event.priority")?;
         let seq = dec.get_u64("sim.event.seq")?;
-        let event = decode_ev(dec, jobs, transitions)?;
+        let event = decode_ev(dec, transitions)?;
         pending.push(EventEntry {
             time,
             priority,
@@ -570,7 +559,22 @@ fn decode_engine_state(
             event,
         });
     }
+    // The trace jobs own sequence numbers `0..len`.
+    if next_seq < engine.all_jobs.len() as u64 {
+        return Err(CheckpointError::Invalid(
+            "next sequence number inside the reserved arrival range",
+        ));
+    }
     engine.sim = Simulator::restore(now, handled, pending, next_seq);
+    engine.next_arrival = next_arrival;
+    if let Some(job) = engine.all_jobs.get(next_arrival) {
+        if job.release.before(now) {
+            return Err(CheckpointError::Invalid("arrival cursor behind the clock"));
+        }
+        engine
+            .sim
+            .schedule_reserved(job.release, PRIO_ARRIVAL, next_arrival as u64, Ev::Arrival);
+    }
 
     // 2. Server.
     let n_cores = dec.get_usize_bounded("server.cores", cores)?;

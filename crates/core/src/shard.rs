@@ -34,18 +34,15 @@ use ge_workload::Job;
 
 impl Run {
     /// Hands the run a job at simulation time `at` (the router's dispatch
-    /// instant). The job keeps its original release time for latency
-    /// accounting, so retried or failed-over jobs pay their routing delay
-    /// in the latency histogram.
+    /// instant). The job rides in its arrival event and keeps its original
+    /// release time for latency accounting, so retried or failed-over jobs
+    /// pay their routing delay in the latency histogram.
     ///
     /// # Panics
     /// Panics if `at` precedes the run's current time (the owner must
     /// advance the run first).
     pub fn inject_job(&mut self, job: Job, at: SimTime) {
-        let slot = self.engine.push_job(job);
-        self.engine
-            .sim
-            .schedule(at, PRIO_ARRIVAL, Ev::Arrival(slot));
+        self.engine.sim.schedule(at, PRIO_ARRIVAL, Ev::Inject(job));
     }
 
     /// The ledger's running quality ratio `Σf(c_j) / Σf(p_j)` over every

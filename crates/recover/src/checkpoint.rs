@@ -28,7 +28,9 @@ use crate::codec::{fnv1a64, CodecError};
 pub const MAGIC: [u8; 8] = *b"GECKPT\r\n";
 
 /// Current checkpoint format version. Bump on any payload layout change.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version 4 stores the trace-arrival cursor instead of future arrivals
+/// and carries injected jobs in their pending events.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 const CHECKSUM_LEN: usize = 8;
@@ -244,16 +246,20 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut sealed = seal(7, b"x");
-        sealed[8] = 99;
-        // Re-seal checksum so only the version differs.
-        let body_end = sealed.len() - 8;
-        let sum = fnv1a64(&sealed[..body_end]);
-        sealed[body_end..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            unseal(&sealed),
-            Err(CheckpointError::UnsupportedVersion { found: 99 })
-        ));
+        // Earlier formats (2: before the single run handle, 3: before the
+        // arrival cursor) and a future one are all refused up front.
+        for version in [2u32, 3, 99] {
+            let mut sealed = seal(7, b"x");
+            sealed[8..12].copy_from_slice(&version.to_le_bytes());
+            // Re-seal checksum so only the version differs.
+            let body_end = sealed.len() - 8;
+            let sum = fnv1a64(&sealed[..body_end]);
+            sealed[body_end..].copy_from_slice(&sum.to_le_bytes());
+            match unseal(&sealed) {
+                Err(CheckpointError::UnsupportedVersion { found }) => assert_eq!(found, version),
+                other => panic!("version {version}: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -79,6 +79,8 @@ impl CoreJob {
 pub struct FinishedJob {
     /// The job's identity.
     pub id: JobId,
+    /// Release time, which its latency is measured from.
+    pub release: SimTime,
     /// Original full demand `p_j`.
     pub full_demand: f64,
     /// Volume actually processed `c_j`.
@@ -428,6 +430,7 @@ impl Core {
             if done || expired {
                 out.push(FinishedJob {
                     id: j.id,
+                    release: j.release,
                     full_demand: j.full_demand,
                     processed: j.processed.min(j.full_demand),
                     finish_time: if done { t.min(j.deadline) } else { j.deadline },

@@ -4,6 +4,12 @@
 //! number is assigned at push time, so two events scheduled for the same
 //! instant with the same priority pop in FIFO order regardless of heap
 //! internals — this is what makes whole-simulation runs bit-reproducible.
+//!
+//! A queue may also start with sequence numbers `0..n` reserved (see
+//! [`EventQueue::with_reserved`]). Their owner pushes each one later with
+//! [`EventQueue::push_reserved`], which lets a caller stream `n` known
+//! events into the heap one at a time and still pop them in exactly the
+//! order they would have taken had all `n` been pushed up front.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -100,17 +106,43 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Creates an empty queue whose sequence numbers `0..n` are reserved
+    /// for [`EventQueue::push_reserved`]; [`EventQueue::push`] assigns
+    /// from `n` on.
+    pub fn with_reserved(n: u64) -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: n,
+        }
+    }
+
     /// Schedules `event` at `time` with the given tie-break `priority`.
     ///
     /// # Panics
     /// Panics if `time` is negative (events before the epoch are invalid).
     pub fn push(&mut self, time: SimTime, priority: EventPriority, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.insert(time, priority, seq, event);
+    }
+
+    /// Schedules `event` under a sequence number reserved at construction
+    /// (or handed out earlier), instead of the next one. The caller keeps
+    /// each reserved number to one pending event.
+    ///
+    /// # Panics
+    /// Panics if `time` is negative or `seq` was never reserved or
+    /// assigned (it must be below [`EventQueue::pushed_count`]).
+    pub fn push_reserved(&mut self, time: SimTime, priority: EventPriority, seq: u64, event: E) {
+        assert!(seq < self.next_seq, "sequence number {seq} is not reserved");
+        self.insert(time, priority, seq, event);
+    }
+
+    fn insert(&mut self, time: SimTime, priority: EventPriority, seq: u64, event: E) {
         assert!(
             time.as_secs() >= 0.0,
             "cannot schedule event before the epoch"
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.heap.push(EventEntry {
             time,
             priority,
@@ -144,7 +176,8 @@ impl<E> EventQueue<E> {
         self.heap.clear();
     }
 
-    /// Total number of events ever pushed (the next sequence number).
+    /// The next sequence number [`EventQueue::push`] assigns: the events
+    /// ever pushed, plus any numbers reserved at construction.
     pub fn pushed_count(&self) -> u64 {
         self.next_seq
     }
@@ -232,6 +265,42 @@ mod tests {
     fn pre_epoch_event_panics() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(-1.0), 0, ());
+    }
+
+    #[test]
+    fn reserved_pushes_pop_as_if_pushed_up_front() {
+        // Three arrivals (seqs 0..3) streamed one at a time against a
+        // tick pushed first: the pop order equals pushing all up front.
+        let times = [1.0, 2.0, 2.0];
+        let mut upfront = EventQueue::new();
+        for (i, &s) in times.iter().enumerate() {
+            upfront.push(t(s), 1, i);
+        }
+        upfront.push(t(2.0), 1, 9);
+        upfront.push(t(2.0), 0, 8);
+        let want: Vec<usize> = std::iter::from_fn(|| upfront.pop().map(|e| e.event)).collect();
+
+        let mut q = EventQueue::with_reserved(3);
+        q.push(t(2.0), 1, 9);
+        q.push(t(2.0), 0, 8);
+        q.push_reserved(t(times[0]), 1, 0, 0);
+        let mut got = Vec::new();
+        while let Some(e) = q.pop() {
+            if e.event < 2 {
+                let next = e.event + 1;
+                q.push_reserved(t(times[next]), 1, next as u64, next);
+            }
+            got.push(e.event);
+        }
+        assert_eq!(got, want);
+        assert_eq!(q.pushed_count(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "not reserved")]
+    fn unreserved_sequence_number_panics() {
+        let mut q = EventQueue::with_reserved(2);
+        q.push_reserved(t(1.0), 0, 2, ());
     }
 
     #[test]

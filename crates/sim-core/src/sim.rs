@@ -42,6 +42,22 @@ impl<'a, E> SimContext<'a, E> {
         self.queue.push(at, priority, event);
     }
 
+    /// Like [`SimContext::schedule`], under sequence number `seq`
+    /// reserved with [`Simulator::with_reserved`].
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past or `seq` was never reserved.
+    pub fn schedule_reserved(&mut self, at: SimTime, priority: EventPriority, seq: u64, event: E) {
+        assert!(
+            at.at_or_after(self.now),
+            "cannot schedule into the past: now={} at={}",
+            self.now,
+            at
+        );
+        self.queue
+            .push_reserved(at.max(self.now), priority, seq, event);
+    }
+
     /// Requests that the run loop stop after the current event.
     pub fn request_stop(&mut self) {
         *self.stop_requested = true;
@@ -92,6 +108,19 @@ impl<E> Simulator<E> {
         }
     }
 
+    /// Creates a simulator whose event sequence numbers `0..n` are
+    /// reserved for [`Simulator::schedule_reserved`] and
+    /// [`SimContext::schedule_reserved`]. An owner that knows `n` events
+    /// up front can keep only the next one pending and still get the pop
+    /// order of scheduling all `n` first.
+    pub fn with_reserved(n: u64) -> Self {
+        Simulator {
+            now: SimTime::ZERO,
+            queue: EventQueue::with_reserved(n),
+            handled: 0,
+        }
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -120,7 +149,19 @@ impl<E> Simulator<E> {
         self.queue.push(at.max(self.now), priority, event);
     }
 
-    /// Sequence number the queue will assign to the next pushed event.
+    /// Like [`Simulator::schedule`], under a sequence number reserved
+    /// with [`Simulator::with_reserved`].
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past or `seq` was never reserved.
+    pub fn schedule_reserved(&mut self, at: SimTime, priority: EventPriority, seq: u64, event: E) {
+        assert!(at.at_or_after(self.now), "cannot schedule into the past");
+        self.queue
+            .push_reserved(at.max(self.now), priority, seq, event);
+    }
+
+    /// Sequence number the queue will assign to the next event pushed
+    /// without a reserved one.
     pub fn next_seq(&self) -> u64 {
         self.queue.pushed_count()
     }

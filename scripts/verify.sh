@@ -216,10 +216,13 @@ grep -q '"min_ns"' "$smoke_dir/BENCH_sched.json"
 grep -q '"name": "e2e_ge/telemetry_off"' "$smoke_dir/BENCH_sched.json"
 grep -q '"name": "e2e_ge/telemetry_on"' "$smoke_dir/BENCH_sched.json"
 # The committed report must also carry the interleaved pair, the
+# event-queue pair (live-work depth vs every arrival queued), the
 # engine-sweep entry (the server's share of one event), the largest
 # whole-fleet run and the trace codec pair.
 grep -q '"name": "e2e_ge/telemetry_off"' BENCH_sched.json
 grep -q '"name": "e2e_ge/telemetry_on"' BENCH_sched.json
+grep -q '"name": "engine/event_queue/16"' BENCH_sched.json
+grep -q '"name": "engine/event_queue/90000"' BENCH_sched.json
 grep -q '"name": "engine/server_advance_16"' BENCH_sched.json
 grep -q '"name": "fleet_e2e/16"' BENCH_sched.json
 grep -q '"name": "trace/encode_jsonl"' BENCH_sched.json

@@ -7,12 +7,16 @@
 //! the fault-free baseline and for the combined fault scenario, across
 //! seeds. Corrupted checkpoints (truncated, bit-flipped, wrong version,
 //! wrong inputs) must be rejected with typed errors, never a panic — also
-//! the fleet/serve shape, whose checkpoint carries injected jobs. A run
-//! started over a trace equals an empty run handed the same jobs.
+//! the fleet/serve shape, whose pending events carry injected jobs. A run
+//! started over a trace equals an empty run handed the same jobs, and a
+//! checkpoint's size follows the live work: neither the trace still to
+//! come nor the jobs already served.
 
 use ge_core::{run, run_with_sink, Algorithm, Run, RunResult, SimConfig};
 use ge_faults::{FaultScenario, FaultSchedule, ScenarioKind};
 use ge_recover::checkpoint::{seal, unseal};
+use ge_recover::codec::fnv1a64;
+use ge_recover::CheckpointError;
 use ge_simcore::SimTime;
 use ge_trace::{NullSink, TraceEvent, VecSink};
 use ge_workload::{Job, JobId, Trace, WorkloadConfig, WorkloadGenerator};
@@ -256,16 +260,29 @@ fn wrong_version_and_wrong_inputs_are_typed_errors() {
     let mut future = snap.clone();
     future[8] = 0xEE;
     assert!(Run::restore(&c, &trace, &Algorithm::Ge, None, &future).is_err());
+    // So must the earlier formats, even with a valid checksum: 2 (before
+    // the single run handle) and 3 (before the arrival cursor).
+    for version in [2u32, 3] {
+        let mut old = snap.clone();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        let body_end = old.len() - 8;
+        let sum = fnv1a64(&old[..body_end]);
+        old[body_end..].copy_from_slice(&sum.to_le_bytes());
+        match Run::restore(&c, &trace, &Algorithm::Ge, None, &old).err() {
+            Some(CheckpointError::UnsupportedVersion { found }) => assert_eq!(found, version),
+            other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+        }
+    }
 
     // Structurally valid checkpoint, wrong run inputs: digest mismatch.
     let other = workload(SEEDS[2] + 1);
     assert!(matches!(
         Run::restore(&c, &other, &Algorithm::Ge, None, &snap),
-        Err(ge_recover::CheckpointError::DigestMismatch { .. })
+        Err(CheckpointError::DigestMismatch { .. })
     ));
     assert!(matches!(
         Run::restore(&c, &trace, &Algorithm::Be, None, &snap),
-        Err(ge_recover::CheckpointError::DigestMismatch { .. })
+        Err(CheckpointError::DigestMismatch { .. })
     ));
     // A fault schedule the checkpoint never saw is also an input mismatch.
     let schedule = combined_schedule(&c, SEEDS[2]);
@@ -444,9 +461,143 @@ fn injected_job_checkpoint_round_trips_and_rejects_corruption() {
     }
 }
 
+/// The payload offset of `job`'s encoding (id, release, deadline, demand,
+/// estimate: five little-endian 8-byte words).
+fn encoded_job_offset(payload: &[u8], job: &Job) -> usize {
+    let words = [
+        job.id.0,
+        job.release.as_secs().to_bits(),
+        job.deadline.as_secs().to_bits(),
+        job.demand.to_bits(),
+        job.estimate.to_bits(),
+    ];
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let at: Vec<usize> = (0..=payload.len() - bytes.len())
+        .filter(|&i| payload[i..i + bytes.len()] == bytes[..])
+        .collect();
+    assert_eq!(at.len(), 1, "the job must be encoded exactly once");
+    at[0]
+}
+
+#[test]
+fn corrupt_injected_job_in_a_pending_event_is_a_typed_error() {
+    // `injected_run` stops at 2.0 s with job 99 still pending for 2.2 s:
+    // its `Ev::Inject` carries the whole job in the payload.
+    let c = small_shard_cfg();
+    let empty = Trace::default();
+    let restore = |bytes: &[u8]| Run::restore(&c, &empty, &Algorithm::Ge, None, bytes);
+    let snap = injected_run(&c).snapshot();
+    let (digest, payload) = unseal(&snap).expect("valid envelope");
+    let r = SimTime::from_secs(2.2);
+    let pending = Job::new(JobId(99), r, SimTime::from_secs(3.8), 600.0);
+    let at = encoded_job_offset(payload, &pending);
+    let patched = |word: usize, value: u64| {
+        let mut bad = payload.to_vec();
+        bad[at + 8 * word..at + 8 * word + 8].copy_from_slice(&value.to_le_bytes());
+        restore(&seal(digest, &bad))
+    };
+    // Each of the job's checks fails with a typed error.
+    for (word, value, what) in [
+        (1, f64::NAN.to_bits(), "non-finite release"),
+        (2, f64::INFINITY.to_bits(), "non-finite deadline"),
+        (3, (-600.0f64).to_bits(), "negative demand"),
+        (3, 0.0f64.to_bits(), "zero demand"),
+        (4, (-600.0f64).to_bits(), "negative estimate"),
+        (4, f64::NAN.to_bits(), "non-finite estimate"),
+    ] {
+        assert!(
+            matches!(
+                patched(word, value),
+                Err(CheckpointError::Codec(_) | CheckpointError::Invalid(_))
+            ),
+            "{what} must be refused"
+        );
+    }
+    // Any single flipped bit in the job decodes or fails, never panics;
+    // the sign bits of demand and estimate are refused.
+    for bit in 0..40 * 8 {
+        let mut bad = payload.to_vec();
+        bad[at + bit / 8] ^= 1 << (bit % 8);
+        let out = restore(&seal(digest, &bad));
+        if bit == (3 * 8 + 7) * 8 + 7 || bit == (4 * 8 + 7) * 8 + 7 {
+            assert!(out.is_err(), "sign flip at bit {bit}");
+        }
+    }
+}
+
+#[test]
+fn checkpoint_size_does_not_grow_with_the_trace_still_to_come() {
+    // Two runs share the config and the first 10 s of trace; one trace
+    // then goes on for 20 s, the other for 200 s. At t = 5 s their states
+    // are the same, so their checkpoints must be the same size.
+    let c = SimConfig {
+        horizon: SimTime::from_secs(210.0),
+        ..SimConfig::paper_default()
+    };
+    let long = WorkloadGenerator::new(
+        WorkloadConfig {
+            horizon: SimTime::from_secs(210.0),
+            ..WorkloadConfig::paper_default(150.0)
+        },
+        5,
+    )
+    .generate();
+    let cut = SimTime::from_secs(30.0);
+    let short = Trace::new(
+        long.jobs()
+            .iter()
+            .copied()
+            .filter(|j| j.release.before(cut))
+            .collect(),
+    );
+    assert!(long.len() > 5 * short.len());
+    let payload_len = |trace: &Trace| {
+        let mut run = Run::start(&c, trace, &Algorithm::Ge, None, &mut NullSink);
+        run.advance_to(SimTime::from_secs(5.0), &mut NullSink);
+        let snap = run.snapshot();
+        unseal(&snap).expect("valid envelope").1.len()
+    };
+    assert_eq!(payload_len(&short), payload_len(&long));
+}
+
+#[test]
+fn injected_run_checkpoint_does_not_grow_with_jobs_served() {
+    // The `injected_run` shard, handed a steady stream of jobs; snapshots
+    // after 100 and after 1,000 of them have drained must be the same
+    // size (every job is done 0.6 s after its release; the stream pauses
+    // 2 s after the 100th job for the first snapshot).
+    let c = SimConfig {
+        horizon: SimTime::from_secs(60.0),
+        ..small_shard_cfg()
+    };
+    let mut run = Run::start(&c, &Trace::default(), &Algorithm::Ge, None, &mut NullSink);
+    let mut sizes = Vec::new();
+    for i in 0..1000u64 {
+        let secs = 0.05 * i as f64 + if i < 100 { 0.0 } else { 2.0 };
+        let r = SimTime::from_secs(secs);
+        let job = Job::new(
+            JobId(i),
+            r,
+            r + ge_simcore::SimDuration::from_millis(600.0),
+            300.0,
+        );
+        run.inject_job(job, r);
+        run.advance_to(r, &mut NullSink);
+        if i + 1 == 100 || i + 1 == 1000 {
+            // Drain: past the last deadline and onto a quantum boundary.
+            let drained = SimTime::from_secs((secs + 1.0).ceil());
+            run.advance_to(drained, &mut NullSink);
+            assert_eq!(run.queue_len(), 0);
+            assert_eq!(run.load_units(), 0.0);
+            sizes.push(run.snapshot().len());
+        }
+    }
+    assert_eq!(sizes[0], sizes[1], "snapshot grew with the jobs served");
+}
+
 #[test]
 fn resumed_injected_run_matches_straight_run() {
-    // Restoring rebuilds the injected jobs and their release table, so the
+    // Injected jobs ride in their events and carry their release, so the
     // resumed run finishes exactly as the original does.
     let c = small_shard_cfg();
     let run = injected_run(&c);

@@ -11,7 +11,9 @@
 //! matrix before the router stopped advancing every server at every
 //! router event, so this file is a checker independent of both: any
 //! change to the sweep or the router loop that moves a last bit, a
-//! dispatch, a failover, a retry or a router shed fails here.
+//! dispatch, a failover, a retry or a router shed fails here. Every
+//! fleet case also pins each shard's mean/p95/p99 latency bits, recorded
+//! while the engine still looked a finished job's release up by id.
 //!
 //! To re-record after an intended behaviour change, run
 //! `cargo test -p ge-integration-tests --test engine_golden -- --nocapture`
@@ -167,6 +169,15 @@ fn jsq_fleet_under_servercrash() {
         r.quality,
         r.energy_j
     );
+    check_shard_latency(
+        "fleet",
+        &r,
+        &[
+            [0x406212cbc26bbf73, 0x4062e00000000000, 0x4062e00000000000],
+            [0x40622e9b6d2232a0, 0x4062e00000000000, 0x4062e00000000000],
+            [0x4061f16ab068a33a, 0x4062e00000000000, 0x4062e00000000000],
+        ],
+    );
 }
 
 /// A 4-server fleet of 4-core, 80 W shards with a 20 s horizon.
@@ -196,8 +207,9 @@ fn fleet_matrix_run(cfg: &FleetConfig, kind: FleetScenarioKind, rate: f64) -> Fl
 }
 
 /// `[quality, energy_j]` as raw bits, then
-/// `[dispatches, failovers, retries, jobs_shed_router]`.
-type FleetGolden = ([u64; 2], [u64; 4]);
+/// `[dispatches, failovers, retries, jobs_shed_router]`, then every
+/// shard's latency as in [`check_shard_latency`].
+type FleetGolden = ([u64; 2], [u64; 4], [[u64; 3]; 4]);
 
 fn check_fleet(name: &str, r: &FleetResult, want: FleetGolden) {
     let got = (
@@ -209,10 +221,37 @@ fn check_fleet(name: &str, r: &FleetResult, want: FleetGolden) {
         got.0[0], got.0[1], got.1
     );
     assert_eq!(
-        got, want,
+        got,
+        (want.0, want.1),
         "{name}: fleet result moved (quality {}, energy {} J)",
-        r.quality, r.energy_j
+        r.quality,
+        r.energy_j
     );
+    check_shard_latency(name, r, &want.2);
+}
+
+/// Pins every shard's `[mean, p95, p99]` latency bits. Retries and
+/// failovers hand a shard a job again under its old id, so these catch a
+/// change in which release a finished job's latency is measured from.
+fn check_shard_latency(name: &str, r: &FleetResult, want: &[[u64; 3]]) {
+    let got: Vec<[u64; 3]> = r
+        .shards
+        .iter()
+        .map(|s| {
+            [
+                s.mean_latency_ms.to_bits(),
+                s.p95_latency_ms.to_bits(),
+                s.p99_latency_ms.to_bits(),
+            ]
+        })
+        .collect();
+    for g in &got {
+        println!(
+            "{name} shard latency actual: [{:#018x}, {:#018x}, {:#018x}],",
+            g[0], g[1], g[2]
+        );
+    }
+    assert_eq!(got, want, "{name}: shard latency bits moved");
 }
 
 #[test]
@@ -221,22 +260,58 @@ fn fleet_matrix_under_servercrash() {
         (
             "crash_rr",
             RoutingPolicy::RoundRobin,
-            ([0x3fea99bf3007aad9, 0x40b66710dca70b9f], [3465, 7, 0, 0]),
+            (
+                [0x3fea99bf3007aad9, 0x40b66710dca70b9f],
+                [3465, 7, 0, 0],
+                [
+                    [0x40625e2a124a4526, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406249e516b25d72, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406266bacfce938a, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40624d6b1d33069b, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
         (
             "crash_jsq",
             RoutingPolicy::JoinShortestQueue,
-            ([0x3fea17fb18826a64, 0x40b5ca4ca102764d], [3464, 6, 0, 0]),
+            (
+                [0x3fea17fb18826a64, 0x40b5ca4ca102764d],
+                [3464, 6, 0, 0],
+                [
+                    [0x4062436c4e63a2f4, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4061f2915288505a, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062504ec2e54809, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4061fbdce895ee66, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
         (
             "crash_po2",
             RoutingPolicy::PowerOfD(2),
-            ([0x3fea3ab3da1a9c62, 0x40b60a92c4ca0a66], [3465, 7, 0, 0]),
+            (
+                [0x3fea3ab3da1a9c62, 0x40b60a92c4ca0a66],
+                [3465, 7, 0, 0],
+                [
+                    [0x40622b339079da90, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40620591bc394295, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406240b9b575915e, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406213d26815477a, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
         (
             "crash_energy",
             RoutingPolicy::EnergyAware,
-            ([0x3fea5e60726b8532, 0x40b63614df59ef18], [3465, 7, 0, 0]),
+            (
+                [0x3fea5e60726b8532, 0x40b63614df59ef18],
+                [3465, 7, 0, 0],
+                [
+                    [0x4062397c0bf0a3d6, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40621cf7d42b68b2, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062486fa236d649, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406211830f64caab, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
     ];
     for (name, routing, want) in cases {
@@ -252,22 +327,58 @@ fn fleet_matrix_under_fleetcombined_with_overload_guard() {
         (
             "combined_rr",
             RoutingPolicy::RoundRobin,
-            ([0x3fea8f9bc36bc44b, 0x40b47dbdf1f2e4ee], [3457, 2, 170, 3]),
+            (
+                [0x3fea8f9bc36bc44b, 0x40b47dbdf1f2e4ee],
+                [3457, 2, 170, 3],
+                [
+                    [0x40621ad75ac82d9d, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40625ad95605c3df, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40625b5f951c666a, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062653b3e462e58, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
         (
             "combined_jsq",
             RoutingPolicy::JoinShortestQueue,
-            ([0x3fe9d5d0be41b2fd, 0x40b3bb3ba5bcc08b], [3457, 2, 170, 3]),
+            (
+                [0x3fe9d5d0be41b2fd, 0x40b3bb3ba5bcc08b],
+                [3457, 2, 170, 3],
+                [
+                    [0x4061d7e6e2ec518e, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40622e156119cb8d, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406230c3d84158ff, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40624f304730f425, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
         (
             "combined_po2",
             RoutingPolicy::PowerOfD(2),
-            ([0x3fe9d3f17ab74afc, 0x40b3cef67fba65e0], [3458, 3, 170, 3]),
+            (
+                [0x3fe9d3f17ab74afc, 0x40b3cef67fba65e0],
+                [3458, 3, 170, 3],
+                [
+                    [0x4061b7481c020a7a, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406215fa3e03a449, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406221df9dbbb8b0, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062469354f8e2ad, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
         (
             "combined_energy",
             RoutingPolicy::EnergyAware,
-            ([0x3fea753daf07027d, 0x40b49ef96f2d5e85], [3457, 2, 170, 3]),
+            (
+                [0x3fea753daf07027d, 0x40b49ef96f2d5e85],
+                [3457, 2, 170, 3],
+                [
+                    [0x4061a2427a14da29, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406230efe8125da9, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40623fa128c04a7d, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062439cb30c8bc7, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
     ];
     for (name, routing, want) in cases {
@@ -284,7 +395,16 @@ fn fleet_jsq_under_serverslow() {
     check_fleet(
         "slow_jsq",
         &r,
-        ([0x3fe9caba99c47cc1, 0x40b0bdeab4f91907], [3458, 0, 0, 0]),
+        (
+            [0x3fe9caba99c47cc1, 0x40b0bdeab4f91907],
+            [3458, 0, 0, 0],
+            [
+                [0x40628b3e10547128, 0x4062e00000000000, 0x4062e00000000000],
+                [0x40625df044d90f1f, 0x4062e00000000000, 0x4062e00000000000],
+                [0x4062868f92b0a2c6, 0x4062e00000000000, 0x4062e00000000000],
+                [0x40625d7adfb01757, 0x4062e00000000000, 0x4062e00000000000],
+            ],
+        ),
     );
 }
 
@@ -301,17 +421,41 @@ fn fleet_matrix_in_overload_sheds_at_the_router() {
             (
                 [0x3fdbaf27ce97812a, 0x40b549056f387f8e],
                 [3489, 10, 0, 2866],
+                [
+                    [0x406200e40e49c668, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40621c36e830e367, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406203c771623241, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40620a37eca20319, 0x4062e00000000000, 0x4062e00000000000],
+                ],
             ),
         ),
         (
             "overload_jsq",
             RoutingPolicy::JoinShortestQueue,
-            ([0x3fdb4776763bd326, 0x40b4fb3d3b26f700], [3469, 9, 0, 2885]),
+            (
+                [0x3fdb4776763bd326, 0x40b4fb3d3b26f700],
+                [3469, 9, 0, 2885],
+                [
+                    [0x4061cb2c15c4459a, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40620b2d8c274abf, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40620a251fbf53bd, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062118aace7ba0d, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
         (
             "overload_po2",
             RoutingPolicy::PowerOfD(2),
-            ([0x3fdbd89f3a33ae5e, 0x40b552dc41cb71ed], [3546, 9, 0, 2808]),
+            (
+                [0x3fdbd89f3a33ae5e, 0x40b552dc41cb71ed],
+                [3546, 9, 0, 2808],
+                [
+                    [0x4061fd356414ca47, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40621060f3ff691a, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062132dbe133907, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x40621dc32739806b, 0x4062e00000000000, 0x4062e00000000000],
+                ],
+            ),
         ),
         (
             "overload_energy",
@@ -319,6 +463,12 @@ fn fleet_matrix_in_overload_sheds_at_the_router() {
             (
                 [0x3fdb9a12ded34ede, 0x40b52118edd88528],
                 [3514, 10, 0, 2841],
+                [
+                    [0x4061f523c81266aa, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062171bb22c17ce, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x4062283bd56f30af, 0x4062e00000000000, 0x4062e00000000000],
+                    [0x406218bbec9b6755, 0x4062e00000000000, 0x4062e00000000000],
+                ],
             ),
         ),
     ];
