@@ -214,24 +214,36 @@ impl std::error::Error for CliError {
     }
 }
 
-/// Parses a flag's value argument, turning a missing or malformed value
-/// into a typed [`CliError::InvalidFlag`] (one diagnostic line, exit 1)
-/// instead of the full usage dump.
+/// Parses a flag's value argument, turning a missing, malformed or
+/// out-of-range value (one `valid` rejects) into a typed
+/// [`CliError::InvalidFlag`] (one diagnostic line, exit 1) instead of the
+/// full usage dump.
 fn parse_flag_value<T: std::str::FromStr>(
     flag: &'static str,
     value: Option<String>,
     expected: &str,
+    valid: impl FnOnce(&T) -> bool,
 ) -> Result<T, CliError> {
-    let raw = value.ok_or_else(|| CliError::InvalidFlag {
+    let invalid = |value: String| CliError::InvalidFlag {
         flag,
-        value: "<missing>".to_string(),
+        value,
         expected: expected.to_string(),
-    })?;
-    raw.parse().map_err(|_| CliError::InvalidFlag {
-        flag,
-        value: raw,
-        expected: expected.to_string(),
-    })
+    };
+    let raw = value.ok_or_else(|| invalid("<missing>".to_string()))?;
+    match raw.parse() {
+        Ok(v) if valid(&v) => Ok(v),
+        _ => Err(invalid(raw)),
+    }
+}
+
+/// Accepts any value of the flag's type.
+fn any<T>(_: &T) -> bool {
+    true
+}
+
+/// Accepts a finite, strictly positive number.
+fn finite_positive(v: &f64) -> bool {
+    v.is_finite() && *v > 0.0
 }
 
 /// Syntactic validation of a listen-address flag (`--metrics-addr`,
@@ -638,16 +650,16 @@ fn real_main() -> Result<(), CliError> {
             "--plot" => plot = true,
             "--svg" => svg = true,
             "--reps" => {
-                scale.replications = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                scale.replications =
+                    parse_flag_value("--reps", args.next(), "a positive integer", |&n| n >= 1)?;
             }
             "--horizon" => {
-                scale.horizon_secs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                scale.horizon_secs = parse_flag_value(
+                    "--horizon",
+                    args.next(),
+                    "a finite number of seconds > 0",
+                    finite_positive,
+                )?;
             }
             "--out" => {
                 out_dir = PathBuf::from(args.next().unwrap_or_else(|| usage()));
@@ -677,58 +689,54 @@ fn real_main() -> Result<(), CliError> {
             }
             "--supervise" => supervise = true,
             "--supervise-drill" => {
-                drill_cell = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
+                drill_cell = Some(parse_flag_value(
+                    "--supervise-drill",
+                    args.next(),
+                    "a cell index",
+                    any,
+                )?);
                 supervise = true;
             }
             "--retries" => {
-                retries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                retries = parse_flag_value("--retries", args.next(), "a retry count", any)?;
             }
             "--timeout-secs" => {
-                timeout_secs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                        .unwrap_or_else(|| usage()),
-                );
+                timeout_secs = Some(parse_flag_value(
+                    "--timeout-secs",
+                    args.next(),
+                    "a finite number of seconds > 0",
+                    finite_positive,
+                )?);
             }
             "--checkpoint-every" => {
-                checkpoint_every = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|k| *k >= 1)
-                    .unwrap_or_else(|| usage());
+                checkpoint_every = parse_flag_value(
+                    "--checkpoint-every",
+                    args.next(),
+                    "a positive integer",
+                    |&k| k >= 1,
+                )?;
             }
             "--checkpoint" => {
                 checkpoint_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
             }
             "--stop-after" => {
-                stop_after = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
+                stop_after = Some(parse_flag_value(
+                    "--stop-after",
+                    args.next(),
+                    "a positive integer",
+                    |&n| n >= 1,
+                )?);
             }
             "--resume" => resume = true,
             "--differential" => differential = true,
             "--instances" => {
-                instances = parse_flag_value("--instances", args.next(), "a positive integer")?;
-                if instances == 0 {
-                    return Err(CliError::InvalidFlag {
-                        flag: "--instances",
-                        value: "0".to_string(),
-                        expected: "a positive integer".to_string(),
-                    });
-                }
+                instances =
+                    parse_flag_value("--instances", args.next(), "a positive integer", |&n| {
+                        n >= 1
+                    })?;
             }
             "--seed" => {
-                seed = parse_flag_value("--seed", args.next(), "an unsigned 64-bit integer")?;
+                seed = parse_flag_value("--seed", args.next(), "an unsigned 64-bit integer", any)?;
             }
             "--fleet" => {
                 let name = args.next().unwrap_or_default();
@@ -748,14 +756,8 @@ fn real_main() -> Result<(), CliError> {
                 };
             }
             "--servers" => {
-                servers = parse_flag_value("--servers", args.next(), "an integer >= 2")?;
-                if servers < 2 {
-                    return Err(CliError::InvalidFlag {
-                        flag: "--servers",
-                        value: servers.to_string(),
-                        expected: "an integer >= 2".to_string(),
-                    });
-                }
+                servers =
+                    parse_flag_value("--servers", args.next(), "an integer >= 2", |&n| n >= 2)?;
             }
             "--metrics-addr" => {
                 metrics_addr = Some(validate_bind_addr(
@@ -772,22 +774,17 @@ fn real_main() -> Result<(), CliError> {
                 serve_replay = Some(args.next().unwrap_or_else(|| usage()));
             }
             "--replay-speed" => {
-                replay_speed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|s: &f64| s.is_finite() && *s >= 0.0)
-                    .unwrap_or_else(|| usage());
+                replay_speed = parse_flag_value(
+                    "--replay-speed",
+                    args.next(),
+                    "a finite speed >= 0",
+                    |s: &f64| s.is_finite() && *s >= 0.0,
+                )?;
             }
             "--soak" => soak = true,
             "--requests" => {
-                requests = parse_flag_value("--requests", args.next(), "a positive integer")?;
-                if requests == 0 {
-                    return Err(CliError::InvalidFlag {
-                        flag: "--requests",
-                        value: "0".to_string(),
-                        expected: "a positive integer".to_string(),
-                    });
-                }
+                requests =
+                    parse_flag_value("--requests", args.next(), "a positive integer", |&n| n >= 1)?;
             }
             "--metrics-jsonl" => {
                 metrics_jsonl = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));

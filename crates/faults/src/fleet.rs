@@ -3,8 +3,8 @@
 //!
 //! These mirror the single-server [`FaultSchedule`](crate::FaultSchedule)
 //! design one level up: a declarative, seeded description of windows that
-//! compiles to a deterministic time-sorted transition stream replayed by
-//! the fleet driver through a [`FleetInjector`]. Per-shard core faults
+//! compiles to a deterministic time-sorted transition stream that the
+//! fleet driver schedules as ordinary router events. Per-shard core faults
 //! remain ordinary [`FaultSchedule`]s handed to each shard's engine; this
 //! module only owns faults that exist *between* servers.
 
@@ -221,86 +221,6 @@ impl FleetFaultSchedule {
     }
 }
 
-/// Tracks which fleet faults are in force as the router replays a
-/// [`FleetFaultSchedule`].
-#[derive(Debug, Clone)]
-pub struct FleetInjector {
-    transitions: Vec<TimedFleetTransition>,
-    online: Vec<bool>,
-    speed_factors: Vec<f64>,
-    loss_prob: f64,
-}
-
-impl FleetInjector {
-    /// Compiles the schedule for a fleet of `servers` servers.
-    ///
-    /// # Panics
-    /// Panics if any transition references a server index `>= servers`.
-    pub fn new(schedule: &FleetFaultSchedule, servers: usize) -> Self {
-        let transitions = schedule.transitions();
-        for tr in &transitions {
-            let server = match tr.transition {
-                FleetTransition::ServerDown { server }
-                | FleetTransition::ServerUp { server }
-                | FleetTransition::ServerSpeedFactor { server, .. } => server,
-                FleetTransition::DispatchLoss { .. } => 0,
-            };
-            assert!(
-                server < servers,
-                "fleet transition references server {server} in a {servers}-server fleet"
-            );
-        }
-        FleetInjector {
-            transitions,
-            online: vec![true; servers],
-            speed_factors: vec![1.0; servers],
-            loss_prob: 0.0,
-        }
-    }
-
-    /// The compiled, time-sorted transition stream.
-    pub fn transitions(&self) -> &[TimedFleetTransition] {
-        &self.transitions
-    }
-
-    /// Applies transition `k`, updating the injector state, and returns it.
-    ///
-    /// # Panics
-    /// Panics if `k` is out of range.
-    pub fn apply(&mut self, k: usize) -> FleetTransition {
-        let tr = self.transitions[k].transition;
-        match tr {
-            FleetTransition::ServerDown { server } => self.online[server] = false,
-            FleetTransition::ServerUp { server } => self.online[server] = true,
-            FleetTransition::ServerSpeedFactor { server, factor } => {
-                self.speed_factors[server] = factor
-            }
-            FleetTransition::DispatchLoss { prob } => self.loss_prob = prob,
-        }
-        tr
-    }
-
-    /// Whether a server is currently online.
-    pub fn online(&self, server: usize) -> bool {
-        self.online[server]
-    }
-
-    /// Number of servers currently online.
-    pub fn online_count(&self) -> usize {
-        self.online.iter().filter(|&&b| b).count()
-    }
-
-    /// The current router→server dispatch drop probability.
-    pub fn loss_prob(&self) -> f64 {
-        self.loss_prob
-    }
-
-    /// The delivered-over-requested speed ratio on a server.
-    pub fn speed_factor(&self, server: usize) -> f64 {
-        self.speed_factors[server]
-    }
-}
-
 /// The named fleet fault families, each swept by a scalar intensity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetScenarioKind {
@@ -490,45 +410,36 @@ mod tests {
     }
 
     #[test]
-    fn transitions_are_time_sorted_and_injector_tracks_state() {
-        let s = sample();
-        let trs = s.transitions();
-        assert_eq!(trs.len(), 6);
-        for w in trs.windows(2) {
-            assert!(w[0].at.at_or_before(w[1].at));
-        }
-        let mut inj = FleetInjector::new(&s, 3);
-        assert_eq!(inj.online_count(), 3);
-        for k in 0..trs.len() {
-            inj.apply(k);
-        }
-        // After the full stream: server 1 recovered, slowdown and loss
-        // windows both closed.
-        assert_eq!(inj.online_count(), 3);
-        assert!(inj.online(1));
-        assert_eq!(inj.speed_factor(0), 1.0);
-        assert_eq!(inj.loss_prob(), 0.0);
-        // Mid-stream state: replay to just after every window opens.
-        let mut inj = FleetInjector::new(&s, 3);
-        for (k, tr) in trs.iter().enumerate() {
-            if tr.at.at_or_before(t(4.5)) {
-                inj.apply(k);
-            }
-        }
-        assert!(!inj.online(1));
-        assert_eq!(inj.speed_factor(0), 0.6);
-        assert_eq!(inj.loss_prob(), 0.25);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_server_panics() {
-        let s = FleetFaultSchedule::new(0).with_server_outage(ServerOutage {
-            server: 5,
-            start: t(1.0),
-            end: None,
-        });
-        let _ = FleetInjector::new(&s, 3);
+    fn transitions_are_time_sorted_and_close_every_window() {
+        use FleetTransition::*;
+        let trs: Vec<(f64, FleetTransition)> = sample()
+            .transitions()
+            .iter()
+            .map(|tr| (tr.at.as_secs(), tr.transition))
+            .collect();
+        assert_eq!(
+            trs,
+            [
+                (
+                    2.0,
+                    ServerSpeedFactor {
+                        server: 0,
+                        factor: 0.6
+                    }
+                ),
+                (3.0, DispatchLoss { prob: 0.25 }),
+                (4.0, ServerDown { server: 1 }),
+                (5.0, DispatchLoss { prob: 0.0 }),
+                (
+                    6.0,
+                    ServerSpeedFactor {
+                        server: 0,
+                        factor: 1.0
+                    }
+                ),
+                (8.0, ServerUp { server: 1 }),
+            ]
+        );
     }
 
     #[test]
@@ -574,12 +485,15 @@ mod tests {
     fn servercrash_leaves_a_survivor_and_combined_hits_shard_zero() {
         let h = t(60.0);
         let (fleet, _) = FleetScenario::new(FleetScenarioKind::ServerCrash, 1.0).build(4, 8, h, 5);
-        let mut inj = FleetInjector::new(&fleet, 4);
-        let trs = fleet.transitions();
+        let mut online = [true; 4];
         let mut min_online = 4;
-        for k in 0..trs.len() {
-            inj.apply(k);
-            min_online = min_online.min(inj.online_count());
+        for tr in fleet.transitions() {
+            match tr.transition {
+                FleetTransition::ServerDown { server } => online[server] = false,
+                FleetTransition::ServerUp { server } => online[server] = true,
+                _ => {}
+            }
+            min_online = min_online.min(online.iter().filter(|&&up| up).count());
         }
         assert!(min_online >= 1, "a crash scenario must leave a survivor");
 

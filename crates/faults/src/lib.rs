@@ -28,8 +28,8 @@ mod schedule;
 
 pub use chaos::{ChaosOp, ChaosSchedule, GarbageKind};
 pub use fleet::{
-    DispatchLossWindow, FleetFaultSchedule, FleetInjector, FleetScenario, FleetScenarioKind,
-    FleetTransition, ServerOutage, ServerSlowdown, TimedFleetTransition,
+    DispatchLossWindow, FleetFaultSchedule, FleetScenario, FleetScenarioKind, FleetTransition,
+    ServerOutage, ServerSlowdown, TimedFleetTransition,
 };
 pub use injector::FaultInjector;
 pub use scenario::{FaultScenario, ScenarioKind};

@@ -1,11 +1,11 @@
 //! The fleet event loop: routing, budget repartitioning, and failover.
 //!
-//! The router's three event kinds — fleet fault transitions,
-//! budget-reallocation epochs, and job dispatches — fire in
-//! `(time, priority, sequence)` order, mirroring the per-server engine's
-//! discipline (faults fire before the scheduler observes the instant;
-//! dispatches come last). Each router event costs work only in the servers
-//! it touches:
+//! The router is a handler on a [`Simulator`] over three event kinds —
+//! fleet fault transitions, budget-reallocation epochs, and job
+//! dispatches — which fire in `(time, priority, sequence)` order,
+//! mirroring the per-server engine's discipline (faults fire before the
+//! scheduler observes the instant; dispatches come last). Each router
+//! event costs work only in the servers it touches:
 //!
 //! * **Due servers only.** Before an event at `t` the router advances the
 //!   servers whose earliest pending engine event is not after `t`. An
@@ -18,17 +18,17 @@
 //!   load_units)` changes only when it handles an event, crashes or
 //!   recovers, so the router caches it stamped with the server's
 //!   handled-event count and drops it on crash and recover.
-//! * **Dispatch cursor.** First dispatches are not heap entries: a cursor
-//!   walks the release-ordered trace, job `j` carrying sequence
-//!   `base + j`, and merges with the heap of faults, epochs and retries
-//!   under the same entry order.
+//! * **Dispatch cursor.** Like the engine's arrival cursor, the simulator
+//!   reserves sequence numbers `0..n` for the trace's first dispatches and
+//!   holds only the next one: job `j`'s, under number `j`, schedules job
+//!   `j + 1`'s when it fires, so the pop order is that of scheduling all
+//!   `n` up front.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use ge_core::{Run, RunResult};
-use ge_faults::{FaultSchedule, FleetFaultSchedule, FleetInjector, FleetTransition};
-use ge_simcore::{RngStream, SimTime};
+use ge_faults::{FaultSchedule, FleetFaultSchedule, FleetTransition};
+use ge_simcore::{RngStream, SimContext, SimTime, Simulator};
 use ge_telemetry::Telemetry;
 use ge_trace::{NullSink, TraceEvent, TraceSink};
 use ge_workload::{Job, Trace};
@@ -68,48 +68,19 @@ pub struct FleetResult {
     pub shards: Vec<RunResult>,
 }
 
-const PRIO_FAULT: u8 = 0;
-const PRIO_REALLOC: u8 = 1;
-const PRIO_DISPATCH: u8 = 2;
+const PRIO_FAULT: u32 = 0;
+const PRIO_REALLOC: u32 = 1;
+const PRIO_DISPATCH: u32 = 2;
 
-/// What the router does at one heap entry.
+/// What the router does at one event.
 #[derive(Debug, Clone, Copy)]
 enum FEv {
-    /// Apply fleet fault transition `k`.
-    Fault(usize),
+    /// Apply a fleet fault transition.
+    Fault(FleetTransition),
     /// Recompute the budget partition.
     Realloc,
     /// Route workload job `job` (attempt `attempt`).
     Dispatch { job: usize, attempt: u32 },
-}
-
-struct Entry {
-    at: SimTime,
-    prio: u8,
-    seq: u64,
-    ev: FEv,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    // Reversed: BinaryHeap is a max-heap and we want the earliest entry.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .total_cmp(&self.at)
-            .then(other.prio.cmp(&self.prio))
-            .then(other.seq.cmp(&self.seq))
-    }
 }
 
 /// Live-registry handles the router feeds while telemetry is enabled.
@@ -165,18 +136,9 @@ struct Router<'a> {
     /// Servers not crashed, in index order; changes only on crash and
     /// recover.
     live: Vec<usize>,
-    injector: FleetInjector,
+    /// The router→server dispatch drop probability in force.
+    loss_prob: f64,
     horizon: SimTime,
-    /// Faults, budget epochs and retries. First dispatches come from the
-    /// trace cursor instead.
-    heap: BinaryHeap<Entry>,
-    /// The offered workload, release-ordered.
-    jobs: &'a [Job],
-    /// The next job whose first dispatch is still to come.
-    cursor: usize,
-    /// Sequence of job 0's first dispatch; job `j`'s is `dispatch_seq + j`.
-    dispatch_seq: u64,
-    seq: u64,
     rr_cursor: usize,
     route_rng_root: RngStream,
     route_draws: u64,
@@ -193,36 +155,7 @@ struct Router<'a> {
     telemetry: Option<FleetTelemetry>,
 }
 
-impl<'a> Router<'a> {
-    fn push(&mut self, at: SimTime, prio: u8, ev: FEv) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, prio, seq, ev });
-    }
-
-    /// Pops the earliest pending event: the heap top or the cursor's next
-    /// first dispatch, whichever comes first in entry order.
-    fn next_entry(&mut self) -> Option<Entry> {
-        let head = self.jobs.get(self.cursor).map(|job| Entry {
-            at: job.release,
-            prio: PRIO_DISPATCH,
-            seq: self.dispatch_seq + self.cursor as u64,
-            ev: FEv::Dispatch {
-                job: self.cursor,
-                attempt: 0,
-            },
-        });
-        match (head, self.heap.peek()) {
-            // Entry order is reversed for the max-heap: greater is earlier.
-            (Some(head), Some(top)) if head < *top => self.heap.pop(),
-            (Some(head), _) => {
-                self.cursor += 1;
-                Some(head)
-            }
-            (None, _) => self.heap.pop(),
-        }
-    }
-
+impl Router<'_> {
     /// Advances every server with an engine event due at or before `t`.
     fn advance_due(&mut self, t: SimTime) {
         for s in &mut self.shards {
@@ -258,6 +191,17 @@ impl<'a> Router<'a> {
         self.cfg.shed_backlog_factor * self.cfg.shard.equal_share_capacity_units()
     }
 
+    /// The live server whose fresh load signal is least under `cmp`,
+    /// the lowest index among equals. `live` must be non-empty.
+    fn least_live(&mut self, cmp: impl Fn(&Self, usize, usize) -> Ordering) -> usize {
+        self.refresh_live_loads();
+        *self
+            .live
+            .iter()
+            .min_by(|&&a, &&b| cmp(self, a, b).then(a.cmp(&b)))
+            .unwrap_or(&self.live[0])
+    }
+
     /// Picks a live server for a job, or `None` when the whole fleet is
     /// down or the overload guard rejects (only with `q_min > 0`). Reads
     /// only cached load signals, refreshing those that went stale, and
@@ -274,21 +218,12 @@ impl<'a> Router<'a> {
                     break c;
                 }
             },
-            RoutingPolicy::JoinShortestQueue => {
-                self.refresh_live_loads();
-                let loads = &self.loads;
-                *self
-                    .live
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        let (ka, kb) = (loads[a], loads[b]);
-                        ka.queue_len
-                            .cmp(&kb.queue_len)
-                            .then(ka.units.total_cmp(&kb.units))
-                            .then(a.cmp(&b))
-                    })
-                    .unwrap_or(&self.live[0])
-            }
+            RoutingPolicy::JoinShortestQueue => self.least_live(|r, a, b| {
+                let (ka, kb) = (r.loads[a], r.loads[b]);
+                ka.queue_len
+                    .cmp(&kb.queue_len)
+                    .then(ka.units.total_cmp(&kb.units))
+            }),
             RoutingPolicy::PowerOfD(d) => {
                 let draw = self.route_draws;
                 self.route_draws += 1;
@@ -309,35 +244,21 @@ impl<'a> Router<'a> {
                 }
                 best
             }
-            RoutingPolicy::EnergyAware => {
-                self.refresh_live_loads();
-                let (loads, slices) = (&self.loads, &self.slices);
-                *self
-                    .live
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        // Backlog per allocated watt; an (unlikely)
-                        // zero-watt live server sorts last via +inf.
-                        let ka = loads[a].units / slices[a].max(f64::MIN_POSITIVE);
-                        let kb = loads[b].units / slices[b].max(f64::MIN_POSITIVE);
-                        ka.total_cmp(&kb).then(a.cmp(&b))
-                    })
-                    .unwrap_or(&self.live[0])
-            }
+            RoutingPolicy::EnergyAware => self.least_live(|r, a, b| {
+                // Backlog per allocated watt; an (unlikely) zero-watt live
+                // server sorts last via +inf.
+                let per_watt = |i: usize| r.loads[i].units / r.slices[i].max(f64::MIN_POSITIVE);
+                per_watt(a).total_cmp(&per_watt(b))
+            }),
         };
         // Overload guard: only sheds when the shard config carries a
         // degradation floor; the fault-free default queues everything.
         if self.cfg.shard.q_min > 0.0 {
             let limit = self.backlog_limit_units();
             if self.load(chosen).units > limit {
-                self.refresh_live_loads();
-                let loads = &self.loads;
-                let fallback = *self
-                    .live
-                    .iter()
-                    .min_by(|&&a, &&b| loads[a].units.total_cmp(&loads[b].units).then(a.cmp(&b)))
-                    .unwrap_or(&self.live[0]);
-                if loads[fallback].units > limit {
+                let fallback =
+                    self.least_live(|r, a, b| r.loads[a].units.total_cmp(&r.loads[b].units));
+                if self.loads[fallback].units > limit {
                     return None;
                 }
                 return Some(fallback);
@@ -361,29 +282,29 @@ impl<'a> Router<'a> {
         }
     }
 
-    /// Routes one job at time `t`. `allow_loss` is false for failover
+    /// Routes one job now. `allow_loss` is false for failover
     /// re-dispatches: the job is already inside the system, so only fresh
     /// router→server sends flip the loss coin.
     fn dispatch(
         &mut self,
-        t: SimTime,
+        ctx: &mut SimContext<'_, FEv>,
         job: Job,
         job_idx: usize,
         attempt: u32,
         allow_loss: bool,
         sink: &mut dyn TraceSink,
     ) {
+        let t = ctx.now();
         if t >= job.deadline {
             // Too late to earn any quality; account it honestly as shed.
             self.shed_job(t, &job, sink);
             return;
         }
-        let loss_prob = self.injector.loss_prob();
         if allow_loss
-            && loss_prob > 0.0
+            && self.loss_prob > 0.0
             && self
                 .schedule
-                .drop_dispatch(job.id.index() as u64, attempt, loss_prob)
+                .drop_dispatch(job.id.index() as u64, attempt, self.loss_prob)
         {
             let backoff_s = self.cfg.retry_backoff.as_secs() * f64::from(1u32 << attempt.min(20));
             let next = t + ge_simcore::SimDuration::from_secs(backoff_s);
@@ -404,7 +325,7 @@ impl<'a> Router<'a> {
                         next_s: next.as_secs(),
                     });
                 }
-                self.push(
+                ctx.schedule(
                     next,
                     PRIO_DISPATCH,
                     FEv::Dispatch {
@@ -436,7 +357,8 @@ impl<'a> Router<'a> {
     }
 
     /// Recomputes the budget partition and pushes it into the servers.
-    fn realloc(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
+    fn realloc(&mut self, ctx: &mut SimContext<'_, FEv>, sink: &mut dyn TraceSink) {
+        let t = ctx.now();
         let n = self.shards.len();
         let total = self.cfg.total_budget_w();
         let nominal = total / n as f64;
@@ -495,12 +417,18 @@ impl<'a> Router<'a> {
         // Chain the next epoch; the final books close at the horizon.
         let next = t + self.cfg.realloc_every;
         if next < self.horizon {
-            self.push(next, PRIO_REALLOC, FEv::Realloc);
+            ctx.schedule(next, PRIO_REALLOC, FEv::Realloc);
         }
     }
 
-    fn apply_fault(&mut self, t: SimTime, k: usize, sink: &mut dyn TraceSink) {
-        match self.injector.apply(k) {
+    fn apply_fault(
+        &mut self,
+        ctx: &mut SimContext<'_, FEv>,
+        transition: FleetTransition,
+        sink: &mut dyn TraceSink,
+    ) {
+        let t = ctx.now();
+        match transition {
             FleetTransition::ServerDown { server } => {
                 if self.shards[server].is_crashed() {
                     return;
@@ -530,7 +458,7 @@ impl<'a> Router<'a> {
                     }
                     // Re-route immediately; the job keeps its identity, so
                     // its latency accounting still starts at its release.
-                    self.dispatch(t, job, usize::MAX, 0, false, sink);
+                    self.dispatch(ctx, job, usize::MAX, 0, false, sink);
                 }
             }
             FleetTransition::ServerUp { server } => {
@@ -555,10 +483,7 @@ impl<'a> Router<'a> {
             FleetTransition::ServerSpeedFactor { server, factor } => {
                 self.shards[server].set_speed_factor_all(factor);
             }
-            FleetTransition::DispatchLoss { .. } => {
-                // The injector already holds the new probability; future
-                // dispatch coins observe it.
-            }
+            FleetTransition::DispatchLoss { prob } => self.loss_prob = prob,
         }
     }
 }
@@ -573,11 +498,11 @@ impl<'a> Router<'a> {
 /// every invocation.
 ///
 /// # Panics
-/// Panics if `cfg` is invalid, `trace` is not release-ordered,
-/// `shard_faults` is neither empty nor `cfg.servers` long, or a per-server
+/// Panics if `cfg` is invalid, `trace` is not release-ordered or has a
+/// negative release, `shard_faults` is neither empty nor `cfg.servers` long, a per-server
 /// schedule carries surge windows or demand noise (surge jobs would
 /// collide with the router's global job ids; both are fleet-level
-/// concerns).
+/// concerns), or `fleet_faults` names a server `>= cfg.servers`.
 pub fn run_fleet(
     cfg: &FleetConfig,
     trace: &Trace,
@@ -602,6 +527,19 @@ pub fn run_fleet(
             .all(|w| w[0].release.total_cmp(&w[1].release) != Ordering::Greater),
         "the fleet trace must be release-ordered"
     );
+    let transitions = fleet_faults.transitions();
+    for tr in &transitions {
+        if let FleetTransition::ServerDown { server }
+        | FleetTransition::ServerUp { server }
+        | FleetTransition::ServerSpeedFactor { server, .. } = tr.transition
+        {
+            assert!(
+                server < cfg.servers,
+                "fleet transition references server {server} in a {}-server fleet",
+                cfg.servers
+            );
+        }
+    }
 
     // Every server runs to the same horizon, stretched so the last
     // injected job's fate is on the books even after retries.
@@ -620,7 +558,6 @@ pub fn run_fleet(
             Run::start(&shard_cfg, &empty, &cfg.algorithm, faults, &mut NullSink)
         })
         .collect();
-    let injector = FleetInjector::new(fleet_faults, cfg.servers);
     let nominal = cfg.shard.budget_w;
 
     let telemetry = Telemetry::is_enabled().then(|| FleetTelemetry::new(cfg.servers));
@@ -646,13 +583,8 @@ pub fn run_fleet(
         shards,
         loads: vec![LoadSig::STALE; cfg.servers],
         live: (0..cfg.servers).collect(),
-        injector,
+        loss_prob: 0.0,
         horizon,
-        heap: BinaryHeap::new(),
-        jobs,
-        cursor: 0,
-        dispatch_seq: 0,
-        seq: 0,
         rr_cursor: 0,
         route_rng_root: RngStream::from_root(cfg.seed, "fleet/route"),
         route_draws: 0,
@@ -666,28 +598,31 @@ pub fn run_fleet(
         telemetry,
     };
 
-    for (k, tr) in router.injector.transitions().to_vec().iter().enumerate() {
-        if tr.at <= horizon {
-            router.push(tr.at, PRIO_FAULT, FEv::Fault(k));
-        }
+    let mut sim = Simulator::with_reserved(jobs.len() as u64);
+    for tr in transitions.iter().filter(|tr| tr.at <= horizon) {
+        sim.schedule(tr.at, PRIO_FAULT, FEv::Fault(tr.transition));
     }
-    router.push(SimTime::ZERO, PRIO_REALLOC, FEv::Realloc);
-    // The first dispatches take the next `jobs.len()` sequence numbers,
-    // in trace order, exactly as if each had been pushed here.
-    router.dispatch_seq = router.seq;
-    router.seq += jobs.len() as u64;
-
-    while let Some(entry) = router.next_entry() {
-        let t = entry.at.min(horizon);
-        router.advance_due(t);
-        match entry.ev {
-            FEv::Fault(k) => router.apply_fault(t, k, sink),
-            FEv::Realloc => router.realloc(t, sink),
+    sim.schedule(SimTime::ZERO, PRIO_REALLOC, FEv::Realloc);
+    let first_dispatch = |j: usize| FEv::Dispatch { job: j, attempt: 0 };
+    if let Some(job) = jobs.first() {
+        sim.schedule_reserved(job.release, PRIO_DISPATCH, 0, first_dispatch(0));
+    }
+    sim.run_until(horizon, |ctx, ev| {
+        router.advance_due(ctx.now());
+        match ev {
+            FEv::Fault(transition) => router.apply_fault(ctx, transition, sink),
+            FEv::Realloc => router.realloc(ctx, sink),
             FEv::Dispatch { job, attempt } => {
-                router.dispatch(t, jobs[job], job, attempt, true, sink);
+                // A first dispatch streams in the next job's.
+                let next = job + 1;
+                if attempt == 0 && next < jobs.len() {
+                    let at = jobs[next].release;
+                    ctx.schedule_reserved(at, PRIO_DISPATCH, next as u64, first_dispatch(next));
+                }
+                router.dispatch(ctx, jobs[job], job, attempt, true, sink);
             }
         }
-    }
+    });
     let outcomes: Vec<_> = router
         .shards
         .into_iter()

@@ -117,6 +117,69 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fleet transition references server 5 in a 3-server fleet")]
+    fn out_of_range_server_panics() {
+        let faults = FleetFaultSchedule::new(0).with_server_outage(ServerOutage {
+            server: 5,
+            start: SimTime::from_secs(1.0),
+            end: None,
+        });
+        run_fleet(
+            &base_cfg(3, 4.0),
+            &workload(10, 2.0, 3),
+            &faults,
+            &[],
+            &mut NullSink,
+        );
+    }
+
+    #[test]
+    fn a_fault_fires_before_the_epoch_and_the_dispatch_at_its_instant() {
+        // Server 0 crashes, a budget epoch falls due and a job is released,
+        // all at t = 1.0. The crash goes first, then the epoch's budget
+        // events, then the dispatch; JSQ would pick the (empty, lowest
+        // index) server 0 if it were still up, so the job must land on 1.
+        let mut cfg = base_cfg(2, 4.0);
+        cfg.realloc_every = SimDuration::from_secs(1.0);
+        let at = SimTime::from_secs(1.0);
+        let job = Job::new(JobId(0), at, at + SimDuration::from_millis(500.0), 400.0);
+        let faults = FleetFaultSchedule::new(cfg.seed).with_server_outage(ServerOutage {
+            server: 0,
+            start: at,
+            end: None,
+        });
+        let mut sink = VecSink::new();
+        run_fleet(&cfg, &Trace::new(vec![job]), &faults, &[], &mut sink);
+        let t1 = at.as_secs().to_bits();
+        let kinds: Vec<&str> = sink
+            .events()
+            .iter()
+            .filter_map(|ev| match *ev {
+                ge_trace::TraceEvent::ShardFault { t, .. } if t.to_bits() == t1 => {
+                    Some("shard_fault")
+                }
+                ge_trace::TraceEvent::FleetBudget { t, .. } if t.to_bits() == t1 => {
+                    Some("fleet_budget")
+                }
+                ge_trace::TraceEvent::FleetDispatch { t, shard, .. } if t.to_bits() == t1 => {
+                    assert_eq!(shard, 1, "the job went to the crashed server");
+                    Some("fleet_dispatch")
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "shard_fault",
+                "fleet_budget",
+                "fleet_budget",
+                "fleet_dispatch"
+            ]
+        );
+    }
+
+    #[test]
     fn every_routing_policy_is_deterministic() {
         for policy in RoutingPolicy::ALL {
             let mut cfg = base_cfg(4, 10.0);

@@ -394,67 +394,24 @@ pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, ParseError> {
 /// driver emits events in non-decreasing time order).
 const ORDER_TOL: f64 = 1e-9;
 
-/// Parses a whole JSONL document (blank lines skipped).
+/// Parses a whole in-memory JSONL document; see [`parse_jsonl_reader`].
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
+    parse_jsonl_reader(text.as_bytes())
+}
+
+/// Parses a whole JSONL document from `r`, line by line (blank lines
+/// skipped; `\n` or `\r\n` endings).
 ///
 /// Beyond per-line syntax, this validates the document-level contract:
 /// event timestamps must be non-decreasing (within a small numerical
 /// tolerance). Out-of-order or non-finite timestamps are errors, never
-/// panics.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
-    let mut out: Vec<TraceEvent> = Vec::new();
-    let mut order = OrderCheck::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at_line = |mut e: ParseError| {
-            e.line = i + 1;
-            e
-        };
-        let ev = parse_jsonl_line(line).map_err(at_line)?;
-        order.check(&ev).map_err(at_line)?;
-        out.push(ev);
-    }
-    Ok(out)
-}
-
-/// Document-level timestamp-ordering validation, shared by the in-memory
-/// and streaming parsers.
-struct OrderCheck {
-    last_t: f64,
-}
-
-impl OrderCheck {
-    fn new() -> Self {
-        OrderCheck {
-            last_t: f64::NEG_INFINITY,
-        }
-    }
-
-    fn check(&mut self, ev: &TraceEvent) -> Result<(), ParseError> {
-        let t = ev.t();
-        if !t.is_finite() {
-            return Err(err("non-finite event timestamp"));
-        }
-        if t + ORDER_TOL < self.last_t {
-            return Err(err(format!(
-                "out-of-order timestamp {t} after {}",
-                self.last_t
-            )));
-        }
-        self.last_t = self.last_t.max(t);
-        Ok(())
-    }
-}
-
-/// Streaming variant of [`parse_jsonl`]: reads JSONL from `r` line by
-/// line, enforcing [`MAX_JSONL_LINE_BYTES`] *while buffering* — an
+/// panics. [`MAX_JSONL_LINE_BYTES`] is enforced *while buffering* — an
 /// overlong (or newline-less, endless) line fails fast with
 /// [`ParseErrorKind::LineTooLong`] after at most one cap's worth of
 /// bytes, instead of growing a line buffer without bound.
 pub fn parse_jsonl_reader<R: BufRead>(mut r: R) -> Result<Vec<TraceEvent>, ParseError> {
     let mut out: Vec<TraceEvent> = Vec::new();
-    let mut order = OrderCheck::new();
+    let mut last_t = f64::NEG_INFINITY;
     let mut buf: Vec<u8> = Vec::new();
     let mut lineno = 0usize;
     loop {
@@ -500,7 +457,16 @@ pub fn parse_jsonl_reader<R: BufRead>(mut r: R) -> Result<Vec<TraceEvent>, Parse
             continue;
         }
         let ev = parse_jsonl_line(line).map_err(at_line)?;
-        order.check(&ev).map_err(at_line)?;
+        let t = ev.t();
+        if !t.is_finite() {
+            return Err(at_line(err("non-finite event timestamp")));
+        }
+        if t + ORDER_TOL < last_t {
+            return Err(at_line(err(format!(
+                "out-of-order timestamp {t} after {last_t}"
+            ))));
+        }
+        last_t = last_t.max(t);
         out.push(ev);
     }
 }
@@ -1176,6 +1142,15 @@ mod tests {
         let r = io::BufReader::new(Endless);
         let e = parse_jsonl_reader(r).unwrap_err();
         assert_eq!(e.kind, ParseErrorKind::LineTooLong);
+    }
+
+    #[test]
+    fn crlf_documents_parse_like_lf_documents() {
+        let events = exemplars();
+        let mut buf = Vec::new();
+        write_jsonl(&events, &mut buf).unwrap();
+        let crlf = String::from_utf8(buf).unwrap().replace('\n', "\r\n");
+        assert_eq!(parse_jsonl(&crlf).unwrap(), events);
     }
 
     #[test]

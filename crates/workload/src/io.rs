@@ -55,6 +55,13 @@ pub enum TraceParseError {
         /// 1-based line number.
         line: usize,
     },
+    /// The numbers parse but describe no valid job.
+    InvalidJob {
+        /// 1-based line number.
+        line: usize,
+        /// What is wrong with the job.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for TraceParseError {
@@ -70,13 +77,32 @@ impl std::fmt::Display for TraceParseError {
             TraceParseError::NotReleaseOrdered { line } => {
                 write!(f, "line {line}: releases must be non-decreasing")
             }
+            TraceParseError::InvalidJob { line, reason } => write!(f, "line {line}: {reason}"),
         }
     }
 }
 
 impl std::error::Error for TraceParseError {}
 
-/// Parses a trace from CSV text (the [`trace_to_csv`] format).
+/// The reason a parsed `(release, deadline, demand)` row is not a job
+/// [`Job::new`] accepts at a non-negative release, if any.
+fn invalid_job(release: f64, deadline: f64, demand: f64) -> Option<&'static str> {
+    if !release.is_finite() || !deadline.is_finite() {
+        Some("release and deadline must be finite")
+    } else if release < 0.0 {
+        Some("release must not be negative")
+    } else if !SimTime::from_secs(deadline).after(SimTime::from_secs(release)) {
+        Some("deadline must follow release")
+    } else if !(demand.is_finite() && demand > 0.0) {
+        Some("demand must be positive and finite")
+    } else {
+        None
+    }
+}
+
+/// Parses a trace from CSV text (the [`trace_to_csv`] format). Every row
+/// must describe a valid job: finite times, a non-negative release, a
+/// deadline after it, and a positive, finite demand.
 pub fn trace_from_csv(text: &str) -> Result<Trace, TraceParseError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
@@ -107,6 +133,12 @@ pub fn trace_from_csv(text: &str) -> Result<Trace, TraceParseError> {
         let release = parse(fields[1])?;
         let deadline = parse(fields[2])?;
         let demand = parse(fields[3])?;
+        if let Some(reason) = invalid_job(release, deadline, demand) {
+            return Err(TraceParseError::InvalidJob {
+                line: line_no,
+                reason,
+            });
+        }
         if release < last_release {
             return Err(TraceParseError::NotReleaseOrdered { line: line_no });
         }
@@ -216,6 +248,45 @@ mod tests {
             trace_from_csv(&text).unwrap_err(),
             TraceParseError::NotReleaseOrdered { line: 3 }
         );
+    }
+
+    /// Asserts that `row`, as the second data line, fails with `reason`.
+    fn assert_invalid_job(row: &str, reason: &'static str) {
+        let text = format!("{TRACE_CSV_HEADER}\n0,0.0,1.0,100.0\n{row}");
+        assert_eq!(
+            trace_from_csv(&text).unwrap_err(),
+            TraceParseError::InvalidJob { line: 3, reason }
+        );
+    }
+
+    #[test]
+    fn nan_release_rejected() {
+        assert_invalid_job("0,NaN,0.5,100", "release and deadline must be finite");
+    }
+
+    #[test]
+    fn infinite_deadline_rejected() {
+        assert_invalid_job("0,0.1,inf,100", "release and deadline must be finite");
+    }
+
+    #[test]
+    fn negative_release_rejected() {
+        assert_invalid_job("0,-1.0,0.5,100", "release must not be negative");
+    }
+
+    #[test]
+    fn deadline_before_release_rejected() {
+        assert_invalid_job("0,1.0,0.5,100", "deadline must follow release");
+    }
+
+    #[test]
+    fn negative_demand_rejected() {
+        assert_invalid_job("0,0.1,0.5,-3", "demand must be positive and finite");
+    }
+
+    #[test]
+    fn zero_demand_rejected() {
+        assert_invalid_job("0,0.1,0.5,0", "demand must be positive and finite");
     }
 
     #[test]

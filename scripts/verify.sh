@@ -56,11 +56,34 @@ cargo run --release --offline -q -p ge-experiments -- \
   >"$smoke_dir/stdout.log"
 test -s "$smoke_dir/faults-corelossa.csv"
 
+echo "== CLI flag validation (typed errors, exit 1)"
+# Out-of-range or malformed flag values are one diagnostic line and exit
+# status 1, never a panic or a degenerate run.
+for bad in "--horizon nan" "--horizon -5" "--reps 0"; do
+  set +e
+  # shellcheck disable=SC2086
+  ./target/release/ge-experiments --quick $bad fig1 >/dev/null 2>"$smoke_dir/cli.err"
+  status=$?
+  set -e
+  if [ "$status" -ne 1 ] || ! grep -q 'invalid value for' "$smoke_dir/cli.err"; then
+    echo "FAIL: '$bad' exited $status: $(cat "$smoke_dir/cli.err")"
+    exit 1
+  fi
+done
+
+# Committed result digests. A change that moves any of them changes what
+# the simulator computes and must update the value here on purpose.
+fleet_digest='digest=0x93e1402037f3a1ba'
+resume_digest='digest=0xc12f84f8cc86500b'
+serve_digest='digest=0x6010d599f20da3aa'
+soak_digest='0x3f46ffe26c6a100a'
+
 echo "== fleet smoke run (--fleet fleetcombined, digest bit-exactness)"
 # Run the fleet degradation study twice at a small scale and require the
 # printed result digest — FNV-1a over every cell's exact result bits —
-# to repeat bit-for-bit: the whole fleet (router, repartitioner,
-# failover, retries) must be reproducible from one seed.
+# to repeat bit-for-bit and to equal the committed value: the whole fleet
+# (router, repartitioner, failover, retries) must be reproducible from
+# one seed.
 cargo run --release --offline -q -p ge-experiments -- \
   --quick --horizon 8 --out "$smoke_dir" --fleet fleetcombined --servers 3 \
   >"$smoke_dir/fleet-a.log"
@@ -73,6 +96,10 @@ d_fleet_b=$(grep -o 'digest=0x[0-9a-f]*' "$smoke_dir/fleet-b.log")
 test -n "$d_fleet_a"
 if [ "$d_fleet_a" != "$d_fleet_b" ]; then
   echo "FAIL: fleet digest $d_fleet_a != repeat-run digest $d_fleet_b"
+  exit 1
+fi
+if [ "$d_fleet_a" != "$fleet_digest" ]; then
+  echo "FAIL: fleet digest $d_fleet_a != committed $fleet_digest"
   exit 1
 fi
 
@@ -111,6 +138,10 @@ d_straight=$(grep -o 'digest=0x[0-9a-f]*' "$smoke_dir/ck-straight.log")
 test -n "$d_resumed"
 if [ "$d_resumed" != "$d_straight" ]; then
   echo "FAIL: resumed digest $d_resumed != straight digest $d_straight"
+  exit 1
+fi
+if [ "$d_resumed" != "$resume_digest" ]; then
+  echo "FAIL: resumed digest $d_resumed != committed $resume_digest"
   exit 1
 fi
 
@@ -153,6 +184,10 @@ if [ "$d_serve_a" != "$d_serve_b" ]; then
   echo "FAIL: serve digest $d_serve_a != repeat-run digest $d_serve_b"
   exit 1
 fi
+if [ "$d_serve_a" != "$serve_digest" ]; then
+  echo "FAIL: serve digest $d_serve_a != committed $serve_digest"
+  exit 1
+fi
 # The replay client's decision-latency percentiles land in the trajectory.
 grep -q 'serve_decision/p999' "$smoke_dir/serve-a/BENCH_trajectory.jsonl"
 # SIGTERM mid-stream under a paced replay: graceful drain, full books.
@@ -184,7 +219,7 @@ echo "== chaos soak smoke (--soak: seeded wire abuse, digest equality)"
 cargo run --release --offline -q -p ge-experiments -- \
   --soak --requests 100 --horizon 20 --seed 7 --out "$smoke_dir/soak" \
   >"$smoke_dir/soak.log" 2>&1
-grep -q 'digests agree across two runs' "$smoke_dir/soak.log"
+grep -q "digests agree across two runs: $soak_digest" "$smoke_dir/soak.log"
 grep -q 'verdict   OK' "$smoke_dir/soak.log"
 
 echo "== telemetry smoke (live scrape + folded profile artifact)"
