@@ -4,7 +4,8 @@
 //! measured by: the per-epoch kernels (LF cut, YDS, inversion — with and
 //! without scratch/memo reuse), the engine's event queue at two pending
 //! depths, the server's share of one engine event, end-to-end GE runs with the dirty-bit path on and forced off, whole
-//! fleets at N ∈ {1, 4, 16} servers, the trace codec per event, and
+//! fleets at N ∈ {1, 4, 16} servers, one in-process serving session,
+//! the trace codec per event, and
 //! representative figure pipelines at [`Scale::bench`]. Run with
 //! `--json <path>` to write the `ge-bench-sched/v1` report (Cargo runs
 //! benches from the package directory, so give the repository-root path
@@ -25,6 +26,7 @@ use ge_power::{
     yds_schedule, yds_schedule_with, PolynomialPower, SpeedProfile, YdsJob, YdsScratch,
 };
 use ge_quality::{lf_cut, lf_cut_with, CutOutcome, CutScratch, ExpConcave, QualityFunction};
+use ge_serve::{ServeConfig, ServeCore};
 use ge_server::Server;
 use ge_simcore::{EventQueue, RngStream, SimDuration, SimTime};
 use ge_trace::{jsonl_line, parse_jsonl_line, NullSink, TraceEvent, VecSink};
@@ -230,6 +232,26 @@ fn bench_fleet_e2e(h: &Harness) {
     }
 }
 
+/// One in-process serving session: the first 2 000 requests of the
+/// `paper_default(150)` stream submitted to a fresh `ServeCore` (default
+/// admission), then drained to the horizon — the engine, admission and
+/// the session's books without the wire.
+fn bench_serve_in_process(h: &Harness) {
+    let trace = bench_trace(150.0, 20.0, 1);
+    let jobs = &trace.jobs()[..2_000.min(trace.len())];
+    let last_deadline = jobs.last().map_or(0.0, |j| j.deadline.as_secs());
+    let cfg = ServeConfig::new(bench_config(last_deadline.ceil() + 1.0), Algorithm::Ge);
+    h.bench("serve/in_process", || {
+        let mut core = ServeCore::new(cfg.clone());
+        for j in black_box(jobs) {
+            let t = j.release.as_secs();
+            core.submit(t, j.demand, j.deadline.as_secs() - t)
+                .expect("in-horizon submit");
+        }
+        core.finish_drain().digest
+    });
+}
+
 /// A fixed mixed-event stream: a 3 s GE run under the `combined` fault
 /// scenario (arrivals, epochs, power splits, exec slices, finishes,
 /// faults) followed by a 3 s 4-server fleet under `fleetcombined`
@@ -296,6 +318,7 @@ fn main() {
     bench_e2e(&h);
     bench_e2e_telemetry(&h);
     bench_fleet_e2e(&h);
+    bench_serve_in_process(&h);
     bench_trace_codec(&h);
     bench_figures(&h);
     h.finish().expect("write bench report");

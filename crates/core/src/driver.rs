@@ -727,7 +727,7 @@ impl Engine {
                 self.latency
                     .record(fin.finish_time.saturating_since(fin.release).as_secs());
             }
-            if sink.is_enabled() {
+            if sink.records_terminals() {
                 sink.record(&TraceEvent::JobFinish {
                     t: now.as_secs(),
                     job: fin.id.index() as u64,
@@ -843,7 +843,7 @@ impl Books<'_> {
     /// over at the close — as fully discarded at time `t`.
     fn discarded(&mut self, sink: &mut dyn TraceSink, t: SimTime, j: &Job) {
         self.ledger.record(0.0, self.f.value(j.demand));
-        if sink.is_enabled() {
+        if sink.records_terminals() {
             sink.record(&TraceEvent::JobFinish {
                 t: t.as_secs(),
                 job: j.id.index() as u64,
@@ -865,7 +865,7 @@ impl Books<'_> {
             self.latency
                 .record(latency_end.saturating_since(j.release).as_secs());
         }
-        if sink.is_enabled() {
+        if sink.records_terminals() {
             sink.record(&TraceEvent::JobFinish {
                 t: t.as_secs(),
                 job: j.id.index() as u64,

@@ -451,7 +451,7 @@ impl GeScheduler {
                 break;
             }
             let job = batch.pop().expect("non-empty batch");
-            if ctx.sink.is_enabled() {
+            if ctx.sink.records_terminals() {
                 ctx.sink.record(&TraceEvent::JobShed {
                     t: ctx.now.as_secs(),
                     job: job.id.index() as u64,

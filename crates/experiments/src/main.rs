@@ -662,10 +662,15 @@ fn real_main() -> Result<(), CliError> {
                 )?;
             }
             "--out" => {
-                out_dir = PathBuf::from(args.next().unwrap_or_else(|| usage()));
+                out_dir = parse_flag_value("--out", args.next(), "a directory path", any)?;
             }
             "--trace" => {
-                trace_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
+                trace_path = Some(parse_flag_value(
+                    "--trace",
+                    args.next(),
+                    "a trace file path",
+                    any,
+                )?);
             }
             "--faults" => {
                 let name = args.next().unwrap_or_default();
@@ -717,7 +722,12 @@ fn real_main() -> Result<(), CliError> {
                 )?;
             }
             "--checkpoint" => {
-                checkpoint_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
+                checkpoint_path = Some(parse_flag_value(
+                    "--checkpoint",
+                    args.next(),
+                    "a checkpoint file path",
+                    any,
+                )?);
             }
             "--stop-after" => {
                 stop_after = Some(parse_flag_value(
@@ -771,7 +781,12 @@ fn real_main() -> Result<(), CliError> {
                 serve = true;
             }
             "--serve-replay" => {
-                serve_replay = Some(args.next().unwrap_or_else(|| usage()));
+                serve_replay = Some(parse_flag_value(
+                    "--serve-replay",
+                    args.next(),
+                    "a server address HOST:PORT",
+                    any,
+                )?);
             }
             "--replay-speed" => {
                 replay_speed = parse_flag_value(
@@ -787,13 +802,28 @@ fn real_main() -> Result<(), CliError> {
                     parse_flag_value("--requests", args.next(), "a positive integer", |&n| n >= 1)?;
             }
             "--metrics-jsonl" => {
-                metrics_jsonl = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
+                metrics_jsonl = Some(parse_flag_value(
+                    "--metrics-jsonl",
+                    args.next(),
+                    "a JSONL file path",
+                    any,
+                )?);
             }
             "--profile-out" => {
-                profile_out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
+                profile_out = Some(parse_flag_value(
+                    "--profile-out",
+                    args.next(),
+                    "a folded-profile file path",
+                    any,
+                )?);
             }
             "--scrape" => {
-                scrape_addr = Some(args.next().unwrap_or_else(|| usage()));
+                scrape_addr = Some(parse_flag_value(
+                    "--scrape",
+                    args.next(),
+                    "a metrics address HOST:PORT",
+                    any,
+                )?);
             }
             "--help" | "-h" => usage(),
             name if name.starts_with("fig")

@@ -17,7 +17,14 @@
 //!   partial under a cut),
 //! * `timed-out` — its deadline expired unserved inside the engine (a
 //!   `JobFinish{discarded}` event; counted in the quality denominator),
-//! * `shed` — the engine's quality floor dropped it pre-start.
+//! * `shed` — the engine's quality floor dropped it pre-start (the engine
+//!   also books it as a discard; that booking is not a second terminal).
+//!
+//! The engine runs under the session's own books as its sink. They
+//! report the trace disabled, so the engine builds no execution slices,
+//! arrivals, triggers or cuts; they ask only for job terminals
+//! ([`TraceSink::records_terminals`]) and fold each one, by reference,
+//! into the counts, the serve-event trace and the digest's terminals.
 //!
 //! Draining closes admission, runs the engine to the horizon so every
 //! in-flight request reaches its deadline (nothing is silently lost),
@@ -29,7 +36,7 @@ use ge_core::{Algorithm, Run, SimConfig};
 use ge_recover::codec::fnv1a64;
 use ge_simcore::SimTime;
 use ge_telemetry::{Registry, Telemetry};
-use ge_trace::{NullSink, RejectReason, TraceEvent, VecSink};
+use ge_trace::{NullSink, RejectReason, TraceEvent, TraceSink};
 use ge_workload::{Job, JobId, Trace};
 use std::time::Instant;
 
@@ -292,26 +299,47 @@ impl DrainOutcome {
     }
 }
 
-/// Folds raw engine events (finishes, expiries, sheds) into request
-/// terminals, serve events and the `ge_serve_*_total` counters. Every
-/// engine event a session sees, while running and at close, goes through
-/// here.
-fn fold_engine_events(
-    engine_events: Vec<TraceEvent>,
-    counts: &mut Counts,
-    events: &mut Vec<TraceEvent>,
-    terminals: &mut Vec<(u64, Outcome, f64)>,
-) {
-    for ev in engine_events {
-        let (req, outcome, processed, counter) = match ev {
+/// A session's books: the counts, the serve-event trace and the
+/// request terminals behind the digest.
+///
+/// The books are also the engine's sink. Disabled for the trace, they
+/// record only job terminals (finishes, expiries, sheds) and fold each
+/// into request terminals, serve events and the `ge_serve_*_total`
+/// counters. Every engine terminal a session sees, while running and at
+/// close, comes through here.
+struct SessionBooks {
+    counts: Counts,
+    events: Vec<TraceEvent>,
+    terminals: Vec<(u64, Outcome, f64)>,
+    /// Jobs the quality floor shed whose discard booking — the engine's
+    /// `job_finish{discarded}` right after the shed — is still to come.
+    shed_pending: Vec<u64>,
+}
+
+impl TraceSink for SessionBooks {
+    fn is_enabled(&self) -> bool {
+        false
+    }
+
+    fn records_terminals(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, ev: &TraceEvent) {
+        let (req, outcome, processed, counter) = match *ev {
             TraceEvent::JobFinish {
                 t,
                 job,
                 discarded: true,
                 ..
             } => {
-                counts.timed_out += 1;
-                events.push(TraceEvent::ServeTimeout { t, req: job });
+                // A shed job is booked once, as shed.
+                if let Some(i) = self.shed_pending.iter().position(|&j| j == job) {
+                    self.shed_pending.swap_remove(i);
+                    return;
+                }
+                self.counts.timed_out += 1;
+                self.events.push(TraceEvent::ServeTimeout { t, req: job });
                 (job, Outcome::TimedOut, 0.0, "ge_serve_timeout_total")
             }
             TraceEvent::JobFinish {
@@ -321,8 +349,8 @@ fn fold_engine_events(
                 full_demand,
                 discarded: false,
             } => {
-                counts.completed += 1;
-                events.push(TraceEvent::ServeComplete {
+                self.counts.completed += 1;
+                self.events.push(TraceEvent::ServeComplete {
                     t,
                     req: job,
                     processed,
@@ -336,13 +364,14 @@ fn fold_engine_events(
                 )
             }
             TraceEvent::JobShed { t, job, .. } => {
-                counts.shed += 1;
-                events.push(TraceEvent::ServeShed { t, req: job });
+                self.counts.shed += 1;
+                self.shed_pending.push(job);
+                self.events.push(TraceEvent::ServeShed { t, req: job });
                 (job, Outcome::Shed, 0.0, "ge_serve_shed_total")
             }
-            _ => continue,
+            _ => return,
         };
-        terminals.push((req, outcome, processed));
+        self.terminals.push((req, outcome, processed));
         if let Some(r) = tel() {
             r.counter(counter).inc();
         }
@@ -361,9 +390,7 @@ pub struct ServeCore {
     draining: bool,
     next_req: u64,
     last_t: f64,
-    counts: Counts,
-    events: Vec<TraceEvent>,
-    terminals: Vec<(u64, Outcome, f64)>,
+    books: SessionBooks,
     latency_ns: Vec<u64>,
     latency_dropped: u64,
 }
@@ -399,9 +426,12 @@ impl ServeCore {
             draining: false,
             next_req: 0,
             last_t: 0.0,
-            counts: Counts::default(),
-            events,
-            terminals: Vec::new(),
+            books: SessionBooks {
+                counts: Counts::default(),
+                events,
+                terminals: Vec::new(),
+                shed_pending: Vec::new(),
+            },
             latency_ns: Vec::new(),
             latency_dropped: 0,
         }
@@ -413,25 +443,18 @@ impl ServeCore {
     /// logical time advances past the arrivals), so a burst at one
     /// instant trips the watermark immediately.
     fn in_flight(&self) -> u64 {
-        self.counts.admitted - self.counts.completed - self.counts.timed_out - self.counts.shed
+        let c = &self.books.counts;
+        c.admitted - c.completed - c.timed_out - c.shed
     }
 
-    /// Advances the engine to logical time `t` and folds the engine
-    /// events it produced (finishes, expiries, sheds) into serve
-    /// accounting.
+    /// Advances the engine to logical time `t`; the job terminals it
+    /// reaches (finishes, expiries, sheds) fold into the books.
     fn advance(&mut self, t: f64) {
         let until = SimTime::from_secs(t);
         if !until.after(self.run.now()) {
             return;
         }
-        let mut sink = VecSink::new();
-        self.run.advance_to(until, &mut sink);
-        fold_engine_events(
-            sink.into_events(),
-            &mut self.counts,
-            &mut self.events,
-            &mut self.terminals,
-        );
+        self.run.advance_to(until, &mut self.books);
     }
 
     fn check_time(&self, t: f64) -> Result<(), SubmitError> {
@@ -474,8 +497,8 @@ impl ServeCore {
         self.last_t = t;
         let req = self.next_req;
         self.next_req += 1;
-        self.counts.requests += 1;
-        self.events.push(TraceEvent::ServeRequest {
+        self.books.counts.requests += 1;
+        self.books.events.push(TraceEvent::ServeRequest {
             t,
             req,
             demand,
@@ -495,9 +518,9 @@ impl ServeCore {
                     demand,
                 );
                 self.run.inject_job(job, SimTime::from_secs(t));
-                self.counts.admitted += 1;
+                self.books.counts.admitted += 1;
                 let queue_len = self.in_flight() as usize;
-                self.events.push(TraceEvent::ServeAdmit {
+                self.books.events.push(TraceEvent::ServeAdmit {
                     t,
                     req,
                     queue_len: queue_len as u64,
@@ -506,9 +529,9 @@ impl ServeCore {
             }
             AdmissionDecision::Reject(reason) => {
                 let queue_len = self.in_flight() as usize;
-                self.counts.rejected += 1;
-                self.terminals.push((req, Outcome::Rejected, 0.0));
-                self.events.push(TraceEvent::ServeReject {
+                self.books.counts.rejected += 1;
+                self.books.terminals.push((req, Outcome::Rejected, 0.0));
+                self.books.events.push(TraceEvent::ServeReject {
                     t,
                     req,
                     reason,
@@ -555,14 +578,15 @@ impl ServeCore {
 
     /// A point-in-time accounting snapshot.
     pub fn stats(&self) -> ServeStats {
+        let c = &self.books.counts;
         ServeStats {
             now_s: self.run.now().as_secs(),
-            requests: self.counts.requests,
-            admitted: self.counts.admitted,
-            completed: self.counts.completed,
-            rejected: self.counts.rejected,
-            timed_out: self.counts.timed_out,
-            shed: self.counts.shed,
+            requests: c.requests,
+            admitted: c.admitted,
+            completed: c.completed,
+            rejected: c.rejected,
+            timed_out: c.timed_out,
+            shed: c.shed,
             queue_len: self.in_flight() as usize,
             quality: self.run.ledger_quality(),
             draining: self.draining,
@@ -571,7 +595,7 @@ impl ServeCore {
 
     /// The serve-event trace so far.
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        &self.books.events
     }
 
     /// The admission controller's hysteresis state.
@@ -592,7 +616,7 @@ impl ServeCore {
         }
         self.draining = true;
         let pending = self.in_flight();
-        self.events.push(TraceEvent::ServeDrain {
+        self.books.events.push(TraceEvent::ServeDrain {
             t: self.last_t.max(self.run.now().as_secs()),
             pending,
         });
@@ -605,14 +629,7 @@ impl ServeCore {
     pub fn finish_drain(mut self) -> DrainOutcome {
         self.begin_drain();
         let horizon = self.run.horizon();
-        let mut sink = VecSink::new();
-        self.run.advance_to(horizon, &mut sink);
-        fold_engine_events(
-            sink.into_events(),
-            &mut self.counts,
-            &mut self.events,
-            &mut self.terminals,
-        );
+        self.run.advance_to(horizon, &mut self.books);
         let checkpoint = self.run.snapshot();
         let resume_bit_exact = match Run::restore(
             &self.cfg.sim,
@@ -626,22 +643,19 @@ impl ServeCore {
         };
         let ServeCore {
             run,
-            mut counts,
-            mut events,
-            mut terminals,
+            mut books,
             latency_ns,
             latency_dropped,
             ..
         } = self;
-        // Close the books; leftover discards fold like any engine event.
-        let mut close_sink = VecSink::new();
-        let outcome = run.finish(&mut close_sink);
-        fold_engine_events(
-            close_sink.into_events(),
-            &mut counts,
-            &mut events,
-            &mut terminals,
-        );
+        // Close the books; leftover discards fold like any engine terminal.
+        let outcome = run.finish(&mut books);
+        let SessionBooks {
+            counts,
+            mut events,
+            mut terminals,
+            ..
+        } = books;
         events.push(TraceEvent::ServeSummary {
             t: horizon.as_secs(),
             requests: counts.requests,
@@ -825,6 +839,25 @@ mod tests {
         ));
         // Errors consume no request ids and leave accounting untouched.
         assert_eq!(core.stats().requests, 1);
+    }
+
+    #[test]
+    fn a_request_shed_by_the_quality_floor_is_booked_once_as_shed() {
+        // GE sheds below its Q_min floor and the engine then books the
+        // same job as a discard; the session must count it once, as shed.
+        let mut cfg = small_cfg();
+        cfg.sim.q_min = 0.5;
+        cfg.queue_high = 10_000;
+        cfg.queue_low = 2;
+        let mut core = ServeCore::new(cfg);
+        for i in 0..2_000u64 {
+            core.submit(1.0 + 0.002 * i as f64, 2000.0, 0.3).unwrap();
+        }
+        let out = core.finish_drain();
+        assert!(out.shed > 0, "{out:?}");
+        assert!(out.is_consistent(), "{out:?}");
+        let report = replay_serve(&out.events).unwrap();
+        assert!(report.is_ok(), "{}", report.render());
     }
 
     #[test]

@@ -18,6 +18,19 @@
 //! }
 //! hot_path(&mut NullSink);
 //! ```
+//!
+//! The one exception is a job's terminal event. The engine's four
+//! job-terminal sites guard with [`TraceSink::records_terminals`]
+//! instead: the `job_finish` of a job the server finished
+//! (`Engine::sweep_server`), of a job booked as never run — expired in
+//! the queue, shed, or left over at the close (`Books::discarded`) — and
+//! of an orphan off a failed core (`Books::orphan`), plus the
+//! `job_shed` of GE's `Q_min` floor (`GeScheduler::shed_below_floor`).
+//! The default forwards to `is_enabled`, so every ordinary sink sees
+//! those events exactly when it sees the rest. A sink that wants job
+//! fates without the rest of the trace — the serving front end's books
+//! — reports itself disabled and terminal-recording, and the engine then
+//! builds only those events.
 
 use crate::event::TraceEvent;
 
@@ -32,6 +45,13 @@ pub trait TraceSink {
     /// untraced hot path skips event construction entirely.
     fn is_enabled(&self) -> bool {
         true
+    }
+
+    /// Whether the job-terminal sites (`job_finish`, `job_shed`) should
+    /// construct and record their events. Defaults to
+    /// [`TraceSink::is_enabled`]; see the module docs for the four sites.
+    fn records_terminals(&self) -> bool {
+        self.is_enabled()
     }
 
     /// Records one event. Events arrive in non-decreasing time order.
@@ -99,6 +119,12 @@ mod tests {
         let mut s = NullSink;
         assert!(!s.is_enabled());
         s.record(&slice(1.0));
+    }
+
+    #[test]
+    fn terminal_recording_follows_is_enabled_by_default() {
+        assert!(!NullSink.records_terminals());
+        assert!(VecSink::new().records_terminals());
     }
 
     #[test]

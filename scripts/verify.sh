@@ -59,10 +59,11 @@ test -s "$smoke_dir/faults-corelossa.csv"
 echo "== CLI flag validation (typed errors, exit 1)"
 # Out-of-range or malformed flag values are one diagnostic line and exit
 # status 1, never a panic or a degenerate run.
-for bad in "--horizon nan" "--horizon -5" "--reps 0"; do
+# A path or address flag with no value is the same kind of error.
+for bad in "--horizon nan" "--horizon -5" "--reps 0" "--out"; do
   set +e
   # shellcheck disable=SC2086
-  ./target/release/ge-experiments --quick $bad fig1 >/dev/null 2>"$smoke_dir/cli.err"
+  ./target/release/ge-experiments --quick fig1 $bad >/dev/null 2>"$smoke_dir/cli.err"
   status=$?
   set -e
   if [ "$status" -ne 1 ] || ! grep -q 'invalid value for' "$smoke_dir/cli.err"; then
@@ -227,18 +228,17 @@ echo "== telemetry smoke (live scrape + folded profile artifact)"
 # self-scrapes the Prometheus text into <out>/metrics-scrape.txt and
 # writes the folded-stack span profile. The scrape must carry at least
 # one counter, one gauge, and one histogram family; the profile must
-# contain the structural engine_advance span. Both artifacts are kept
-# under results/ for inspection.
+# contain the structural engine_advance span. Both artifacts stay in the
+# scratch directory, so a verify run leaves the work tree clean.
 cargo run --release --offline -q -p ge-experiments -- \
   --quick --reps 1 --horizon 5 --out "$smoke_dir" fig1 \
-  --metrics-addr 127.0.0.1:0 --profile-out results/profile-smoke.folded \
+  --metrics-addr 127.0.0.1:0 --profile-out "$smoke_dir/profile-smoke.folded" \
   >"$smoke_dir/telemetry.log"
 grep -q '^# TYPE ge_epochs_total counter$' "$smoke_dir/metrics-scrape.txt"
 grep -q '^# TYPE ge_replan_incremental_epochs gauge$' "$smoke_dir/metrics-scrape.txt"
 grep -q '^# TYPE ge_epoch_planning_seconds histogram$' "$smoke_dir/metrics-scrape.txt"
 grep -q '_bucket{le=' "$smoke_dir/metrics-scrape.txt"
-grep -q '^engine_advance ' results/profile-smoke.folded
-cp "$smoke_dir/metrics-scrape.txt" results/metrics-scrape-smoke.txt
+grep -q '^engine_advance ' "$smoke_dir/profile-smoke.folded"
 
 echo "== bench report smoke run (sched_report --json, telemetry pair)"
 cargo bench -q --offline -p ge-bench --bench sched_report -- \
@@ -253,13 +253,15 @@ grep -q '"name": "e2e_ge/telemetry_on"' "$smoke_dir/BENCH_sched.json"
 # The committed report must also carry the interleaved pair, the
 # event-queue pair (live-work depth vs every arrival queued), the
 # engine-sweep entry (the server's share of one event), the largest
-# whole-fleet run and the trace codec pair.
+# whole-fleet run, the in-process serving session and the trace codec
+# pair.
 grep -q '"name": "e2e_ge/telemetry_off"' BENCH_sched.json
 grep -q '"name": "e2e_ge/telemetry_on"' BENCH_sched.json
 grep -q '"name": "engine/event_queue/16"' BENCH_sched.json
 grep -q '"name": "engine/event_queue/90000"' BENCH_sched.json
 grep -q '"name": "engine/server_advance_16"' BENCH_sched.json
 grep -q '"name": "fleet_e2e/16"' BENCH_sched.json
+grep -q '"name": "serve/in_process"' BENCH_sched.json
 grep -q '"name": "trace/encode_jsonl"' BENCH_sched.json
 grep -q '"name": "trace/decode_jsonl"' BENCH_sched.json
 

@@ -10,11 +10,12 @@
 //! accounting digest, and every request must land in exactly one
 //! terminal state.
 
-use ge_core::Run;
+use ge_core::{Algorithm, Run, SimConfig};
 use ge_experiments::serve::{exemplar_config, run_replay, run_soak};
-use ge_serve::{ServeConfig, ServeServer};
-use ge_trace::replay_serve;
-use ge_workload::Trace;
+use ge_serve::{ServeConfig, ServeCore, ServeServer, SubmitOutcome};
+use ge_simcore::SimTime;
+use ge_trace::{replay_serve, TraceEvent, VecSink};
+use ge_workload::{Trace, WorkloadConfig, WorkloadGenerator};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -196,4 +197,72 @@ fn drained_checkpoint_restores_bit_exactly_through_ge_core() {
         out.checkpoint,
         "re-encoded checkpoint differs from the drained one"
     );
+}
+
+/// Sorted `(job, processed bits)` pairs, one per job terminal.
+fn fates(pairs: impl Iterator<Item = (u64, f64)>) -> Vec<(u64, u64)> {
+    let mut v: Vec<(u64, u64)> = pairs.map(|(j, p)| (j, p.to_bits())).collect();
+    v.sort_unstable();
+    v
+}
+
+#[test]
+fn a_session_that_admits_everything_equals_the_traced_batch_run() {
+    // The serving core learns job fates from the engine's terminal
+    // events alone. The reference is an ordinary batch run over the same
+    // jobs, traced in full: with admission that never refuses and no
+    // quality floor, the two must agree bit for bit.
+    for (rate, n, seed) in [(150.0, 4000, 1), (200.0, 6000, 7), (60.0, 2000, 3)] {
+        let wc = WorkloadConfig {
+            horizon: SimTime::from_secs(2.0 * n as f64 / rate),
+            ..WorkloadConfig::paper_default(rate)
+        };
+        let full = WorkloadGenerator::new(wc, seed).generate();
+        let jobs = &full.jobs()[..n.min(full.len())];
+        let sim = SimConfig {
+            horizon: SimTime::from_secs(jobs[jobs.len() - 1].deadline.as_secs().ceil() + 1.0),
+            q_min: 0.0,
+            ..SimConfig::paper_default()
+        };
+        let batch_trace = Trace::new(jobs.to_vec());
+        let mut sink = VecSink::new();
+        let batch = ge_core::run_with_sink(&sim, &batch_trace, &Algorithm::Ge, None, &mut sink);
+
+        let mut cfg = ServeConfig::new(sim, Algorithm::Ge);
+        cfg.queue_high = 1 << 40;
+        let mut core = ServeCore::new(cfg);
+        for j in jobs {
+            let t = j.release.as_secs();
+            let out = core
+                .submit(t, j.demand, j.deadline.as_secs() - t)
+                .expect("in-horizon submit");
+            assert!(matches!(out, SubmitOutcome::Admitted { .. }), "{out:?}");
+        }
+        let served = core.finish_drain();
+        assert!(served.is_consistent(), "{served:?}");
+        assert_eq!((served.admitted, served.shed), (jobs.len() as u64, 0));
+
+        let case = format!("rate {rate}, n {n}, seed {seed}");
+        assert_eq!(
+            served.quality.to_bits(),
+            batch.quality.to_bits(),
+            "{case}: quality"
+        );
+        assert_eq!(
+            served.energy_j.to_bits(),
+            batch.energy_j.to_bits(),
+            "{case}: energy"
+        );
+        let batch_fates = fates(sink.events().iter().filter_map(|ev| match *ev {
+            TraceEvent::JobFinish { job, processed, .. } => Some((job, processed)),
+            _ => None,
+        }));
+        let served_fates = fates(served.events.iter().filter_map(|ev| match *ev {
+            TraceEvent::ServeComplete { req, processed, .. } => Some((req, processed)),
+            TraceEvent::ServeTimeout { req, .. } => Some((req, 0.0)),
+            _ => None,
+        }));
+        assert_eq!(batch_fates.len(), jobs.len(), "{case}");
+        assert!(batch_fates == served_fates, "{case}: per-job fates differ");
+    }
 }
