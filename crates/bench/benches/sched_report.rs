@@ -1,12 +1,14 @@
 //! The scheduler benchmark report behind `BENCH_sched.json`.
 //!
 //! One target collecting everything the incremental-replanning work is
-//! measured by: the per-epoch kernels (LF cut, YDS, inversion — with and
-//! without scratch/memo reuse), the engine's event queue at two pending
-//! depths, the server's share of one engine event, end-to-end GE runs with the dirty-bit path on and forced off, whole
-//! fleets at N ∈ {1, 4, 16} servers, one in-process serving session,
-//! the trace codec per event, and
-//! representative figure pipelines at [`Scale::bench`]. Run with
+//! measured by: the per-epoch kernels (LF cut, YDS on common and
+//! staggered releases, water-filling, Quality-OPT, inversion — with and
+//! without scratch/memo reuse), one whole GE epoch on a fixed 16-core
+//! snapshot, the engine's event queue at two pending depths, the
+//! server's share of one engine event, end-to-end GE runs with the
+//! dirty-bit path on and forced off, whole fleets at N ∈ {1, 4, 16}
+//! servers, one in-process serving session, the trace codec per event,
+//! and representative figure pipelines at [`Scale::bench`]. Run with
 //! `--json <path>` to write the `ge-bench-sched/v1` report (Cargo runs
 //! benches from the package directory, so give the repository-root path
 //! explicitly):
@@ -18,14 +20,20 @@
 use ge_bench::harness::{black_box, Harness};
 use ge_bench::{bench_config, bench_trace};
 use ge_core::ge::{GeOptions, GeScheduler};
-use ge_core::{run_scheduler_with_sink, run_with_sink, Algorithm, SimConfig};
+use ge_core::{
+    run_scheduler_with_sink, run_with_sink, Algorithm, ScheduleCtx, Scheduler, SimConfig,
+};
 use ge_experiments::{figures, Scale};
 use ge_faults::{FaultScenario, FleetScenario, FleetScenarioKind, ScenarioKind};
 use ge_fleet::{run_fleet, FleetConfig, Partitioner, RoutingPolicy};
 use ge_power::{
-    yds_schedule, yds_schedule_with, PolynomialPower, SpeedProfile, YdsJob, YdsScratch,
+    distribute_water_filling_into, yds_schedule, yds_schedule_into, yds_schedule_with,
+    PolynomialPower, SpeedProfile, YdsJob, YdsScratch,
 };
-use ge_quality::{lf_cut, lf_cut_with, CutOutcome, CutScratch, ExpConcave, QualityFunction};
+use ge_quality::{
+    lf_cut, lf_cut_with, prefix_level_fill_into, CutOutcome, CutScratch, ExpConcave,
+    LevelFillScratch, QualityFunction, QualityLedger,
+};
 use ge_serve::{ServeConfig, ServeCore};
 use ge_server::Server;
 use ge_simcore::{EventQueue, RngStream, SimDuration, SimTime};
@@ -53,7 +61,9 @@ fn bench_lf_cut(h: &Harness) {
     }
 }
 
-/// YDS: fresh allocations per call vs scratch reuse.
+/// YDS: fresh allocations per call vs scratch reuse, on one common
+/// release (the GE replanner's case, which takes the one-sweep peel);
+/// then staggered releases, which keep the general peel benched.
 fn bench_yds(h: &Harness) {
     for n in [4usize, 8, 16] {
         let d = demands(n, 2);
@@ -70,6 +80,107 @@ fn bench_yds(h: &Harness) {
             yds_schedule_with(black_box(&jobs), &mut scratch)
         });
     }
+    for n in [4usize, 16] {
+        let d = demands(n, 2);
+        let jobs: Vec<YdsJob> = d
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let release = 0.01 * i as f64;
+                YdsJob::new(i, release, release + 0.15, w / 1000.0)
+            })
+            .collect();
+        let mut scratch = YdsScratch::new();
+        let mut plan = SpeedProfile::empty();
+        h.bench(&format!("yds_schedule_scratch/staggered_{n}"), || {
+            yds_schedule_into(black_box(&jobs), &mut scratch, &mut plan)
+        });
+    }
+}
+
+/// Water-filling 320 W over 16 per-core demands that overrun it, into
+/// reused buffers: the split a loaded GE epoch makes.
+fn bench_water_fill(h: &Harness) {
+    let demands: Vec<f64> = demands(16, 3).iter().map(|d| d / 5.0).collect();
+    assert!(demands.iter().sum::<f64>() > 320.0, "the budget must bind");
+    let (mut sorted, mut caps) = (Vec::new(), Vec::new());
+    h.bench("power/water_fill_16", || {
+        distribute_water_filling_into(black_box(&demands), 320.0, &mut sorted, &mut caps);
+        caps[0]
+    });
+}
+
+/// Quality-OPT: the second cut's prefix-constrained level fill, with
+/// cumulative budgets at 60% of the cumulative demand, so prefixes bind.
+fn bench_prefix_level_fill(h: &Harness) {
+    for n in [4usize, 16] {
+        let d = demands(n, 4);
+        let budgets: Vec<f64> = d
+            .iter()
+            .scan(0.0, |acc, &x| {
+                *acc += 0.6 * x;
+                Some(*acc)
+            })
+            .collect();
+        let mut scratch = LevelFillScratch::new();
+        let mut out = Vec::new();
+        h.bench(&format!("quality/prefix_level_fill_{n}"), || {
+            prefix_level_fill_into(black_box(&d), &budgets, &mut scratch, &mut out);
+            out[0]
+        });
+    }
+}
+
+/// One GE epoch on a fixed snapshot of the paper platform: 40 jobs
+/// (deadlines 60–150 ms out, bounded-Pareto demands) spread over 16
+/// cores by a first epoch, then `on_schedule` with every core replanned
+/// (LF cut, Energy-OPT, the equal-share split, finalize and install).
+/// The snapshot does not move: the clock stands still and the queue is
+/// empty, so every iteration does the same work.
+fn bench_ge_epoch(h: &Harness) {
+    let cfg = bench_config(10.0);
+    let mut server = Server::new(
+        cfg.cores,
+        Box::new(PolynomialPower::new(cfg.power_a, cfg.power_beta)),
+        cfg.budget_w,
+        cfg.units_per_ghz_sec,
+    );
+    let mut queue: Vec<Job> = demands(40, 5)
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| {
+            let deadline = SimTime::from_secs(0.06 + 0.09 * (i % 7) as f64 / 6.0);
+            Job::new(JobId(i as u64), SimTime::ZERO, deadline, d)
+        })
+        .collect();
+    let ledger = QualityLedger::cumulative();
+    let f = ExpConcave::new(cfg.quality_c, cfg.quality_xmax);
+    let mut sched = GeScheduler::new(
+        &cfg,
+        GeOptions {
+            force_full_replan: true,
+            ..GeOptions::paper()
+        },
+    );
+    let (mut orphans, mut shed) = (Vec::new(), Vec::new());
+    let mut epoch = |queue: &mut Vec<Job>| {
+        let mut ctx = ScheduleCtx {
+            now: SimTime::ZERO,
+            server: &mut server,
+            queue,
+            ledger: &ledger,
+            quality_fn: &f,
+            load_estimate_rps: 150.0,
+            budget_factor: 1.0,
+            orphans: &mut orphans,
+            shed: &mut shed,
+            sink: &mut NullSink,
+        };
+        sched.on_schedule(&mut ctx);
+    };
+    epoch(&mut queue);
+    assert!(queue.is_empty(), "the first epoch assigns every job");
+    h.bench("ge/epoch_16", || epoch(black_box(&mut queue)));
 }
 
 /// Quality inversion: direct binary search vs the LF-cut memo.
@@ -312,7 +423,10 @@ fn main() {
     let h = Harness::from_args();
     bench_lf_cut(&h);
     bench_yds(&h);
+    bench_water_fill(&h);
+    bench_prefix_level_fill(&h);
     bench_inverse(&h);
+    bench_ge_epoch(&h);
     bench_event_queue(&h);
     bench_server_advance(&h);
     bench_e2e(&h);

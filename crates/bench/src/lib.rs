@@ -20,11 +20,15 @@ pub mod harness {
     //! A minimal `std`-only benchmarking harness.
     //!
     //! Calibrates an iteration count per benchmark so each sample batch
-    //! runs for a few milliseconds, then reports the minimum and mean
-    //! time per iteration over several batches. Min-of-batches is robust
-    //! to scheduler noise, which is all we need for coarse regression
-    //! tracking; fancier statistics are deliberately out of
-    //! scope (no external deps).
+    //! runs for at least 20 ms and at least [`MIN_ITERS`] iterations,
+    //! then reports the minimum and mean time per iteration over
+    //! [`BATCHES`] batches. Min-of-batches is robust to scheduler noise,
+    //! which is all we need for coarse regression tracking, provided
+    //! there are enough batches of enough iterations for the minimum to
+    //! find a quiet stretch: with 5 batches of 20 ms, a 15 ms whole-fleet
+    //! run was timed from 2 iterations per batch and moved by 10–20%
+    //! between runs of unchanged code. Fancier statistics are
+    //! deliberately out of scope (no external deps).
 
     use std::cell::RefCell;
     pub use std::hint::black_box;
@@ -33,8 +37,31 @@ pub mod harness {
 
     /// Target wall-clock duration of one calibrated sample batch.
     const BATCH_NANOS: u128 = 20_000_000; // 20 ms
+    /// Fewest iterations in one sample batch, however slow the body.
+    pub const MIN_ITERS: u64 = 10;
     /// Number of sample batches per benchmark.
-    const BATCHES: usize = 5;
+    pub const BATCHES: usize = 15;
+
+    /// Warms `f` up and calibrates the iteration count: grows it until
+    /// one batch takes at least [`BATCH_NANOS`], then raises it to at
+    /// least [`MIN_ITERS`].
+    pub(crate) fn calibrate<T>(f: &mut impl FnMut() -> T) -> u64 {
+        let mut iters: u64 = 1;
+        loop {
+            let t = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            let elapsed = t.elapsed().as_nanos();
+            if elapsed >= BATCH_NANOS || iters >= 1 << 30 {
+                break;
+            }
+            // Aim straight for the target with 2x headroom.
+            let scale = (BATCH_NANOS / elapsed.max(1)).max(1) as u64;
+            iters = iters.saturating_mul(scale.saturating_mul(2)).min(1 << 30);
+        }
+        iters.max(MIN_ITERS)
+    }
 
     /// One finished benchmark measurement.
     #[derive(Debug, Clone)]
@@ -191,22 +218,7 @@ pub mod harness {
                     return;
                 }
             }
-            // Warm up + calibrate: grow the iteration count until one
-            // batch takes at least BATCH_NANOS.
-            let mut iters: u64 = 1;
-            loop {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    black_box(f());
-                }
-                let elapsed = t.elapsed().as_nanos();
-                if elapsed >= BATCH_NANOS || iters >= 1 << 30 {
-                    break;
-                }
-                // Aim straight for the target with 2x headroom.
-                let scale = (BATCH_NANOS / elapsed.max(1)).max(1) as u64;
-                iters = iters.saturating_mul(scale.saturating_mul(2)).min(1 << 30);
-            }
+            let iters = calibrate(&mut f);
             let mut min_ns = f64::INFINITY;
             let mut sum_ns = 0.0;
             for _ in 0..BATCHES {
@@ -256,19 +268,7 @@ pub mod harness {
             }
             // Calibrate on variant A; both variants share the count so
             // per-iteration figures are directly comparable.
-            let mut iters: u64 = 1;
-            loop {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    black_box(fa());
-                }
-                let elapsed = t.elapsed().as_nanos();
-                if elapsed >= BATCH_NANOS || iters >= 1 << 30 {
-                    break;
-                }
-                let scale = (BATCH_NANOS / elapsed.max(1)).max(1) as u64;
-                iters = iters.saturating_mul(scale.saturating_mul(2)).min(1 << 30);
-            }
+            let iters = calibrate(&mut fa);
             // Warm B once so its first interleaved batch is not cold.
             black_box(fb());
             let mut stats = [(f64::INFINITY, 0.0), (f64::INFINITY, 0.0)];
@@ -335,6 +335,17 @@ mod tests {
         assert_eq!(a.len(), b.len());
         assert!(!a.is_empty());
         bench_config(5.0).validate();
+    }
+
+    #[test]
+    fn a_body_slower_than_a_batch_still_gets_the_minimum_iterations() {
+        let mut calls = 0u64;
+        let iters = harness::calibrate(&mut || {
+            calls += 1;
+            std::thread::sleep(std::time::Duration::from_millis(21));
+        });
+        assert_eq!(calls, 1, "one warm-up run already fills a batch");
+        assert_eq!(iters, harness::MIN_ITERS);
     }
 
     #[test]

@@ -28,12 +28,13 @@
 //! disables compensation; `BE-P`/`BE-S` are BE under a reduced budget /
 //! per-core speed cap.
 
-use ge_power::yds_schedule_with;
 use ge_power::{
-    distribute_equal_sharing, distribute_water_filling, PolynomialPower, PowerModel, SpeedProfile,
-    SpeedSegment, YdsJob, YdsScratch,
+    distribute_equal_sharing_into, distribute_water_filling_into, yds_schedule_into,
+    PolynomialPower, PowerModel, SpeedProfile, SpeedSegment, YdsJob, YdsScratch,
 };
-use ge_quality::{lf_cut_with, prefix_level_fill, CutOutcome, CutScratch, QualityFunction};
+use ge_quality::{
+    lf_cut_with, prefix_level_fill_into, CutOutcome, CutScratch, LevelFillScratch, QualityFunction,
+};
 use ge_server::{CoreJob, CrrAssigner};
 use ge_simcore::SimTime;
 use ge_telemetry::{Gauge, SpanGuard, Telemetry};
@@ -161,12 +162,15 @@ impl ReplanCache {
     }
 }
 
-/// Scheduler-owned scratch buffers: every per-epoch temporary the old
-/// code allocated (`Vec<bool>` online masks, `Vec<YdsJob>` batches, sort
-/// orders, believed-demand snapshots) now lives here and is reused, so a
-/// steady-state epoch performs no buffer allocations. Buffers are
-/// `mem::take`n inside `on_schedule` to sidestep borrow conflicts and
-/// put back before returning.
+/// Scheduler-owned scratch buffers: every per-epoch temporary (online
+/// masks, `YdsJob` batches, sort orders, believed-demand snapshots, the
+/// power split, second-cut allocations, the plan being installed) lives
+/// here and is reused. YDS writes the uncapped plans into the
+/// [`ReplanCache`] and a core copies an installed plan into its own
+/// buffer, so once the buffers have grown a steady-state epoch allocates
+/// nothing (pinned by `crates/core/tests/epoch_allocations.rs`). Buffers
+/// are `mem::take`n inside `on_schedule` to sidestep borrow conflicts
+/// and put back before returning.
 #[derive(Debug, Default)]
 struct EpochScratch {
     online: Vec<bool>,
@@ -175,11 +179,22 @@ struct EpochScratch {
     demands: Vec<f64>,
     online_idx: Vec<usize>,
     caps: Vec<f64>,
+    /// The power split over the online cores, and the speed cap each
+    /// grants (one `speed_for_power` per distinct cap).
+    caps_online: Vec<f64>,
+    speed_caps: Vec<f64>,
+    wf_sorted: Vec<f64>,
     believed: Vec<f64>,
     yds_jobs: Vec<YdsJob>,
     order: Vec<usize>,
     fin_demands: Vec<f64>,
     fin_budgets: Vec<f64>,
+    fin_alloc: Vec<f64>,
+    level_fill: LevelFillScratch,
+    /// The second cut's Energy-OPT plan, before the clamp.
+    second_plan: SpeedProfile,
+    /// The clamped plan `finalize_core` installs.
+    plan: SpeedProfile,
     chosen: Vec<f64>,
     yds: YdsScratch,
     cut: CutScratch,
@@ -541,23 +556,53 @@ impl GeScheduler {
                     )
                 }),
         );
-        let plan = yds_schedule_with(&yds_jobs, &mut self.scratch.yds);
+        let peak = yds_schedule_into(
+            &yds_jobs,
+            &mut self.scratch.yds,
+            &mut self.cache.uncapped[core_idx],
+        );
         self.scratch.yds_jobs = yds_jobs;
-        self.cache.demand_w[core_idx] = self.model.power(plan.peak_speed);
-        self.cache.peak_speed[core_idx] = plan.peak_speed;
-        self.cache.uncapped[core_idx] = plan.profile;
+        self.cache.demand_w[core_idx] = self.model.power(peak);
+        self.cache.peak_speed[core_idx] = peak;
     }
 
-    /// Applies the granted power cap to a core: second (Quality-OPT) cut
-    /// if needed, re-plan, and install. When no cut binds, the uncapped
-    /// Energy-OPT plan cached by [`Self::plan_core_uncapped`] this epoch
-    /// is installed directly instead of being recomputed.
-    fn finalize_core(&mut self, ctx: &mut ScheduleCtx<'_>, core_idx: usize, cap_w: f64) {
-        let now = ctx.now;
-        let mut s_cap = self.model.speed_for_power(cap_w);
-        if let Some(cap) = self.opts.speed_cap_ghz {
-            s_cap = s_cap.min(cap);
+    /// Writes into `speed_caps` the speed cap each power cap in `caps`
+    /// grants: `speed_for_power`, under any BE-S speed cap. A cap equal to
+    /// an earlier one reuses its speed, so an equal-share epoch inverts
+    /// the power model once.
+    fn speed_caps_into(&self, caps: &[f64], speed_caps: &mut Vec<f64>) {
+        speed_caps.clear();
+        for (k, &cap_w) in caps.iter().enumerate() {
+            let s_cap = match caps[..k]
+                .iter()
+                .position(|c| c.to_bits() == cap_w.to_bits())
+            {
+                Some(j) => speed_caps[j],
+                None => {
+                    let s = self.model.speed_for_power(cap_w);
+                    match self.opts.speed_cap_ghz {
+                        Some(cap) => s.min(cap),
+                        None => s,
+                    }
+                }
+            };
+            speed_caps.push(s_cap);
         }
+    }
+
+    /// Applies the granted power cap `cap_w` (speed cap `s_cap`) to a
+    /// core: second (Quality-OPT) cut if needed, re-plan, and install.
+    /// When no cut binds, the uncapped Energy-OPT plan cached by
+    /// [`Self::plan_core_uncapped`] this epoch is installed directly
+    /// instead of being recomputed.
+    fn finalize_core(
+        &mut self,
+        ctx: &mut ScheduleCtx<'_>,
+        core_idx: usize,
+        cap_w: f64,
+        s_cap: f64,
+    ) {
+        let now = ctx.now;
         if ctx.sink.is_enabled() {
             ctx.sink.record(&TraceEvent::CoreCap {
                 t: now.as_secs(),
@@ -584,8 +629,7 @@ impl GeScheduler {
         }
         if order.is_empty() {
             ctx.server
-                .core_mut(core_idx)
-                .install_plan(SpeedProfile::empty(), cap_w);
+                .install_plan(core_idx, &SpeedProfile::empty(), cap_w);
             self.cache.was_capped[core_idx] = false;
             self.scratch.order = order;
             return;
@@ -606,7 +650,7 @@ impl GeScheduler {
         };
         self.cache.was_capped[core_idx] = needs_cut;
 
-        let segments: Vec<SpeedSegment> = if needs_cut {
+        let planned = if needs_cut {
             // Quality-OPT second cut: prefix-constrained level fill on the
             // volume achievable by each deadline at the capped speed.
             let mut demands = std::mem::take(&mut self.scratch.fin_demands);
@@ -621,7 +665,8 @@ impl GeScheduler {
                     s_cap * j.deadline.saturating_since(now).as_secs() * self.units_per_ghz_sec
                 }));
             }
-            let alloc = prefix_level_fill(&demands, &budgets);
+            let mut alloc = std::mem::take(&mut self.scratch.fin_alloc);
+            prefix_level_fill_into(&demands, &budgets, &mut self.scratch.level_fill, &mut alloc);
             let core = ctx.server.core_mut(core_idx);
             for (&i, &a) in order.iter().zip(&alloc) {
                 let j = &mut core.jobs_mut()[i];
@@ -637,6 +682,7 @@ impl GeScheduler {
             }
             self.scratch.fin_demands = demands;
             self.scratch.fin_budgets = budgets;
+            self.scratch.fin_alloc = alloc;
 
             // Final Energy-OPT plan over the twice-cut targets.
             let mut yds_jobs = std::mem::take(&mut self.scratch.yds_jobs);
@@ -659,28 +705,25 @@ impl GeScheduler {
                         }),
                 );
             }
-            let plan = yds_schedule_with(&yds_jobs, &mut self.scratch.yds);
+            yds_schedule_into(
+                &yds_jobs,
+                &mut self.scratch.yds,
+                &mut self.scratch.second_plan,
+            );
             self.scratch.yds_jobs = yds_jobs;
-
-            // Clamp at the cap (numerical safety; the cut guarantees
-            // feasibility up to rounding).
-            plan.profile
-                .segments()
-                .iter()
-                .map(|s| SpeedSegment::new(s.start, s.end, s.speed_ghz.min(s_cap)))
-                .collect()
+            &self.scratch.second_plan
         } else {
             // No cut binds: the uncapped plan computed this epoch is the
-            // final plan (the clamp is an identity when s_cap ≥ peak, but
-            // kept for numerical safety near the boundary).
-            self.cache.uncapped[core_idx]
-                .segments()
-                .iter()
-                .map(|s| SpeedSegment::new(s.start, s.end, s.speed_ghz.min(s_cap)))
-                .collect()
+            // final plan.
+            &self.cache.uncapped[core_idx]
         };
+        // Clamp at the cap: numerical safety after a second cut, which
+        // guarantees feasibility up to rounding, and an identity when
+        // s_cap ≥ peak, kept for safety near the boundary.
+        let plan = &mut self.scratch.plan;
+        plan.assign_mapped(planned, |speed| speed.min(s_cap));
         if ctx.sink.is_enabled() {
-            for s in &segments {
+            for s in plan.segments() {
                 ctx.sink.record(&TraceEvent::SpeedSegment {
                     t: now.as_secs(),
                     core: core_idx as u64,
@@ -690,9 +733,7 @@ impl GeScheduler {
                 });
             }
         }
-        ctx.server
-            .core_mut(core_idx)
-            .install_plan(SpeedProfile::new(segments), cap_w);
+        ctx.server.install_plan(core_idx, plan, cap_w);
         self.scratch.order = order;
     }
 
@@ -723,8 +764,9 @@ impl GeScheduler {
         self.scratch.chosen = chosen;
         for (k, &i) in online_idx.iter().enumerate() {
             let speed = rectified[k];
-            let core = ctx.server.core_mut(i);
-            let last_deadline = core
+            let last_deadline = ctx
+                .server
+                .core(i)
                 .jobs()
                 .iter()
                 .filter(|j| j.remaining() > 1e-9)
@@ -744,7 +786,7 @@ impl GeScheduler {
             } else {
                 SpeedProfile::empty()
             };
-            core.install_plan(profile, caps[i]);
+            ctx.server.install_plan(i, &profile, caps[i]);
         }
     }
 }
@@ -767,8 +809,8 @@ impl Scheduler for GeScheduler {
     // not reset: a reset would force a full replan on the first resumed
     // epoch, and the full and incremental paths agree only up to float
     // round-off — a reset run would drift from the uninterrupted one at
-    // the bit level. `EpochScratch` (including the YDS `InverseMemo`) is
-    // deliberately dropped: scratch is rebuilt from scratch each epoch,
+    // the bit level. `EpochScratch` (including the LF cut's `InverseMemo`)
+    // is deliberately dropped: scratch is rebuilt from scratch each epoch,
     // and the memo is a pure bit-pattern-keyed cache of a deterministic
     // function, so losing it changes nothing but speed.
     fn encode_state(&self, enc: &mut ge_recover::Encoder) {
@@ -1055,11 +1097,19 @@ impl Scheduler for GeScheduler {
                 budget_w: h_eff,
             });
         }
-        let caps_online = if use_wf {
-            distribute_water_filling(&demands, h_eff)
+        let mut caps_online = std::mem::take(&mut self.scratch.caps_online);
+        if use_wf {
+            distribute_water_filling_into(
+                &demands,
+                h_eff,
+                &mut self.scratch.wf_sorted,
+                &mut caps_online,
+            );
         } else {
-            distribute_equal_sharing(m_online, h_eff)
-        };
+            distribute_equal_sharing_into(m_online, h_eff, &mut caps_online);
+        }
+        let mut speed_caps = std::mem::take(&mut self.scratch.speed_caps);
+        self.speed_caps_into(&caps_online, &mut speed_caps);
 
         // 5–6. Cap-aware finalization per online core. A clean core whose
         // granted cap still covers its kept plan's peak is skipped
@@ -1070,11 +1120,8 @@ impl Scheduler for GeScheduler {
         let mut skipped_this_epoch = 0u64;
         for (k, &i) in online_idx.iter().enumerate() {
             caps[i] = caps_online[k];
+            let s_cap = speed_caps[k];
             if !self.cache.dirty[i] {
-                let mut s_cap = self.model.speed_for_power(caps_online[k]);
-                if let Some(cap) = self.opts.speed_cap_ghz {
-                    s_cap = s_cap.min(cap);
-                }
                 if s_cap + 1e-9 >= self.cache.peak_speed[i] {
                     skipped_this_epoch += 1;
                     continue;
@@ -1085,7 +1132,7 @@ impl Scheduler for GeScheduler {
                 self.stats.dirty_cap_shrunk += 1;
                 self.plan_core_uncapped(ctx, i, cut_target);
             }
-            self.finalize_core(ctx, i, caps_online[k]);
+            self.finalize_core(ctx, i, caps_online[k], s_cap);
         }
         if skipped_this_epoch > 0 {
             self.stats.incremental_epochs += 1;
@@ -1123,6 +1170,8 @@ impl Scheduler for GeScheduler {
         self.scratch.demands = demands;
         self.scratch.online_idx = online_idx;
         self.scratch.caps = caps;
+        self.scratch.caps_online = caps_online;
+        self.scratch.speed_caps = speed_caps;
     }
 }
 

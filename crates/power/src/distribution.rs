@@ -44,11 +44,19 @@ impl PowerDistribution {
 /// assert_eq!(distribute_equal_sharing(4, 320.0), vec![80.0; 4]);
 /// ```
 pub fn distribute_equal_sharing(cores: usize, budget_w: f64) -> Vec<f64> {
+    let mut caps = Vec::new();
+    distribute_equal_sharing_into(cores, budget_w, &mut caps);
+    caps
+}
+
+/// [`distribute_equal_sharing`] into a reused buffer (overwritten).
+pub fn distribute_equal_sharing_into(cores: usize, budget_w: f64, caps: &mut Vec<f64>) {
     debug_assert!(budget_w >= 0.0);
+    caps.clear();
     if cores == 0 {
-        return Vec::new();
+        return;
     }
-    vec![budget_w.max(0.0) / cores as f64; cores]
+    caps.resize(cores, budget_w.max(0.0) / cores as f64);
 }
 
 /// Water-Filling: cap core `i` at `min(demand_i, w)` with the water level
@@ -66,9 +74,23 @@ pub fn distribute_equal_sharing(cores: usize, budget_w: f64) -> Vec<f64> {
 /// assert!((caps[2] - 45.0).abs() < 1e-9);
 /// ```
 pub fn distribute_water_filling(demands_w: &[f64], budget_w: f64) -> Vec<f64> {
+    let mut caps = Vec::new();
+    distribute_water_filling_into(demands_w, budget_w, &mut Vec::new(), &mut caps);
+    caps
+}
+
+/// [`distribute_water_filling`] into reused buffers: `caps` is
+/// overwritten with the caps and `sorted` is sort scratch.
+pub fn distribute_water_filling_into(
+    demands_w: &[f64],
+    budget_w: f64,
+    sorted: &mut Vec<f64>,
+    caps: &mut Vec<f64>,
+) {
+    caps.clear();
     let n = demands_w.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
     debug_assert!(demands_w.iter().all(|&d| d.is_finite() && d >= 0.0));
     let budget = budget_w.max(0.0);
@@ -77,11 +99,13 @@ pub fn distribute_water_filling(demands_w: &[f64], budget_w: f64) -> Vec<f64> {
     if total <= budget {
         // Demands all met; spread surplus headroom evenly.
         let surplus = (budget - total) / n as f64;
-        return demands_w.iter().map(|&d| d + surplus).collect();
+        caps.extend(demands_w.iter().map(|&d| d + surplus));
+        return;
     }
 
     // Find the water level by filling the sorted demands.
-    let mut sorted: Vec<f64> = demands_w.to_vec();
+    sorted.clear();
+    sorted.extend_from_slice(demands_w);
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("demands are finite"));
     let mut used = 0.0;
     let mut level = 0.0;
@@ -94,7 +118,7 @@ pub fn distribute_water_filling(demands_w: &[f64], budget_w: f64) -> Vec<f64> {
         used += d;
         level = d;
     }
-    demands_w.iter().map(|&d| d.min(level)).collect()
+    caps.extend(demands_w.iter().map(|&d| d.min(level)));
 }
 
 #[cfg(test)]

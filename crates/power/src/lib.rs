@@ -33,9 +33,14 @@ pub mod static_power;
 pub mod yds;
 
 pub use discrete::DiscreteSpeedSet;
-pub use distribution::{distribute_equal_sharing, distribute_water_filling, PowerDistribution};
+pub use distribution::{
+    distribute_equal_sharing, distribute_equal_sharing_into, distribute_water_filling,
+    distribute_water_filling_into, PowerDistribution,
+};
 pub use energy::EnergyMeter;
 pub use model::{PolynomialPower, PowerModel};
 pub use profile::{SpeedProfile, SpeedSegment};
 pub use static_power::StaticDynamicPower;
-pub use yds::{yds_schedule, yds_schedule_with, YdsJob, YdsSchedule, YdsScratch};
+pub use yds::{
+    yds_schedule, yds_schedule_into, yds_schedule_with, YdsJob, YdsSchedule, YdsScratch,
+};

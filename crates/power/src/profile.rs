@@ -43,6 +43,18 @@ impl SpeedSegment {
     }
 }
 
+/// Panics unless `segments` are ordered and overlap by at most [`TIME_EPS`].
+pub(crate) fn check_order(segments: &[SpeedSegment]) {
+    for w in segments.windows(2) {
+        assert!(
+            w[1].start.as_secs() >= w[0].end.as_secs() - TIME_EPS,
+            "segments overlap: {:?} then {:?}",
+            w[0],
+            w[1]
+        );
+    }
+}
+
 /// A piecewise-constant, time-sorted speed plan for one core.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpeedProfile {
@@ -60,15 +72,29 @@ impl SpeedProfile {
     /// # Panics
     /// Panics if segments are unordered or overlap beyond [`TIME_EPS`].
     pub fn new(segments: Vec<SpeedSegment>) -> Self {
-        for w in segments.windows(2) {
-            assert!(
-                w[1].start.as_secs() >= w[0].end.as_secs() - TIME_EPS,
-                "segments overlap: {:?} then {:?}",
-                w[0],
-                w[1]
-            );
-        }
+        check_order(&segments);
         SpeedProfile { segments }
+    }
+
+    /// Overwrites this profile with `src`'s segments, each speed passed
+    /// through `speed`, in this profile's own buffer: once the buffer has
+    /// grown to the longest plan, an overwrite allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if a mapped speed is negative or non-finite.
+    pub fn assign_mapped(&mut self, src: &SpeedProfile, speed: impl Fn(f64) -> f64) {
+        self.segments.clear();
+        self.segments.extend(
+            src.segments
+                .iter()
+                .map(|s| SpeedSegment::new(s.start, s.end, speed(s.speed_ghz))),
+        );
+    }
+
+    /// The segment buffer, for kernels in this crate that write a plan
+    /// in place; they must leave it ordered (see [`SpeedProfile::new`]).
+    pub(crate) fn segments_mut(&mut self) -> &mut Vec<SpeedSegment> {
+        &mut self.segments
     }
 
     /// A single-segment profile: constant `speed_ghz` over `[start, end)`.

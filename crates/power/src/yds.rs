@@ -21,7 +21,7 @@
 //! platform's units-per-GHz-second), so intensity is directly a speed.
 
 use crate::model::PowerModel;
-use crate::profile::{SpeedProfile, SpeedSegment};
+use crate::profile::{check_order, SpeedProfile, SpeedSegment};
 use ge_simcore::SimTime;
 
 /// One job as seen by the speed scheduler.
@@ -97,7 +97,6 @@ struct Block {
 /// back in; the buffers grow to the high-water mark and stay there.
 #[derive(Debug, Default)]
 pub struct YdsScratch {
-    remaining: Vec<YdsJob>,
     by_deadline: Vec<YdsJob>,
     releases: Vec<f64>,
     sorted_blocks: Vec<(f64, f64)>,
@@ -167,13 +166,59 @@ pub fn yds_schedule(jobs: &[YdsJob]) -> YdsSchedule {
 /// [`yds_schedule`] with caller-provided working memory.
 ///
 /// Behaviourally identical to [`yds_schedule`]; the only difference is
-/// that every temporary lives in `scratch`, so repeated calls (one per
-/// dirty core per epoch) allocate nothing once the buffers have grown to
-/// the working-set size.
+/// that every temporary lives in `scratch`. The returned profile is a
+/// fresh allocation; [`yds_schedule_into`] writes it into a reused one.
 pub fn yds_schedule_with(jobs: &[YdsJob], scratch: &mut YdsScratch) -> YdsSchedule {
+    let mut profile = SpeedProfile::empty();
+    let peak_speed = yds_schedule_into(jobs, scratch, &mut profile);
+    YdsSchedule {
+        profile,
+        peak_speed,
+    }
+}
+
+/// [`yds_schedule_with`] that overwrites `profile` with the plan and
+/// returns the peak speed, so repeated calls (one per dirty core per
+/// epoch) allocate nothing once the buffers have grown to the
+/// working-set size.
+///
+/// **Common release.** When every job shares one release `r` (the GE
+/// replanner plans from `now`), every critical interval starts at `r`
+/// and covers a prefix of the jobs in deadline order, so the peels tile
+/// `[r, end)` with one block each. A peel then needs no release sort,
+/// block-prefix table, binary search or free-part split: the time blocked
+/// before any live deadline is the running total of the block lengths,
+/// summed in the order the prefix table would sum them, and the peeled
+/// jobs are a prefix of the deadline order. Every float operation the
+/// general peel performs on such an input is performed here on the same
+/// operands in the same order, so the plan is the same bit for bit.
+pub fn yds_schedule_into(
+    jobs: &[YdsJob],
+    scratch: &mut YdsScratch,
+    profile: &mut SpeedProfile,
+) -> f64 {
     let _span = ge_telemetry::SpanGuard::enter_within("yds_schedule");
+    peel_into(jobs, scratch, profile, true)
+}
+
+/// The one release every job in `jobs` shares, bit for bit, if any.
+fn common_release(jobs: &[YdsJob]) -> Option<f64> {
+    let r = jobs.first()?.release;
+    jobs.iter()
+        .all(|j| j.release.to_bits() == r.to_bits())
+        .then_some(r)
+}
+
+/// The YDS peel behind [`yds_schedule_into`]. With `sweep_common` false
+/// a common-release batch takes the general peel too, which is the
+/// reference the common-release sweep is tested against.
+fn peel_into(
+    jobs: &[YdsJob],
+    scratch: &mut YdsScratch,
+    profile: &mut SpeedProfile,
+    sweep_common: bool,
+) -> f64 {
     let YdsScratch {
-        remaining,
         by_deadline,
         releases,
         sorted_blocks,
@@ -182,35 +227,57 @@ pub fn yds_schedule_with(jobs: &[YdsJob], scratch: &mut YdsScratch) -> YdsSchedu
         covered,
         parts,
     } = scratch;
-    remaining.clear();
-    remaining.extend(jobs.iter().filter(|j| j.work > 0.0).copied());
     blocks.clear();
     let mut peak = 0.0f64;
 
     // Jobs sorted by deadline once; the per-peel sweep below walks this
     // order and filters by release, so each (t1, ·) sweep is one pass.
     by_deadline.clear();
-    by_deadline.extend_from_slice(remaining);
+    by_deadline.extend(jobs.iter().filter(|j| j.work > 0.0).copied());
     by_deadline.sort_by(|a, b| a.deadline.total_cmp(&b.deadline));
 
-    while !remaining.is_empty() {
+    let common = if sweep_common {
+        common_release(by_deadline)
+    } else {
+        None
+    };
+    // Common-release state: `by_deadline[..done]` is peeled, and the
+    // blocks tile `[r, end)` with total length `blocked`. The general
+    // path drops peeled jobs from `by_deadline` instead (`done` stays 0).
+    let mut done = 0;
+    let mut end = common.unwrap_or(0.0);
+    let mut blocked = 0.0f64;
+
+    while done < by_deadline.len() {
         // Candidate critical intervals: [release_i, deadline_j] pairs.
         releases.clear();
-        releases.extend(remaining.iter().map(|j| j.release));
-        releases.sort_by(|a, b| a.total_cmp(b));
-        releases.dedup();
+        if let Some(r) = common {
+            releases.push(r);
+        } else {
+            releases.extend(by_deadline.iter().map(|j| j.release));
+            releases.sort_by(|a, b| a.total_cmp(b));
+            releases.dedup();
 
-        // Prefix view of blocked time for O(log B) avail queries:
-        // `blocked_before(x)` = total blocked length left of `x`.
-        sorted_blocks.clear();
-        sorted_blocks.extend(blocks.iter().map(|b| (b.start, b.end)));
-        sorted_blocks.sort_by(|a, b| a.0.total_cmp(&b.0));
-        prefix.clear();
-        prefix.push(0.0f64);
-        for &(s, e) in sorted_blocks.iter() {
-            prefix.push(prefix.last().expect("non-empty") + (e - s));
+            // Prefix view of blocked time for O(log B) avail queries:
+            // `blocked_before(x)` = total blocked length left of `x`.
+            sorted_blocks.clear();
+            sorted_blocks.extend(blocks.iter().map(|b| (b.start, b.end)));
+            sorted_blocks.sort_by(|a, b| a.0.total_cmp(&b.0));
+            prefix.clear();
+            let mut acc = 0.0f64;
+            prefix.push(acc);
+            for &(s, e) in sorted_blocks.iter() {
+                acc += e - s;
+                prefix.push(acc);
+            }
         }
         let blocked_before = |x: f64| -> f64 {
+            if common.is_some() {
+                // Every block starts at or after `r` and ends at or
+                // before any live deadline: 0 at `r`, all of it at a
+                // live deadline (the general lookup subtracts 0.0).
+                return if x > end { blocked } else { 0.0 };
+            }
             // Blocks are disjoint and sorted; find how many end before x,
             // then add the partial overlap of the straddling block.
             let idx = sorted_blocks.partition_point(|&(s, _)| s < x);
@@ -223,6 +290,7 @@ pub fn yds_schedule_with(jobs: &[YdsJob], scratch: &mut YdsScratch) -> YdsSchedu
             acc
         };
 
+        let live = &by_deadline[done..];
         let mut best: Option<(f64, f64, f64)> = None; // (t1, t2, intensity)
         for &t1 in releases.iter() {
             let blocked_at_t1 = blocked_before(t1);
@@ -230,12 +298,12 @@ pub fn yds_schedule_with(jobs: &[YdsJob], scratch: &mut YdsScratch) -> YdsSchedu
             // whose window fits [t1, t2].
             let mut work = 0.0;
             let mut i = 0;
-            while i < by_deadline.len() {
-                let t2 = by_deadline[i].deadline;
+            while i < live.len() {
+                let t2 = live[i].deadline;
                 // Fold in every job sharing this deadline.
-                while i < by_deadline.len() && (by_deadline[i].deadline - t2).abs() <= 1e-12 {
-                    if by_deadline[i].release >= t1 - 1e-12 {
-                        work += by_deadline[i].work;
+                while i < live.len() && (live[i].deadline - t2).abs() <= 1e-12 {
+                    if common.is_some() || live[i].release >= t1 - 1e-12 {
+                        work += live[i].work;
                     }
                     i += 1;
                 }
@@ -269,25 +337,40 @@ pub fn yds_schedule_with(jobs: &[YdsJob], scratch: &mut YdsScratch) -> YdsSchedu
         );
         peak = peak.max(intensity);
 
-        // Block the free parts of the critical interval at this intensity.
-        free_parts_into(t1, t2, blocks, covered, parts);
-        for &(s, e) in parts.iter() {
-            blocks.push(Block {
-                start: s,
-                end: e,
-                speed: intensity,
-            });
+        if common.is_some() {
+            // The free part of [r, t2] is [end, t2], and the peeled jobs
+            // are the live prefix with deadlines up to t2.
+            if t2 > end + 1e-12 {
+                blocks.push(Block {
+                    start: end,
+                    end: t2,
+                    speed: intensity,
+                });
+                blocked += t2 - end;
+                end = t2;
+            }
+            while done < by_deadline.len() && by_deadline[done].deadline <= t2 + 1e-12 {
+                done += 1;
+            }
+        } else {
+            // Block the free parts of the critical interval at this
+            // intensity, and remove the jobs inside it.
+            free_parts_into(t1, t2, blocks, covered, parts);
+            for &(s, e) in parts.iter() {
+                blocks.push(Block {
+                    start: s,
+                    end: e,
+                    speed: intensity,
+                });
+            }
+            by_deadline.retain(|j| !(j.release >= t1 - 1e-12 && j.deadline <= t2 + 1e-12));
         }
-        // Remove the jobs inside the critical interval.
-        remaining.retain(|j| !(j.release >= t1 - 1e-12 && j.deadline <= t2 + 1e-12));
-        by_deadline.retain(|j| !(j.release >= t1 - 1e-12 && j.deadline <= t2 + 1e-12));
     }
 
     blocks.sort_by(|a, b| a.start.total_cmp(&b.start));
-    // Merge adjacent equal-speed blocks for a tidy profile. The segment
-    // vector is owned by the returned profile, so it cannot live in the
-    // scratch.
-    let mut segments: Vec<SpeedSegment> = Vec::with_capacity(blocks.len());
+    // Merge adjacent equal-speed blocks for a tidy profile.
+    let segments = profile.segments_mut();
+    segments.clear();
     for &b in blocks.iter() {
         if b.end - b.start <= 1e-12 {
             continue;
@@ -306,11 +389,8 @@ pub fn yds_schedule_with(jobs: &[YdsJob], scratch: &mut YdsScratch) -> YdsSchedu
             b.speed,
         ));
     }
-
-    YdsSchedule {
-        profile: SpeedProfile::new(segments),
-        peak_speed: peak,
-    }
+    check_order(segments);
+    peak
 }
 
 #[cfg(test)]
@@ -584,6 +664,10 @@ mod generative_tests {
             let jobs = random_jobs(&mut rng, 12);
             let fresh = yds_schedule(&jobs);
             let reused = yds_schedule_with(&jobs, &mut scratch);
+            let mut into = SpeedProfile::constant(SimTime::ZERO, SimTime::from_secs(1.0), 9.0);
+            let peak = yds_schedule_into(&jobs, &mut scratch, &mut into);
+            assert_eq!(peak.to_bits(), fresh.peak_speed.to_bits());
+            assert_eq!(into, fresh.profile);
             assert_eq!(fresh.peak_speed.to_bits(), reused.peak_speed.to_bits());
             let (a, b) = (fresh.profile.segments(), reused.profile.segments());
             assert_eq!(a.len(), b.len());
@@ -593,6 +677,82 @@ mod generative_tests {
                 assert_eq!(x.speed_ghz.to_bits(), y.speed_ghz.to_bits());
             }
         }
+    }
+
+    /// A batch released at `release`: windows from a millisecond to two
+    /// seconds, about a quarter of the deadlines tied to an earlier one
+    /// within 1e-12 s, and about one job in six with zero work.
+    fn common_release_jobs(rng: &mut RngStream, n: usize, release: f64) -> Vec<YdsJob> {
+        let mut jobs: Vec<YdsJob> = Vec::with_capacity(n);
+        for i in 0..n {
+            let deadline = if i > 0 && rng.next_below(4) == 0 {
+                let tied = jobs[rng.next_below(i as u64) as usize].deadline;
+                let nudge = [0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12];
+                tied + nudge[rng.next_below(nudge.len() as u64) as usize]
+            } else {
+                release + rng.uniform_range(1e-3, 2.0)
+            };
+            let work = if rng.next_below(6) == 0 {
+                0.0
+            } else {
+                rng.uniform_range(1e-4, 3.0)
+            };
+            jobs.push(YdsJob::new(i, release, deadline, work));
+        }
+        jobs
+    }
+
+    /// Runs the sweep and the general peel on `jobs` and requires the
+    /// same segments and peak, bit for bit.
+    fn assert_sweep_matches_general(jobs: &[YdsJob], what: &str) {
+        let (mut a, mut b) = (YdsScratch::new(), YdsScratch::new());
+        let (mut fast, mut general) = (SpeedProfile::empty(), SpeedProfile::empty());
+        let peak = peel_into(jobs, &mut a, &mut fast, true);
+        let reference = peel_into(jobs, &mut b, &mut general, false);
+        assert_eq!(peak.to_bits(), reference.to_bits(), "{what}: peak");
+        let (x, y) = (fast.segments(), general.segments());
+        assert_eq!(x.len(), y.len(), "{what}: {x:?} vs {y:?}");
+        for (p, q) in x.iter().zip(y) {
+            assert_eq!(p.start.as_secs().to_bits(), q.start.as_secs().to_bits());
+            assert_eq!(p.end.as_secs().to_bits(), q.end.as_secs().to_bits());
+            assert_eq!(p.speed_ghz.to_bits(), q.speed_ghz.to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn common_release_sweep_equals_general_peel() {
+        for n in 1..=32usize {
+            for seed in 0..24u64 {
+                let mut rng = RngStream::from_root(seed * 64 + n as u64, "yds/common");
+                let release = match seed % 3 {
+                    0 => 0.0,
+                    1 => rng.uniform_range(0.0, 100.0),
+                    // Near the end of a 600 s run, where an ulp is ~1e-13.
+                    _ => 600.0 + rng.uniform_range(-0.5, 0.5),
+                };
+                let jobs = common_release_jobs(&mut rng, n, release);
+                assert_eq!(common_release(&jobs), Some(release));
+                assert_sweep_matches_general(&jobs, &format!("n={n} seed={seed}"));
+                let s = yds_schedule(&jobs);
+                assert!(super::testutil::edf_feasible(&jobs, &s.profile));
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_releases_take_the_general_peel() {
+        // Staggered releases: the sweep does not apply, and the plan is
+        // the general peel's.
+        let jobs: Vec<YdsJob> = (0..12)
+            .map(|i| {
+                let r = 599.0 + 0.01 * i as f64;
+                YdsJob::new(i, r, r + 0.15 + 0.02 * (i % 3) as f64, 0.05)
+            })
+            .collect();
+        assert_eq!(common_release(&jobs), None);
+        assert_sweep_matches_general(&jobs, "staggered");
+        let s = yds_schedule(&jobs);
+        assert!(super::testutil::edf_feasible(&jobs, &s.profile));
     }
 
     #[test]

@@ -33,4 +33,6 @@ pub use function::{
     QualityFunction,
 };
 pub use ledger::{LedgerMode, QualityLedger};
-pub use qopt::{level_fill, prefix_level_fill, LevelFill};
+pub use qopt::{
+    level_fill, prefix_level_fill, prefix_level_fill_into, LevelFill, LevelFillScratch,
+};

@@ -38,28 +38,40 @@ pub struct LevelFill {
 /// assert!((out.used - 600.0).abs() < 1e-9);
 /// ```
 pub fn level_fill(demands: &[f64], budget: f64) -> LevelFill {
+    let mut allocations = vec![0.0; demands.len()];
+    let level = level_fill_in(demands, budget, &mut Vec::new(), &mut allocations);
+    let used = if demands.is_empty() {
+        0.0
+    } else {
+        allocations.iter().sum()
+    };
+    LevelFill {
+        allocations,
+        level,
+        used,
+    }
+}
+
+/// [`level_fill`] into `out` (one slot per job): writes the allocations
+/// and returns the level. `sorted` is sort scratch.
+fn level_fill_in(demands: &[f64], budget: f64, sorted: &mut Vec<f64>, out: &mut [f64]) -> f64 {
     let n = demands.len();
     debug_assert!(demands.iter().all(|&d| d.is_finite() && d >= 0.0));
+    debug_assert_eq!(out.len(), n);
     let budget = budget.max(0.0);
     if n == 0 {
-        return LevelFill {
-            allocations: Vec::new(),
-            level: f64::INFINITY,
-            used: 0.0,
-        };
+        return f64::INFINITY;
     }
     let total: f64 = demands.iter().sum();
     if budget >= total {
-        return LevelFill {
-            allocations: demands.to_vec(),
-            level: f64::INFINITY,
-            used: total,
-        };
+        out.copy_from_slice(demands);
+        return f64::INFINITY;
     }
 
     // Sort ascending; find the largest k such that saturating the k
     // smallest jobs and levelling the rest fits the budget.
-    let mut sorted: Vec<f64> = demands.to_vec();
+    sorted.clear();
+    sorted.extend_from_slice(demands);
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("demands are finite"));
 
     let mut saturated_sum = 0.0;
@@ -76,12 +88,24 @@ pub fn level_fill(demands: &[f64], budget: f64) -> LevelFill {
         level = d; // all of sorted[..=k] saturated so far
     }
 
-    let allocations: Vec<f64> = demands.iter().map(|&d| d.min(level)).collect();
-    let used: f64 = allocations.iter().sum();
-    LevelFill {
-        allocations,
-        level,
-        used,
+    for (c, &d) in out.iter_mut().zip(demands) {
+        *c = d.min(level);
+    }
+    level
+}
+
+/// Reusable working memory for [`prefix_level_fill_into`]: the budgets
+/// the recursion adjusts in place and the level-fill sort buffer.
+#[derive(Debug, Default)]
+pub struct LevelFillScratch {
+    budgets: Vec<f64>,
+    sorted: Vec<f64>,
+}
+
+impl LevelFillScratch {
+    /// Creates an empty scratch. Buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -104,6 +128,23 @@ pub fn level_fill(demands: &[f64], budget: f64) -> LevelFill {
 /// # Panics
 /// Panics if lengths differ or `cum_budgets` decreases.
 pub fn prefix_level_fill(demands: &[f64], cum_budgets: &[f64]) -> Vec<f64> {
+    let mut out = Vec::new();
+    prefix_level_fill_into(demands, cum_budgets, &mut LevelFillScratch::new(), &mut out);
+    out
+}
+
+/// [`prefix_level_fill`] into a reused buffer: `out` is overwritten with
+/// the allocations, and every temporary lives in `scratch`, so repeated
+/// calls allocate nothing once the buffers have grown.
+///
+/// # Panics
+/// Panics if lengths differ or `cum_budgets` decreases.
+pub fn prefix_level_fill_into(
+    demands: &[f64],
+    cum_budgets: &[f64],
+    scratch: &mut LevelFillScratch,
+    out: &mut Vec<f64>,
+) {
     assert_eq!(
         demands.len(),
         cum_budgets.len(),
@@ -113,19 +154,29 @@ pub fn prefix_level_fill(demands: &[f64], cum_budgets: &[f64]) -> Vec<f64> {
         cum_budgets.windows(2).all(|w| w[1] >= w[0] - 1e-9),
         "cumulative budgets must be non-decreasing"
     );
+    out.clear();
+    out.resize(demands.len(), 0.0);
+    scratch.budgets.clear();
+    scratch.budgets.extend_from_slice(cum_budgets);
+    prefix_fill(demands, &mut scratch.budgets, &mut scratch.sorted, out);
+}
+
+/// The recursion of [`prefix_level_fill`] over one range: `budgets` are
+/// the range's cumulative budgets, adjusted in place for its suffixes,
+/// and `out` its slots.
+fn prefix_fill(demands: &[f64], budgets: &mut [f64], sorted: &mut Vec<f64>, out: &mut [f64]) {
     let n = demands.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
-
-    let alloc = level_fill(demands, cum_budgets[n - 1]).allocations;
+    level_fill_in(demands, budgets[n - 1], sorted, out);
 
     // Find the most-violated prefix, if any.
     let mut prefix = 0.0;
     let mut worst: Option<(usize, f64)> = None;
     for i in 0..n {
-        prefix += alloc[i];
-        let excess = prefix - cum_budgets[i];
+        prefix += out[i];
+        let excess = prefix - budgets[i];
         if excess > 1e-9 {
             let better = match worst {
                 None => true,
@@ -137,21 +188,22 @@ pub fn prefix_level_fill(demands: &[f64], cum_budgets: &[f64]) -> Vec<f64> {
         }
     }
     let Some((i, _)) = worst else {
-        return alloc;
+        return;
     };
 
     // The prefix [0..=i] binds: give it exactly its budget, optimally.
-    let head = prefix_level_fill(&demands[..=i], &cum_budgets[..=i]);
+    prefix_fill(&demands[..=i], &mut budgets[..=i], sorted, &mut out[..=i]);
     // And re-solve the suffix with the head's volume subtracted.
-    let used: f64 = head.iter().sum();
-    let tail_budgets: Vec<f64> = cum_budgets[i + 1..]
-        .iter()
-        .map(|&b| (b - used).max(0.0))
-        .collect();
-    let tail = prefix_level_fill(&demands[i + 1..], &tail_budgets);
-    let mut out = head;
-    out.extend(tail);
-    out
+    let used: f64 = out[..=i].iter().sum();
+    for b in &mut budgets[i + 1..] {
+        *b = (*b - used).max(0.0);
+    }
+    prefix_fill(
+        &demands[i + 1..],
+        &mut budgets[i + 1..],
+        sorted,
+        &mut out[i + 1..],
+    );
 }
 
 #[cfg(test)]
@@ -341,6 +393,68 @@ mod generative_tests {
                 );
             }
         }
+    }
+
+    /// The allocating recursion `prefix_level_fill_into` replaced: fresh
+    /// vectors for the level fill, the tail budgets and the result.
+    fn allocating_prefix_fill(demands: &[f64], cum_budgets: &[f64]) -> Vec<f64> {
+        let n = demands.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let alloc = level_fill(demands, cum_budgets[n - 1]).allocations;
+        let mut prefix = 0.0;
+        let mut worst: Option<(usize, f64)> = None;
+        for i in 0..n {
+            prefix += alloc[i];
+            let excess = prefix - cum_budgets[i];
+            let better = match worst {
+                None => true,
+                Some((_, we)) => excess > we,
+            };
+            if excess > 1e-9 && better {
+                worst = Some((i, excess));
+            }
+        }
+        let Some((i, _)) = worst else {
+            return alloc;
+        };
+        let head = allocating_prefix_fill(&demands[..=i], &cum_budgets[..=i]);
+        let used: f64 = head.iter().sum();
+        let tail_budgets: Vec<f64> = cum_budgets[i + 1..]
+            .iter()
+            .map(|&b| (b - used).max(0.0))
+            .collect();
+        let mut out = head;
+        out.extend(allocating_prefix_fill(&demands[i + 1..], &tail_budgets));
+        out
+    }
+
+    #[test]
+    fn prefix_fill_into_reused_buffers_matches_the_allocating_recursion() {
+        let mut scratch = LevelFillScratch::new();
+        let mut out = vec![7.0; 3];
+        let mut binding = 0;
+        for seed in 0..128u64 {
+            let mut rng = RngStream::from_root(seed, "qopt/prefix-into");
+            let demands = random_vec(&mut rng, 1.0, 500.0, 1, 24);
+            let n = demands.len();
+            let mut acc = 0.0;
+            let cum: Vec<f64> = (0..n)
+                .map(|_| {
+                    acc += rng.uniform_range(5.0, 400.0);
+                    acc
+                })
+                .collect();
+            prefix_level_fill_into(&demands, &cum, &mut scratch, &mut out);
+            let reference = allocating_prefix_fill(&demands, &cum);
+            assert_eq!(out.len(), n);
+            for (a, b) in out.iter().zip(&reference) {
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
+            }
+            binding += usize::from(out.iter().zip(&demands).any(|(c, d)| c < d));
+        }
+        assert!(binding > 32, "only {binding} instances cut anything");
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! ends by *arming* the core with a horizon before which the general path
 //! is known to reduce to one slice, and an advance that stays under it
 //! takes that slice directly (see [`Core::advance_traced`] and DESIGN.md
-//! §4). The armed state is derived: every mutator drops it and it is never
+//! §4). A plan installed through the server arms the core too, when every
+//! resident job is live (see [`crate::Server::install_plan`]). The armed
+//! state is derived: every other mutator drops it and it is never
 //! checkpointed.
 
 use ge_power::{EnergyMeter, PowerModel, SpeedProfile, SpeedSegment};
@@ -125,8 +127,8 @@ pub struct Core {
     online: bool,
     speed_factor: f64,
     // -- Derived state (never serialized; rebuilt by the next advance) ---
-    /// `model.power` of each profile segment; empty until the first
-    /// advance after a plan is installed.
+    /// `model.power` of each profile segment; empty until an arming
+    /// install or the first advance after a plan is installed.
     watts: Vec<f64>,
     /// [`SpeedProfile::first_live_segment`] at some clock reading `≤` the
     /// current one.
@@ -263,6 +265,42 @@ impl Core {
         };
         self.set_profile(delivered);
         self.power_cap_w = power_cap_w;
+    }
+
+    /// Installs `plan` and `power_cap_w` like [`Core::install_plan`], but
+    /// copies the plan into the core's own profile buffer (no allocation
+    /// once it has grown) and arms the core at once when every resident
+    /// job is live at the clock: not done, deadline after the clock.
+    ///
+    /// Then a general-path advance to the clock itself would reap nothing
+    /// and end by arming, so arming here leaves a state such an advance
+    /// could have left, and the fast path's bit-exactness argument (see
+    /// [`Core::advance_traced`]) carries over. `model` must be the one
+    /// every advance gets, since the armed state caches its watts; the
+    /// server passes its own (see [`crate::Server::install_plan`]). An
+    /// offline core, a done job or one at its deadline leaves the core
+    /// disarmed, as [`Core::install_plan`] does.
+    pub(crate) fn install_plan_armed(
+        &mut self,
+        plan: &SpeedProfile,
+        power_cap_w: f64,
+        model: &dyn PowerModel,
+    ) {
+        debug_assert!(power_cap_w >= 0.0);
+        // Delivered speeds, as in `install_plan` (`s * 1.0` is `s` exactly).
+        let factor = self.speed_factor;
+        self.profile.assign_mapped(plan, |s| s * factor);
+        self.watts.clear();
+        self.cursor = 0;
+        self.armed = None;
+        self.power_cap_w = power_cap_w;
+        let live = |j: &CoreJob| !j.is_done() && j.deadline.after(self.clock);
+        if self.online && self.jobs.iter().all(live) {
+            let segments = self.profile.segments();
+            self.watts
+                .extend(segments.iter().map(|s| model.power(s.speed_ghz)));
+            self.arm();
+        }
     }
 
     /// Replaces the profile and drops everything derived from the old one.

@@ -90,6 +90,15 @@ impl Server {
         &mut self.cores[i]
     }
 
+    /// Installs `plan` and `power_cap_w` on core `i` (see
+    /// [`Core::install_plan`]), copying the plan into the core's own
+    /// buffer, and arms the core at once when every resident job is live
+    /// at its clock. The armed state caches the per-segment watts of this
+    /// server's power model, the one every advance uses.
+    pub fn install_plan(&mut self, i: usize, plan: &ge_power::SpeedProfile, power_cap_w: f64) {
+        self.cores[i].install_plan_armed(plan, power_cap_w, self.model.as_ref());
+    }
+
     /// Iterates over the cores.
     pub fn cores(&self) -> impl Iterator<Item = &Core> {
         self.cores.iter()

@@ -5,13 +5,17 @@
 //! target cuts, DVFS factors, core failures and recoveries with orphan
 //! re-homing — and are advanced to the same targets, many of them placed
 //! 1e-12…1e-5 s before or after a job's projected completion, a deadline
-//! or a segment boundary. The reference server calls `jobs_mut()` on every
-//! core before each advance, which disarms it, so every reference advance
-//! runs the general path. After every step the two must agree bit for
-//! bit: metered energy, each job's progress, clocks, finished jobs, traced
-//! execution slices, `current_speed()` and `next_event_time()`; and the
-//! server's pruned `next_event_time()` must equal the plain minimum over
-//! its cores.
+//! or a segment boundary. The server under test installs plans through
+//! `Server::install_plan`, which arms a core whose resident jobs are all
+//! live; the reference installs them with `Core::install_plan` and calls
+//! `jobs_mut()` on every core before each advance, which disarms it, so
+//! every reference advance runs the general path. After every step the
+//! two must agree bit for bit: metered energy, each job's progress,
+//! clocks, finished jobs, traced execution slices, `current_speed()` and
+//! `next_event_time()`; and the server's pruned `next_event_time()` must
+//! equal the plain minimum over its cores. An install must leave the
+//! core disarmed when the core is offline or holds a job that is done or
+//! at its deadline.
 
 use std::cell::Cell;
 
@@ -65,8 +69,13 @@ enum Op {
         segments: [(f64, f64, f64); 4],
         count: usize,
     },
+    /// Assign a job whose deadline is exactly now, released `window`
+    /// seconds ago.
+    AssignDueNow { core: usize, window: f64 },
     /// Cut the `n`-th job on the core to `processed + frac · remaining`.
     Cut { core: usize, n: usize, frac: f64 },
+    /// Install a one-segment plan on the core if it is offline.
+    PlanOffline { core: usize, len: f64, ghz: f64 },
     /// Set the core's DVFS actuation factor.
     Factor { core: usize, factor: f64 },
     /// Fail the core; its jobs join the orphan pool.
@@ -177,7 +186,12 @@ fn gen_scenario(rng: &mut RngStream) -> Scenario {
             6 => Op::Cut {
                 core,
                 n: rng.next_below(8) as usize,
-                frac: rng.uniform01(),
+                // Sometimes all the way down to the processed volume.
+                frac: if rng.next_below(4) == 0 {
+                    0.0
+                } else {
+                    rng.uniform01()
+                },
             },
             7 => Op::Factor {
                 core,
@@ -186,6 +200,15 @@ fn gen_scenario(rng: &mut RngStream) -> Scenario {
             8 => Op::Fail { core },
             9 => Op::Recover { core },
             10 => Op::Adopt { core },
+            11 if rng.next_below(3) == 0 => Op::AssignDueNow {
+                core,
+                window: rng.uniform_range(0.01, 0.2),
+            },
+            12 if rng.next_below(3) == 0 => Op::PlanOffline {
+                core,
+                len: rng.uniform_range(0.01, 0.3),
+                ghz: speed(rng),
+            },
             k => {
                 let anchor = match k % 4 {
                     0 => Anchor::Step(rng.uniform_range(0.0, 0.06)),
@@ -209,14 +232,34 @@ fn t(secs: f64) -> SimTime {
     SimTime::from_secs(secs)
 }
 
+/// What the armed server's installs and advances did, over a test.
+#[derive(Default)]
+struct Counts {
+    /// Core advances that started armed.
+    armed_visits: Cell<u64>,
+    /// Of those, advances whose core was last touched by an install.
+    armed_after_install: Cell<u64>,
+    /// Installs that had to leave the core disarmed.
+    refused_installs: Cell<u64>,
+}
+
+fn bump(c: &Cell<u64>, by: u64) {
+    c.set(c.get() + by);
+}
+
 /// One server plus the bookkeeping the operations need.
 struct Rig {
     server: Server,
     orphans: Vec<CoreJob>,
     finished: Vec<FinishedJob>,
     sink: VecSink,
-    /// Whether to disarm every core before each advance.
+    /// Whether to install with `Core::install_plan` and disarm every core
+    /// before each advance.
     reference: bool,
+    /// Per core: nothing but an install touched it since its last advance.
+    fresh_install: Vec<bool>,
+    /// Installs that armed a core they had to leave disarmed.
+    violations: Vec<String>,
 }
 
 impl Rig {
@@ -232,7 +275,38 @@ impl Rig {
             finished: Vec::new(),
             sink: VecSink::new(),
             reference,
+            fresh_install: vec![false; cores],
+            violations: Vec::new(),
         }
+    }
+
+    fn armed(&self, core: usize) -> bool {
+        self.server.core(core).next_event_floor() > f64::NEG_INFINITY
+    }
+
+    /// Installs `profile` on `core`. The armed server must refuse to arm
+    /// an offline core or one holding a job that is done or at its
+    /// deadline.
+    fn install(&mut self, core: usize, profile: SpeedProfile, counts: &Counts) {
+        let cap = profile.max_speed();
+        if self.reference {
+            self.server.core_mut(core).install_plan(profile, cap);
+            return;
+        }
+        self.server.install_plan(core, &profile, cap);
+        let c = self.server.core(core);
+        let refuse = !c.is_online()
+            || c.jobs()
+                .iter()
+                .any(|j| j.is_done() || !j.deadline.after(c.clock()));
+        if refuse {
+            bump(&counts.refused_installs, 1);
+            if self.armed(core) {
+                self.violations
+                    .push(format!("install armed core {core}: {:?}", c.jobs()));
+            }
+        }
+        self.fresh_install[core] = true;
     }
 
     fn now(&self) -> SimTime {
@@ -268,8 +342,10 @@ impl Rig {
         t(f64::from_bits(to.to_bits().saturating_add_signed(ulps)).max(now))
     }
 
-    fn apply(&mut self, op: Op, next_id: &mut u64, armed_visits: &Cell<u64>) {
+    fn apply(&mut self, op: Op, next_id: &mut u64, counts: &Counts) {
         let now = self.now();
+        let cores = self.fresh_install.len();
+        let fresh = std::mem::replace(&mut self.fresh_install, vec![false; cores]);
         match op {
             Op::Advance {
                 anchor,
@@ -282,12 +358,12 @@ impl Rig {
                         self.server.core_mut(i).jobs_mut();
                     }
                 } else {
-                    let armed = self
-                        .server
-                        .cores()
-                        .filter(|c| c.next_event_floor() > f64::NEG_INFINITY)
-                        .count();
-                    armed_visits.set(armed_visits.get() + armed as u64);
+                    let armed: Vec<usize> = (0..self.server.core_count())
+                        .filter(|&i| self.armed(i))
+                        .collect();
+                    bump(&counts.armed_visits, armed.len() as u64);
+                    let after_install = armed.iter().filter(|&&i| fresh[i]).count();
+                    bump(&counts.armed_after_install, after_install as u64);
                 }
                 self.server
                     .advance_all(to, &mut self.sink, &mut self.finished);
@@ -335,10 +411,22 @@ impl Rig {
                     plan.push(SpeedSegment::new(t(start), t(start + len), ghz));
                     start += len;
                 }
-                let profile = SpeedProfile::new(plan);
-                let cap = profile.max_speed();
                 if self.server.core(core).is_online() {
-                    self.server.core_mut(core).install_plan(profile, cap);
+                    self.install(core, SpeedProfile::new(plan), counts);
+                }
+            }
+            Op::PlanOffline { core, len, ghz } => {
+                if !self.server.core(core).is_online() {
+                    let plan = SpeedSegment::new(now, t(now.as_secs() + len), ghz);
+                    self.install(core, SpeedProfile::new(vec![plan]), counts);
+                }
+            }
+            Op::AssignDueNow { core, window } => {
+                if self.server.core(core).is_online() {
+                    let release = t(now.as_secs() - window);
+                    let job = Job::new(JobId(*next_id), release, now, 100.0);
+                    *next_id += 1;
+                    self.server.core_mut(core).assign(&job);
                 }
             }
             Op::Cut { core, n, frac } => {
@@ -377,6 +465,9 @@ fn bits(t: Option<SimTime>) -> Option<u64> {
 
 /// Compares the two rigs bit for bit and checks the pruned minimum.
 fn compare(fast: &Rig, reference: &Rig) -> Result<(), String> {
+    if let Some(v) = fast.violations.first() {
+        return Err(v.clone());
+    }
     let (a, b) = (&fast.server, &reference.server);
     if a.total_energy().to_bits() != b.total_energy().to_bits() {
         return Err(format!(
@@ -457,13 +548,13 @@ fn compare(fast: &Rig, reference: &Rig) -> Result<(), String> {
     Ok(())
 }
 
-fn run_scenario(s: &Scenario, armed_visits: &Cell<u64>) -> Result<(), String> {
+fn run_scenario(s: &Scenario, counts: &Counts) -> Result<(), String> {
     let mut fast = Rig::new(s.cores, false);
     let mut reference = Rig::new(s.cores, true);
     let (mut id_a, mut id_b) = (0, 0);
     for (step, &op) in s.ops.iter().enumerate() {
-        fast.apply(op, &mut id_a, armed_visits);
-        reference.apply(op, &mut id_b, &Cell::new(0));
+        fast.apply(op, &mut id_a, counts);
+        reference.apply(op, &mut id_b, &Counts::default());
         compare(&fast, &reference).map_err(|e| format!("after step {step} ({op:?}): {e}"))?;
     }
     Ok(())
@@ -471,19 +562,22 @@ fn run_scenario(s: &Scenario, armed_visits: &Cell<u64>) -> Result<(), String> {
 
 #[test]
 fn fast_path_matches_general_path_bit_for_bit() {
-    let armed_visits = Cell::new(0u64);
+    let counts = Counts::default();
     check(
         "armed fast path == general path",
         &PropConfig::cases(400),
         gen_scenario,
-        |s| run_scenario(s, &armed_visits),
+        |s| run_scenario(s, &counts),
     );
-    // The property is vacuous unless advances actually start armed.
-    assert!(
-        armed_visits.get() > 1000,
-        "only {} core advances started armed",
-        armed_visits.get()
-    );
+    // The property is vacuous unless advances actually start armed, some
+    // of them armed by the install before them, and unless some installs
+    // have to refuse.
+    let visits = counts.armed_visits.get();
+    assert!(visits > 1000, "only {visits} core advances started armed");
+    let after_install = counts.armed_after_install.get();
+    assert!(after_install > 0, "no advance started armed by an install");
+    let refused = counts.refused_installs.get();
+    assert!(refused > 0, "no install had to refuse to arm");
 }
 
 fn advance(anchor: Anchor, offset: f64, ulps: i64) -> Op {
@@ -519,7 +613,7 @@ fn plan(segments: &[(f64, f64, f64)]) -> Op {
 ///   same boundary.
 #[test]
 fn rounding_edges_match_general_path() {
-    let visits = Cell::new(0u64);
+    let visits = Counts::default();
     let mut scenarios = Vec::new();
     for step in -40i64..=40 {
         let cap = 2.0 * 0.1 + 1.5 * 0.05;
@@ -567,4 +661,86 @@ fn rounding_edges_match_general_path() {
             panic!("{e}\n{}", s.repro());
         }
     }
+}
+
+fn assign(core: usize, window: f64, demand: f64) -> Op {
+    Op::Assign {
+        core,
+        release_in: 0.0,
+        window,
+        demand,
+    }
+}
+
+/// Installs that must leave the core disarmed — over a job cut to its
+/// processed volume, over a job exactly at its deadline, and on an
+/// offline core — each followed by advances the reference runs down the
+/// general path; and one plain install that arms.
+#[test]
+fn installs_refuse_to_arm_unless_every_job_is_live() {
+    let counts = Counts::default();
+    let scenarios = [
+        Scenario {
+            cores: 1,
+            ops: vec![
+                plan(&[(0.0, 0.5, 2.0)]),
+                assign(0, 0.4, 300.0),
+                assign(0, 0.45, 200.0),
+                advance(Anchor::Step(0.01), 0.0, 0),
+                Op::Cut {
+                    core: 0,
+                    n: 0,
+                    frac: 0.0,
+                },
+                plan(&[(0.0, 0.5, 2.0)]),
+                advance(Anchor::Step(0.01), 0.0, 0),
+                advance(Anchor::Step(0.3), 0.0, 0),
+            ],
+        },
+        Scenario {
+            cores: 1,
+            ops: vec![
+                assign(0, 0.5, 300.0),
+                advance(Anchor::Step(0.2), 0.0, 0),
+                Op::AssignDueNow {
+                    core: 0,
+                    window: 0.1,
+                },
+                plan(&[(0.0, 0.4, 1.5)]),
+                advance(Anchor::Step(0.01), 0.0, 0),
+                advance(Anchor::Step(0.2), 0.0, 0),
+            ],
+        },
+        Scenario {
+            cores: 2,
+            ops: vec![
+                assign(1, 0.5, 300.0),
+                Op::Fail { core: 1 },
+                Op::PlanOffline {
+                    core: 1,
+                    len: 0.3,
+                    ghz: 2.0,
+                },
+                advance(Anchor::Step(0.01), 0.0, 0),
+                Op::Recover { core: 1 },
+                Op::Adopt { core: 1 },
+                advance(Anchor::Step(0.2), 0.0, 0),
+            ],
+        },
+        Scenario {
+            cores: 1,
+            ops: vec![
+                assign(0, 0.5, 300.0),
+                plan(&[(0.0, 0.4, 1.5)]),
+                advance(Anchor::Step(0.01), 0.0, 0),
+            ],
+        },
+    ];
+    for s in &scenarios {
+        if let Err(e) = run_scenario(s, &counts) {
+            panic!("{e}\n{}", s.repro());
+        }
+    }
+    assert_eq!(counts.refused_installs.get(), 3);
+    assert_eq!(counts.armed_after_install.get(), 1);
 }

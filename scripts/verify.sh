@@ -253,8 +253,9 @@ grep -q '"name": "e2e_ge/telemetry_on"' "$smoke_dir/BENCH_sched.json"
 # The committed report must also carry the interleaved pair, the
 # event-queue pair (live-work depth vs every arrival queued), the
 # engine-sweep entry (the server's share of one event), the largest
-# whole-fleet run, the in-process serving session and the trace codec
-# pair.
+# whole-fleet run, the in-process serving session, the trace codec
+# pair, one GE epoch, the water-fill and Quality-OPT kernels and the
+# staggered-release YDS entries that keep the general peel benched.
 grep -q '"name": "e2e_ge/telemetry_off"' BENCH_sched.json
 grep -q '"name": "e2e_ge/telemetry_on"' BENCH_sched.json
 grep -q '"name": "engine/event_queue/16"' BENCH_sched.json
@@ -264,5 +265,11 @@ grep -q '"name": "fleet_e2e/16"' BENCH_sched.json
 grep -q '"name": "serve/in_process"' BENCH_sched.json
 grep -q '"name": "trace/encode_jsonl"' BENCH_sched.json
 grep -q '"name": "trace/decode_jsonl"' BENCH_sched.json
+grep -q '"name": "ge/epoch_16"' BENCH_sched.json
+grep -q '"name": "power/water_fill_16"' BENCH_sched.json
+grep -q '"name": "quality/prefix_level_fill_4"' BENCH_sched.json
+grep -q '"name": "quality/prefix_level_fill_16"' BENCH_sched.json
+grep -q '"name": "yds_schedule_scratch/staggered_4"' BENCH_sched.json
+grep -q '"name": "yds_schedule_scratch/staggered_16"' BENCH_sched.json
 
 echo "verify: OK"
