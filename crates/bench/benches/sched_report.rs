@@ -7,7 +7,8 @@
 //! snapshot, the engine's event queue at two pending depths, the
 //! server's share of one engine event, end-to-end GE runs with the
 //! dirty-bit path on and forced off, whole fleets at N ∈ {1, 4, 16}
-//! servers, one in-process serving session, the trace codec per event,
+//! servers, one serving session in process and over loopback TCP, the
+//! trace codec per event,
 //! and representative figure pipelines at [`Scale::bench`]. Run with
 //! `--json <path>` to write the `ge-bench-sched/v1` report (Cargo runs
 //! benches from the package directory, so give the repository-root path
@@ -34,11 +35,13 @@ use ge_quality::{
     lf_cut, lf_cut_with, prefix_level_fill_into, CutOutcome, CutScratch, ExpConcave,
     LevelFillScratch, QualityFunction, QualityLedger,
 };
-use ge_serve::{ServeConfig, ServeCore};
+use ge_serve::{ServeConfig, ServeCore, ServeServer};
 use ge_server::Server;
 use ge_simcore::{EventQueue, RngStream, SimDuration, SimTime};
 use ge_trace::{jsonl_line, parse_jsonl_line, NullSink, TraceEvent, VecSink};
 use ge_workload::{BoundedPareto, Job, JobId, Sampler, UNITS_PER_GHZ_SEC};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 fn demands(n: usize, seed: u64) -> Vec<f64> {
     let dist = BoundedPareto::paper_default();
@@ -343,23 +346,66 @@ fn bench_fleet_e2e(h: &Harness) {
     }
 }
 
-/// One in-process serving session: the first 2 000 requests of the
-/// `paper_default(150)` stream submitted to a fresh `ServeCore` (default
-/// admission), then drained to the horizon — the engine, admission and
-/// the session's books without the wire.
-fn bench_serve_in_process(h: &Harness) {
+/// The serving benches' stream: the first 2 000 requests of the
+/// `paper_default(150)` stream as `(t, demand, deadline_rel)`, and a
+/// session config (default admission) whose horizon covers them.
+fn serve_stream() -> (Vec<(f64, f64, f64)>, ServeConfig) {
     let trace = bench_trace(150.0, 20.0, 1);
     let jobs = &trace.jobs()[..2_000.min(trace.len())];
     let last_deadline = jobs.last().map_or(0.0, |j| j.deadline.as_secs());
     let cfg = ServeConfig::new(bench_config(last_deadline.ceil() + 1.0), Algorithm::Ge);
+    let requests = jobs
+        .iter()
+        .map(|j| {
+            let t = j.release.as_secs();
+            (t, j.demand, j.deadline.as_secs() - t)
+        })
+        .collect();
+    (requests, cfg)
+}
+
+/// One in-process serving session: the serving stream submitted to a
+/// fresh `ServeCore`, then drained to the horizon — the engine, admission
+/// and the session's books without the wire.
+fn bench_serve_in_process(h: &Harness) {
+    let (requests, cfg) = serve_stream();
     h.bench("serve/in_process", || {
         let mut core = ServeCore::new(cfg.clone());
-        for j in black_box(jobs) {
-            let t = j.release.as_secs();
-            core.submit(t, j.demand, j.deadline.as_secs() - t)
+        for &(t, demand, deadline_rel) in black_box(&requests) {
+            core.submit(t, demand, deadline_rel)
                 .expect("in-horizon submit");
         }
         core.finish_drain().digest
+    });
+}
+
+/// One loopback serving session: a fresh `ServeServer` on `127.0.0.1:0`,
+/// the serving stream as `SUBMIT` lines over one connection (a writer
+/// thread sends them all while this thread reads every reply), then a
+/// drain — `serve/in_process` plus the protocol, the core lock and TCP.
+fn bench_serve_loopback(h: &Harness) {
+    let (requests, cfg) = serve_stream();
+    let lines: String = requests
+        .iter()
+        .map(|(t, demand, deadline_rel)| format!("SUBMIT {t} {demand} {deadline_rel}\n"))
+        .collect();
+    h.bench("serve/loopback", || {
+        let server = ServeServer::bind(cfg.clone(), "127.0.0.1:0").expect("bind on loopback");
+        let stream = TcpStream::connect(server.local_addr()).expect("connect to the server");
+        stream.set_nodelay(true).expect("TCP_NODELAY");
+        let mut writer = stream.try_clone().expect("clone the stream");
+        let mut reader = BufReader::new(stream);
+        std::thread::scope(|scope| {
+            scope.spawn(|| writer.write_all(lines.as_bytes()).expect("send the stream"));
+            let mut reply = String::new();
+            for _ in 0..requests.len() {
+                reply.clear();
+                reader.read_line(&mut reply).expect("read a reply");
+                assert!(!reply.is_empty() && !reply.starts_with("ERR"), "{reply}");
+            }
+        });
+        drop((reader, writer));
+        server.shutdown_and_drain().digest
     });
 }
 
@@ -433,6 +479,7 @@ fn main() {
     bench_e2e_telemetry(&h);
     bench_fleet_e2e(&h);
     bench_serve_in_process(&h);
+    bench_serve_loopback(&h);
     bench_trace_codec(&h);
     bench_figures(&h);
     h.finish().expect("write bench report");

@@ -199,8 +199,6 @@ pub fn run_scheduler_with_sink(
 pub struct Run {
     pub(crate) engine: Engine,
     pub(crate) sched: Box<dyn Scheduler>,
-    /// Whether the fleet router currently considers this server dead.
-    pub(crate) crashed: bool,
     /// The input digest sealed into every checkpoint of this run.
     pub(crate) digest: u64,
 }
@@ -235,7 +233,6 @@ impl Run {
             digest: input_digest(&engine, sched.name()),
             engine,
             sched,
-            crashed: false,
         }
     }
 

@@ -2,7 +2,7 @@
 //! serve session alike.
 //!
 //! A checkpoint captures **everything** mutable about a run mid-flight —
-//! the crash flag, the simulator clock, the trace-arrival cursor and the
+//! the simulator clock, the trace-arrival cursor and the
 //! pending event queue (with sequence numbers, so FIFO tie-breaking
 //! survives; injected jobs ride in their events), every core's resident
 //! jobs/plan/clock, the energy meter's Kahan compensation terms, the
@@ -90,12 +90,10 @@ pub enum DriveOutcome {
 }
 
 impl Run {
-    /// Serializes the complete run state into a sealed checkpoint: the
-    /// crash flag, then the engine state.
+    /// Serializes the complete run state into a sealed checkpoint.
     pub fn snapshot(&self) -> Vec<u8> {
         let _span = ge_telemetry::SpanGuard::enter("checkpoint_encode");
         let mut enc = Encoder::new();
-        enc.put_bool(self.crashed);
         encode_engine_state(&mut enc, &self.engine, self.sched.as_ref());
         seal(self.digest, &enc.into_bytes())
     }
@@ -121,7 +119,6 @@ impl Run {
             });
         }
         let mut dec = Decoder::new(payload);
-        run.crashed = dec.get_bool("run.crashed")?;
         decode_engine_state(&mut dec, &mut run.engine, run.sched.as_mut())?;
         dec.finish("checkpoint")?;
         Ok(run)

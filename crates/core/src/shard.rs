@@ -5,8 +5,9 @@
 //! trace — exactly the engine every single-server run uses, so per-shard
 //! behaviour needs no re-validation:
 //!
-//! * [`Run::inject_job`] — feed an arrival decided by the router or the
-//!   wire (the owner is the sole source of work),
+//! * [`Run::inject_job`] — feed an arrival decided by the router (the
+//!   owner is the sole source of work; a serve session's router is a
+//!   one-server fleet),
 //! * [`Run::advance_to`] — time advance in segments. The engine's
 //!   segmented-advance invariant (proven by the resume suite) guarantees
 //!   that advancing in router-event-sized segments observes the same
@@ -20,7 +21,8 @@
 //! * [`Run::crash`] / [`Run::recover`] — whole-server loss and rejoin. A
 //!   crash preempts running work onto the orphan list (partial credit,
 //!   exactly like a core fault) and hands the queued-unstarted jobs back
-//!   to the router for failover,
+//!   to the router for failover. Whether the server is down is the
+//!   owner's state (the fleet router's live list); the run keeps no flag,
 //! * [`Run::set_budget_factor`] — the global partitioner's knob: the
 //!   shard's effective budget is `factor ×` its nominal `H_i`.
 //!
@@ -45,10 +47,14 @@ impl Run {
         self.engine.sim.schedule(at, PRIO_ARRIVAL, Ev::Inject(job));
     }
 
-    /// The ledger's running quality ratio `Σf(c_j) / Σf(p_j)` over every
-    /// job recorded so far (1.0 while the ledger is empty).
-    pub fn ledger_quality(&self) -> f64 {
-        self.engine.ledger.quality()
+    /// The ledger's running sums `(Σf(c_j), Σf(p_j))` over every job
+    /// recorded so far (the window's, for a sliding-window ledger): the
+    /// owner's running quality is their ratio.
+    pub fn ledger_sums(&self) -> (f64, f64) {
+        (
+            self.engine.ledger.achieved_sum(),
+            self.engine.ledger.full_sum(),
+        )
     }
 
     /// Whole-server crash: every core fails. Jobs with work already done
@@ -58,7 +64,6 @@ impl Run {
     /// id order, for failover. The run stays in the fleet's accounting:
     /// its energy spent and its orphans' fates still count.
     pub fn crash(&mut self) -> Vec<Job> {
-        self.crashed = true;
         let mut failed_over: Vec<Job> = std::mem::take(&mut self.engine.queue);
         for core in 0..self.engine.cfg.cores {
             for cj in self.engine.server.fail_core(core) {
@@ -79,7 +84,6 @@ impl Run {
     /// The server rejoins the fleet, empty and at nominal speed. Cores the
     /// run's own fault schedule currently holds offline stay offline.
     pub fn recover(&mut self) {
-        self.crashed = false;
         for core in 0..self.engine.cfg.cores {
             let scheduled_online = self
                 .engine
@@ -90,11 +94,6 @@ impl Run {
                 self.engine.server.recover_core(core);
             }
         }
-    }
-
-    /// Whether the router currently considers this server dead.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Sets the partitioner's budget multiplier: the effective power
@@ -227,7 +226,6 @@ mod tests {
         }
         shard.advance_to(SimTime::from_secs(1.0), &mut NullSink);
         let failed_over = shard.crash();
-        assert!(shard.is_crashed());
         assert_eq!(shard.online_cores(), 0);
         // Cores are occupied by at most one job each; the rest fail over.
         assert!(failed_over.len() >= 40 - cfg.cores, "{}", failed_over.len());

@@ -119,7 +119,8 @@ pub struct FleetConfig {
     /// Admission guard, in seconds of a server's nominal equal-share
     /// capacity: when `q_min > 0` and every live server's backlog exceeds
     /// `factor × capacity`, new work is shed instead of queued beyond
-    /// hope. Ignored when the shard's `q_min` is zero.
+    /// hope. Ignored when the shard's `q_min` is zero; `+∞` means no
+    /// guard.
     pub shed_backlog_factor: f64,
     /// Root seed for routing and dispatch-loss randomness.
     pub seed: u64,
@@ -152,7 +153,8 @@ impl FleetConfig {
     /// when the servers are built).
     ///
     /// # Panics
-    /// Panics on a zero-server fleet or nonsensical retry/shed knobs.
+    /// Panics on a zero-server fleet or nonsensical retry/shed knobs (a
+    /// shed backlog factor must be positive; `+∞` turns the guard off).
     pub fn validate(&self) {
         assert!(self.servers >= 1, "a fleet needs at least one server");
         assert!(
@@ -164,8 +166,8 @@ impl FleetConfig {
             "retry backoff must be positive"
         );
         assert!(
-            self.shed_backlog_factor.is_finite() && self.shed_backlog_factor > 0.0,
-            "shed backlog factor must be positive and finite"
+            self.shed_backlog_factor > 0.0,
+            "shed backlog factor must be positive (or +inf for no guard)"
         );
     }
 }

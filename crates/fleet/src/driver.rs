@@ -1,11 +1,20 @@
 //! The fleet event loop: routing, budget repartitioning, and failover.
 //!
-//! The router is a handler on a [`Simulator`] over three event kinds —
-//! fleet fault transitions, budget-reallocation epochs, and job
-//! dispatches — which fire in `(time, priority, sequence)` order,
+//! [`Fleet`] is the online fleet handle, shaped like `ge_core::Run`:
+//! [`Fleet::start`], one [`Fleet::submit`] per arriving job (routed or
+//! shed at its release), [`Fleet::advance_to`] between arrivals, then
+//! [`Fleet::finish`]. [`run_fleet`] is exactly that sequence over a trace.
+//!
+//! The router is a handler on a [`Simulator`] over four event kinds —
+//! fleet fault transitions, budget-reallocation epochs, first dispatches
+//! and retries — which fire in `(time, priority, sequence)` order,
 //! mirroring the per-server engine's discipline (faults fire before the
-//! scheduler observes the instant; dispatches come last). Each router
-//! event costs work only in the servers it touches:
+//! scheduler observes the instant). At one instant the order is: fault
+//! transitions, the budget epoch, first dispatches in submit order, then
+//! retries. Retries have a priority of their own, so a retry landing on a
+//! release instant goes after every job submitted at that instant, even
+//! though it was scheduled first. Each router event costs work only in
+//! the servers it touches:
 //!
 //! * **Due servers only.** Before an event at `t` the router advances the
 //!   servers whose earliest pending engine event is not after `t`. An
@@ -18,11 +27,8 @@
 //!   load_units)` changes only when it handles an event, crashes or
 //!   recovers, so the router caches it stamped with the server's
 //!   handled-event count and drops it on crash and recover.
-//! * **Dispatch cursor.** Like the engine's arrival cursor, the simulator
-//!   reserves sequence numbers `0..n` for the trace's first dispatches and
-//!   holds only the next one: job `j`'s, under number `j`, schedules job
-//!   `j + 1`'s when it fires, so the pop order is that of scheduling all
-//!   `n` up front.
+//!
+//! Whether a server is up is router state alone: the sorted `live` list.
 
 use std::cmp::Ordering;
 
@@ -71,6 +77,7 @@ pub struct FleetResult {
 const PRIO_FAULT: u32 = 0;
 const PRIO_REALLOC: u32 = 1;
 const PRIO_DISPATCH: u32 = 2;
+const PRIO_RETRY: u32 = 3;
 
 /// What the router does at one event.
 #[derive(Debug, Clone, Copy)]
@@ -79,8 +86,11 @@ enum FEv {
     Fault(FleetTransition),
     /// Recompute the budget partition.
     Realloc,
-    /// Route workload job `job` (attempt `attempt`).
-    Dispatch { job: usize, attempt: u32 },
+    /// Route a submitted job for the first time.
+    Dispatch(Job),
+    /// Route a job again: its attempt number (at least 1) after a lost
+    /// one.
+    Retry(Job, u32),
 }
 
 /// Live-registry handles the router feeds while telemetry is enabled.
@@ -127,9 +137,32 @@ impl LoadSig {
     };
 }
 
-struct Router<'a> {
-    cfg: &'a FleetConfig,
-    schedule: &'a FleetFaultSchedule,
+/// The sink a server's engine records into: the caller's when it wants job
+/// terminals without the trace (a serving session's books), otherwise
+/// none, so a traced fleet's events stay router-only and monotone in `t`.
+fn shard_sink<'a>(sink: &'a mut dyn TraceSink, null: &'a mut NullSink) -> &'a mut dyn TraceSink {
+    if !sink.is_enabled() && sink.records_terminals() {
+        sink
+    } else {
+        null
+    }
+}
+
+/// An online fleet: N server [`Run`]s behind a deterministic router that
+/// routes or sheds each submitted job, re-divides the global power budget
+/// every epoch, and fails a crashed server's queued jobs over to the
+/// survivors.
+///
+/// Every call takes the caller's sink. Router events (dispatches, sheds,
+/// retries, failovers, budget epochs, server faults) go to it when it is
+/// enabled. The servers' engines record into it only when it is disabled
+/// but wants job terminals ([`TraceSink::records_terminals`]); otherwise
+/// they get a [`NullSink`].
+pub struct Fleet {
+    cfg: FleetConfig,
+    schedule: FleetFaultSchedule,
+    /// The router's clock and pending events.
+    sim: Simulator<FEv>,
     shards: Vec<Run>,
     /// Per-server cached load signal.
     loads: Vec<LoadSig>,
@@ -138,15 +171,15 @@ struct Router<'a> {
     live: Vec<usize>,
     /// The router→server dispatch drop probability in force.
     loss_prob: f64,
-    horizon: SimTime,
     rr_cursor: usize,
     route_rng_root: RngStream,
     route_draws: u64,
     /// Current budget slices (watts), updated each realloc epoch.
     slices: Vec<f64>,
     /// Router-shed jobs' full quality value, added to the fleet
-    /// denominator at finalize.
+    /// denominator.
     shed_full_sum: f64,
+    submitted: u64,
     dispatched: u64,
     failovers: u64,
     retries: u64,
@@ -155,12 +188,250 @@ struct Router<'a> {
     telemetry: Option<FleetTelemetry>,
 }
 
-impl Router<'_> {
+impl Fleet {
+    /// Starts a fleet at t = 0 and emits its `FleetRunStart` into `sink`.
+    /// Every server runs to `cfg.shard.horizon`, which must cover every
+    /// deadline later submitted.
+    ///
+    /// `shard_faults` carries per-server fault schedules (core loss,
+    /// throttling, DVFS error); pass an empty slice for fault-free servers,
+    /// otherwise exactly one entry per server. Fleet-level faults
+    /// (whole-server crashes, slowdowns, dispatch loss) come from
+    /// `fleet_faults`.
+    ///
+    /// # Panics
+    /// Panics if `cfg` is invalid, `shard_faults` is neither empty nor
+    /// `cfg.servers` long, a per-server schedule carries surge windows or
+    /// demand noise (surge jobs would collide with the router's global job
+    /// ids; both are fleet-level concerns), or `fleet_faults` names a
+    /// server `>= cfg.servers`.
+    pub fn start(
+        cfg: FleetConfig,
+        fleet_faults: FleetFaultSchedule,
+        shard_faults: &[FaultSchedule],
+        sink: &mut dyn TraceSink,
+    ) -> Self {
+        cfg.validate();
+        assert!(
+            shard_faults.is_empty() || shard_faults.len() == cfg.servers,
+            "need one per-server fault schedule per server (or none), got {} for {} servers",
+            shard_faults.len(),
+            cfg.servers
+        );
+        assert!(
+            shard_faults.iter().all(|fs| *fs == fs.machine_faults()),
+            "per-shard fault schedules must not carry surges or demand noise"
+        );
+        let transitions = fleet_faults.transitions();
+        for tr in &transitions {
+            if let FleetTransition::ServerDown { server }
+            | FleetTransition::ServerUp { server }
+            | FleetTransition::ServerSpeedFactor { server, .. } = tr.transition
+            {
+                assert!(
+                    server < cfg.servers,
+                    "fleet transition references server {server} in a {}-server fleet",
+                    cfg.servers
+                );
+            }
+        }
+
+        let empty = Trace::default();
+        let shards: Vec<Run> = (0..cfg.servers)
+            .map(|i| {
+                let faults = shard_faults.get(i);
+                Run::start(&cfg.shard, &empty, &cfg.algorithm, faults, &mut NullSink)
+            })
+            .collect();
+
+        let telemetry = Telemetry::is_enabled().then(|| FleetTelemetry::new(cfg.servers));
+        if let Some(tel) = &telemetry {
+            tel.live_shards.set(cfg.servers as f64);
+        }
+        if sink.is_enabled() {
+            sink.record(&TraceEvent::FleetRunStart {
+                t: 0.0,
+                servers: cfg.servers as u64,
+                cores: cfg.shard.cores as u64,
+                budget_w: cfg.total_budget_w(),
+                policy: cfg.routing.name().to_string(),
+                partitioner: cfg.partitioner.name().to_string(),
+                seed: cfg.seed,
+            });
+        }
+
+        let mut sim = Simulator::new();
+        for tr in transitions.iter().filter(|tr| tr.at <= cfg.shard.horizon) {
+            sim.schedule(tr.at, PRIO_FAULT, FEv::Fault(tr.transition));
+        }
+        sim.schedule(SimTime::ZERO, PRIO_REALLOC, FEv::Realloc);
+        Fleet {
+            loads: vec![LoadSig::STALE; cfg.servers],
+            live: (0..cfg.servers).collect(),
+            loss_prob: 0.0,
+            rr_cursor: 0,
+            route_rng_root: RngStream::from_root(cfg.seed, "fleet/route"),
+            route_draws: 0,
+            slices: vec![cfg.shard.budget_w; cfg.servers],
+            shed_full_sum: 0.0,
+            submitted: 0,
+            dispatched: 0,
+            failovers: 0,
+            retries: 0,
+            shed: 0,
+            budget_epochs: 0,
+            telemetry,
+            cfg,
+            schedule: fleet_faults,
+            sim,
+            shards,
+        }
+    }
+
+    /// The router's clock: the instant of the last router event, submit or
+    /// advance. A server's own clock may lag it (see [`Run::now`]).
+    pub fn now(&self) -> SimTime {
+        self.sim.now()
+    }
+
+    /// The horizon every server runs to.
+    pub fn horizon(&self) -> SimTime {
+        self.cfg.shard.horizon
+    }
+
+    /// The servers, in index order.
+    pub fn shards(&self) -> &[Run] {
+        &self.shards
+    }
+
+    /// Fleet-wide running quality: the servers' ledgers summed, with every
+    /// router-shed job in the denominator at full value (1.0 while the
+    /// books are empty).
+    pub fn ledger_quality(&self) -> f64 {
+        let (achieved, full) = self
+            .shards
+            .iter()
+            .map(Run::ledger_sums)
+            .fold((0.0, 0.0), |(a, f), (sa, sf)| (a + sa, f + sf));
+        let full = full + self.shed_full_sum;
+        if full <= 0.0 {
+            1.0
+        } else {
+            (achieved / full).min(1.0)
+        }
+    }
+
+    /// Routes `job` at its release, or sheds it. Every router event before
+    /// that instant fires first, as do the fault transitions and budget
+    /// epoch at it; retries due at the release wait for the next submit,
+    /// advance or finish, so they go after every job submitted at that
+    /// instant.
+    ///
+    /// # Panics
+    /// Panics if the job is released before [`Fleet::now`] or its deadline
+    /// is after [`Fleet::horizon`].
+    pub fn submit(&mut self, job: Job, sink: &mut dyn TraceSink) {
+        assert!(
+            !job.deadline.after(self.horizon()),
+            "job {} has its deadline {} after the fleet horizon {}",
+            job.id,
+            job.deadline,
+            self.horizon()
+        );
+        self.submitted += 1;
+        self.sim
+            .schedule(job.release, PRIO_DISPATCH, FEv::Dispatch(job));
+        self.run(job.release, sink);
+    }
+
+    /// Fires every router event at or before `t` (clamped to the horizon)
+    /// and brings every server whose clock is before it to it. A server
+    /// already at `t` (within `TIME_EPS`) is left as it is, so work handed
+    /// to it at `t` waits for the next router event or advance.
+    pub fn advance_to(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
+        let until = t.min(self.horizon());
+        self.run(until, sink);
+        let mut null = NullSink;
+        let sink = shard_sink(sink, &mut null);
+        for s in &mut self.shards {
+            if until.after(s.now()) {
+                s.advance_to(until, sink);
+            }
+        }
+    }
+
+    /// Runs the fleet to its horizon, closes every server's books and
+    /// returns the aggregated result.
+    pub fn finish(mut self, sink: &mut dyn TraceSink) -> FleetResult {
+        let horizon = self.horizon();
+        self.run(horizon, sink);
+        let mut null = NullSink;
+        let shards_sink = shard_sink(sink, &mut null);
+        let outcomes: Vec<_> = self
+            .shards
+            .into_iter()
+            .map(|s| s.finish(shards_sink))
+            .collect();
+        let achieved: f64 = outcomes.iter().map(|o| o.achieved_sum).sum();
+        let full: f64 = outcomes.iter().map(|o| o.full_sum).sum::<f64>() + self.shed_full_sum;
+        let quality = if full > 0.0 { achieved / full } else { 1.0 };
+        let energy_j: f64 = outcomes.iter().map(|o| o.result.energy_j).sum();
+
+        if sink.is_enabled() {
+            sink.record(&TraceEvent::FleetSummary {
+                t: horizon.as_secs(),
+                dispatched: self.dispatched,
+                failovers: self.failovers,
+                retries: self.retries,
+                shed: self.shed,
+                energy_j,
+                quality,
+            });
+        }
+
+        FleetResult {
+            algorithm: self.cfg.algorithm.label().to_string(),
+            quality,
+            energy_j,
+            jobs_total: self.submitted,
+            jobs_finished: outcomes.iter().map(|o| o.result.jobs_finished).sum(),
+            jobs_discarded: outcomes.iter().map(|o| o.result.jobs_discarded).sum(),
+            jobs_shed_shards: outcomes.iter().map(|o| o.result.jobs_shed).sum(),
+            jobs_shed_router: self.shed,
+            dispatches: self.dispatched,
+            failovers: self.failovers,
+            retries: self.retries,
+            budget_epochs: self.budget_epochs,
+            shards: outcomes.into_iter().map(|o| o.result).collect(),
+        }
+    }
+
+    /// Fires router events up to `until`; a first dispatch stops the loop
+    /// right after itself, leaving its instant's retries pending.
+    fn run(&mut self, until: SimTime, sink: &mut dyn TraceSink) {
+        let mut sim = std::mem::take(&mut self.sim);
+        sim.run_until(until, |ctx, ev| {
+            self.advance_due(ctx.now(), sink);
+            match ev {
+                FEv::Fault(transition) => self.apply_fault(ctx, transition, sink),
+                FEv::Realloc => self.realloc(ctx, sink),
+                FEv::Dispatch(job) => {
+                    ctx.request_stop();
+                    self.dispatch(ctx, job, 0, true, sink);
+                }
+                FEv::Retry(job, attempt) => self.dispatch(ctx, job, attempt, true, sink),
+            }
+        });
+        self.sim = sim;
+    }
+
     /// Advances every server with an engine event due at or before `t`.
-    fn advance_due(&mut self, t: SimTime) {
+    fn advance_due(&mut self, t: SimTime, sink: &mut dyn TraceSink) {
+        let mut null = NullSink;
+        let sink = shard_sink(sink, &mut null);
         for s in &mut self.shards {
             if s.next_event_time().is_some_and(|e| !e.after(t)) {
-                s.advance_to(t, &mut NullSink);
+                s.advance_to(t, sink);
             }
         }
     }
@@ -203,9 +474,10 @@ impl Router<'_> {
     }
 
     /// Picks a live server for a job, or `None` when the whole fleet is
-    /// down or the overload guard rejects (only with `q_min > 0`). Reads
-    /// only cached load signals, refreshing those that went stale, and
-    /// allocates nothing. Among equal keys the lowest index wins.
+    /// down or the overload guard rejects (only with `q_min > 0` and a
+    /// finite `shed_backlog_factor`). Reads only cached load signals,
+    /// refreshing those that went stale, and allocates nothing. Among
+    /// equal keys the lowest index wins.
     fn route(&mut self) -> Option<usize> {
         if self.live.is_empty() {
             return None;
@@ -214,7 +486,7 @@ impl Router<'_> {
             RoutingPolicy::RoundRobin => loop {
                 let c = self.rr_cursor % self.shards.len();
                 self.rr_cursor += 1;
-                if !self.shards[c].is_crashed() {
+                if self.live.binary_search(&c).is_ok() {
                     break c;
                 }
             },
@@ -252,8 +524,9 @@ impl Router<'_> {
             }),
         };
         // Overload guard: only sheds when the shard config carries a
-        // degradation floor; the fault-free default queues everything.
-        if self.cfg.shard.q_min > 0.0 {
+        // degradation floor and the factor is finite; the fault-free
+        // default queues everything.
+        if self.cfg.shard.q_min > 0.0 && self.cfg.shed_backlog_factor.is_finite() {
             let limit = self.backlog_limit_units();
             if self.load(chosen).units > limit {
                 let fallback =
@@ -289,7 +562,6 @@ impl Router<'_> {
         &mut self,
         ctx: &mut SimContext<'_, FEv>,
         job: Job,
-        job_idx: usize,
         attempt: u32,
         allow_loss: bool,
         sink: &mut dyn TraceSink,
@@ -325,14 +597,7 @@ impl Router<'_> {
                         next_s: next.as_secs(),
                     });
                 }
-                ctx.schedule(
-                    next,
-                    PRIO_DISPATCH,
-                    FEv::Dispatch {
-                        job: job_idx,
-                        attempt: attempt + 1,
-                    },
-                );
+                ctx.schedule(next, PRIO_RETRY, FEv::Retry(job, attempt + 1));
             }
             return;
         }
@@ -375,8 +640,8 @@ impl Router<'_> {
             // is never starved below its fault-free slice. Dead servers
             // surrender theirs to the pool.
             let pool = total - nominal * self.live.len() as f64;
-            let beta = self.cfg.shard.power_beta;
-            let weight = |load: f64| match self.cfg.partitioner {
+            let (beta, partitioner) = (self.cfg.shard.power_beta, self.cfg.partitioner);
+            let weight = |load: f64| match partitioner {
                 Partitioner::ProportionalLoad => load,
                 Partitioner::SumPowerAware => load.powf(beta),
                 Partitioner::EqualSplit => unreachable!("handled above"),
@@ -408,15 +673,15 @@ impl Router<'_> {
             if let Some(tel) = &self.telemetry {
                 tel.shard_budget[i].set(slice);
             }
-            if !self.shards[i].is_crashed() {
-                self.shards[i].set_budget_factor(slice / nominal);
-            }
+        }
+        for &i in &self.live {
+            self.shards[i].set_budget_factor(slices[i] / nominal);
         }
         self.slices = slices;
         self.budget_epochs += 1;
         // Chain the next epoch; the final books close at the horizon.
         let next = t + self.cfg.realloc_every;
-        if next < self.horizon {
+        if next < self.horizon() {
             ctx.schedule(next, PRIO_REALLOC, FEv::Realloc);
         }
     }
@@ -430,12 +695,12 @@ impl Router<'_> {
         let t = ctx.now();
         match transition {
             FleetTransition::ServerDown { server } => {
-                if self.shards[server].is_crashed() {
+                let Ok(k) = self.live.binary_search(&server) else {
                     return;
-                }
+                };
+                self.live.remove(k);
                 let reclaimed = self.shards[server].crash();
                 self.loads[server] = LoadSig::STALE;
-                self.live.retain(|&i| i != server);
                 if sink.is_enabled() {
                     sink.record(&TraceEvent::ShardFault {
                         t: t.as_secs(),
@@ -458,17 +723,16 @@ impl Router<'_> {
                     }
                     // Re-route immediately; the job keeps its identity, so
                     // its latency accounting still starts at its release.
-                    self.dispatch(ctx, job, usize::MAX, 0, false, sink);
+                    self.dispatch(ctx, job, 0, false, sink);
                 }
             }
             FleetTransition::ServerUp { server } => {
-                if !self.shards[server].is_crashed() {
+                let Err(at) = self.live.binary_search(&server) else {
                     return;
-                }
+                };
+                self.live.insert(at, server);
                 self.shards[server].recover();
                 self.loads[server] = LoadSig::STALE;
-                let at = self.live.partition_point(|&i| i < server);
-                self.live.insert(at, server);
                 if sink.is_enabled() {
                     sink.record(&TraceEvent::ShardFault {
                         t: t.as_secs(),
@@ -488,21 +752,15 @@ impl Router<'_> {
     }
 }
 
-/// Runs a whole fleet to its horizon and returns the aggregated result.
-///
-/// `shard_faults` carries per-server fault schedules (core loss,
-/// throttling, DVFS error); pass an empty slice for fault-free servers,
-/// otherwise exactly one entry per server. Fleet-level faults (whole-server
-/// crashes, slowdowns, dispatch loss) come from `fleet_faults`. The run is
-/// a pure function of `(cfg, trace, fault schedules)` — bit-identical on
-/// every invocation.
+/// Runs a whole fleet to its horizon and returns the aggregated result:
+/// [`Fleet::start`], one [`Fleet::submit`] per trace job, then
+/// [`Fleet::finish`]. Every server runs to the configured horizon,
+/// stretched to the trace's last deadline. The run is a pure function of
+/// `(cfg, trace, fault schedules)` — bit-identical on every invocation.
 ///
 /// # Panics
-/// Panics if `cfg` is invalid, `trace` is not release-ordered or has a
-/// negative release, `shard_faults` is neither empty nor `cfg.servers` long, a per-server
-/// schedule carries surge windows or demand noise (surge jobs would
-/// collide with the router's global job ids; both are fleet-level
-/// concerns), or `fleet_faults` names a server `>= cfg.servers`.
+/// Panics as [`Fleet::start`] does, or if `trace` is not release-ordered
+/// or has a negative release.
 pub fn run_fleet(
     cfg: &FleetConfig,
     trace: &Trace,
@@ -510,154 +768,11 @@ pub fn run_fleet(
     shard_faults: &[FaultSchedule],
     sink: &mut dyn TraceSink,
 ) -> FleetResult {
-    cfg.validate();
-    assert!(
-        shard_faults.is_empty() || shard_faults.len() == cfg.servers,
-        "need one per-server fault schedule per server (or none), got {} for {} servers",
-        shard_faults.len(),
-        cfg.servers
-    );
-    assert!(
-        shard_faults.iter().all(|fs| *fs == fs.machine_faults()),
-        "per-shard fault schedules must not carry surges or demand noise"
-    );
-    let jobs = trace.jobs();
-    assert!(
-        jobs.windows(2)
-            .all(|w| w[0].release.total_cmp(&w[1].release) != Ordering::Greater),
-        "the fleet trace must be release-ordered"
-    );
-    let transitions = fleet_faults.transitions();
-    for tr in &transitions {
-        if let FleetTransition::ServerDown { server }
-        | FleetTransition::ServerUp { server }
-        | FleetTransition::ServerSpeedFactor { server, .. } = tr.transition
-        {
-            assert!(
-                server < cfg.servers,
-                "fleet transition references server {server} in a {}-server fleet",
-                cfg.servers
-            );
-        }
+    let mut cfg = cfg.clone();
+    cfg.shard.horizon = cfg.shard.horizon.max(trace.last_deadline());
+    let mut fleet = Fleet::start(cfg, fleet_faults.clone(), shard_faults, sink);
+    for &job in trace.jobs() {
+        fleet.submit(job, sink);
     }
-
-    // Every server runs to the same horizon, stretched so the last
-    // injected job's fate is on the books even after retries.
-    let horizon = if trace.is_empty() {
-        cfg.shard.horizon
-    } else {
-        cfg.shard.horizon.max(trace.last_deadline())
-    };
-    let mut shard_cfg = cfg.shard.clone();
-    shard_cfg.horizon = horizon;
-
-    let empty = Trace::default();
-    let shards: Vec<Run> = (0..cfg.servers)
-        .map(|i| {
-            let faults = shard_faults.get(i);
-            Run::start(&shard_cfg, &empty, &cfg.algorithm, faults, &mut NullSink)
-        })
-        .collect();
-    let nominal = cfg.shard.budget_w;
-
-    let telemetry = Telemetry::is_enabled().then(|| FleetTelemetry::new(cfg.servers));
-    if let Some(tel) = &telemetry {
-        tel.live_shards.set(cfg.servers as f64);
-    }
-
-    if sink.is_enabled() {
-        sink.record(&TraceEvent::FleetRunStart {
-            t: 0.0,
-            servers: cfg.servers as u64,
-            cores: cfg.shard.cores as u64,
-            budget_w: cfg.total_budget_w(),
-            policy: cfg.routing.name().to_string(),
-            partitioner: cfg.partitioner.name().to_string(),
-            seed: cfg.seed,
-        });
-    }
-
-    let mut router = Router {
-        cfg,
-        schedule: fleet_faults,
-        shards,
-        loads: vec![LoadSig::STALE; cfg.servers],
-        live: (0..cfg.servers).collect(),
-        loss_prob: 0.0,
-        horizon,
-        rr_cursor: 0,
-        route_rng_root: RngStream::from_root(cfg.seed, "fleet/route"),
-        route_draws: 0,
-        slices: vec![nominal; cfg.servers],
-        shed_full_sum: 0.0,
-        dispatched: 0,
-        failovers: 0,
-        retries: 0,
-        shed: 0,
-        budget_epochs: 0,
-        telemetry,
-    };
-
-    let mut sim = Simulator::with_reserved(jobs.len() as u64);
-    for tr in transitions.iter().filter(|tr| tr.at <= horizon) {
-        sim.schedule(tr.at, PRIO_FAULT, FEv::Fault(tr.transition));
-    }
-    sim.schedule(SimTime::ZERO, PRIO_REALLOC, FEv::Realloc);
-    let first_dispatch = |j: usize| FEv::Dispatch { job: j, attempt: 0 };
-    if let Some(job) = jobs.first() {
-        sim.schedule_reserved(job.release, PRIO_DISPATCH, 0, first_dispatch(0));
-    }
-    sim.run_until(horizon, |ctx, ev| {
-        router.advance_due(ctx.now());
-        match ev {
-            FEv::Fault(transition) => router.apply_fault(ctx, transition, sink),
-            FEv::Realloc => router.realloc(ctx, sink),
-            FEv::Dispatch { job, attempt } => {
-                // A first dispatch streams in the next job's.
-                let next = job + 1;
-                if attempt == 0 && next < jobs.len() {
-                    let at = jobs[next].release;
-                    ctx.schedule_reserved(at, PRIO_DISPATCH, next as u64, first_dispatch(next));
-                }
-                router.dispatch(ctx, jobs[job], job, attempt, true, sink);
-            }
-        }
-    });
-    let outcomes: Vec<_> = router
-        .shards
-        .into_iter()
-        .map(|s| s.finish(&mut NullSink))
-        .collect();
-    let achieved: f64 = outcomes.iter().map(|o| o.achieved_sum).sum();
-    let full: f64 = outcomes.iter().map(|o| o.full_sum).sum::<f64>() + router.shed_full_sum;
-    let quality = if full > 0.0 { achieved / full } else { 1.0 };
-    let energy_j: f64 = outcomes.iter().map(|o| o.result.energy_j).sum();
-
-    if sink.is_enabled() {
-        sink.record(&TraceEvent::FleetSummary {
-            t: horizon.as_secs(),
-            dispatched: router.dispatched,
-            failovers: router.failovers,
-            retries: router.retries,
-            shed: router.shed,
-            energy_j,
-            quality,
-        });
-    }
-
-    FleetResult {
-        algorithm: cfg.algorithm.label().to_string(),
-        quality,
-        energy_j,
-        jobs_total: trace.len() as u64,
-        jobs_finished: outcomes.iter().map(|o| o.result.jobs_finished).sum(),
-        jobs_discarded: outcomes.iter().map(|o| o.result.jobs_discarded).sum(),
-        jobs_shed_shards: outcomes.iter().map(|o| o.result.jobs_shed).sum(),
-        jobs_shed_router: router.shed,
-        dispatches: router.dispatched,
-        failovers: router.failovers,
-        retries: router.retries,
-        budget_epochs: router.budget_epochs,
-        shards: outcomes.into_iter().map(|o| o.result).collect(),
-    }
+    fleet.finish(sink)
 }

@@ -9,11 +9,14 @@
 //! * [`config`] — [`FleetConfig`] plus the [`RoutingPolicy`] (round-robin,
 //!   join-shortest-queue, power-of-d, energy-aware) and [`Partitioner`]
 //!   (equal-split baseline, proportional-load, sum-power-aware) menus.
-//! * [`driver`] — [`run_fleet`]: one event order interleaving fault
-//!   transitions, budget epochs, and dispatches. A router event advances
-//!   only the servers with an engine event due and reads cached load
-//!   signals, yet the per-server engines behave bit-identically to
-//!   standalone runs and the whole fleet is reproducible from one seed.
+//! * [`driver`] — [`Fleet`], the online fleet handle (`start`, `submit`,
+//!   `advance_to`, `finish`), and [`run_fleet`], that handle driven over a
+//!   trace: one event order interleaving fault transitions, budget epochs,
+//!   dispatches and retries. A router event advances only the servers with
+//!   an engine event due and reads cached load signals, yet the per-server
+//!   engines behave bit-identically to standalone runs and the whole fleet
+//!   is reproducible from one seed. A `ge-serve` session runs on a
+//!   one-server `Fleet`.
 //!
 //! Degradation is explicit, never silent: a crashed server's
 //! queued-unstarted jobs fail over to survivors (in-flight work keeps
@@ -29,7 +32,7 @@ pub mod config;
 pub mod driver;
 
 pub use config::{FleetConfig, Partitioner, RoutingPolicy};
-pub use driver::{run_fleet, FleetResult};
+pub use driver::{run_fleet, Fleet, FleetResult};
 
 #[cfg(test)]
 mod tests {
@@ -420,6 +423,109 @@ mod tests {
         let first_epoch_budget = pos(&Step::Budget(b(at(1.0))));
         let dispatch = pos(&Step::Dispatch(b(at(1.0)), 4, 0));
         assert_eq!(dispatch, first_epoch_budget + cfg.servers);
+    }
+
+    /// Records job terminals only, as a serving session's books do.
+    #[derive(Default)]
+    struct TerminalsOnly {
+        finished: Vec<u64>,
+        other: usize,
+    }
+
+    impl ge_trace::TraceSink for TerminalsOnly {
+        fn is_enabled(&self) -> bool {
+            false
+        }
+
+        fn records_terminals(&self) -> bool {
+            true
+        }
+
+        fn record(&mut self, ev: &ge_trace::TraceEvent) {
+            match *ev {
+                ge_trace::TraceEvent::JobFinish { job, .. } => self.finished.push(job),
+                ge_trace::TraceEvent::JobShed { .. } => {}
+                _ => self.other += 1,
+            }
+        }
+    }
+
+    #[test]
+    fn shards_record_terminals_only_into_a_terminals_only_sink() {
+        // A crash makes failovers, so some jobs are handed to a server
+        // twice; each must still finish exactly once.
+        let cfg = base_cfg(2, 10.0);
+        let trace = workload(600, 8.0, 29);
+        let faults = FleetFaultSchedule::new(cfg.seed).with_server_outage(ServerOutage {
+            server: 1,
+            start: SimTime::from_secs(3.0),
+            end: None,
+        });
+        let plain = run_fleet(&cfg, &trace, &faults, &[], &mut NullSink);
+        assert!(plain.failovers > 0, "the crash must fail jobs over");
+
+        let mut books = TerminalsOnly::default();
+        let mut fleet = Fleet::start(cfg.clone(), faults.clone(), &[], &mut books);
+        for &job in trace.jobs() {
+            fleet.submit(job, &mut books);
+        }
+        let r = fleet.finish(&mut books);
+        assert_eq!(r.quality.to_bits(), plain.quality.to_bits());
+        assert_eq!(r.energy_j.to_bits(), plain.energy_j.to_bits());
+        assert_eq!(books.other, 0, "only job terminals may reach the sink");
+        let mut finished = books.finished.clone();
+        finished.sort_unstable();
+        finished.dedup();
+        assert_eq!(finished.len(), books.finished.len(), "a job finished twice");
+        assert_eq!(finished.len() as u64, r.jobs_finished);
+        assert_eq!(r.jobs_finished + r.jobs_shed_router, r.jobs_total);
+
+        // A traced fleet's sink sees the router's events and nothing else.
+        let mut sink = VecSink::new();
+        let traced = run_fleet(&cfg, &trace, &faults, &[], &mut sink);
+        assert_eq!(traced.quality.to_bits(), plain.quality.to_bits());
+        let router_kinds = [
+            "fleet_run_start",
+            "fleet_budget",
+            "fleet_dispatch",
+            "fleet_retry",
+            "fleet_failover",
+            "fleet_shed",
+            "shard_fault",
+            "fleet_summary",
+        ];
+        for ev in sink.events() {
+            assert!(router_kinds.contains(&ev.kind()), "{ev:?}");
+        }
+        let report = replay_fleet(sink.events()).expect("valid fleet trace");
+        assert!(report.is_ok(), "replay issues: {:?}", report.issues);
+        let dispatched = sink
+            .events()
+            .iter()
+            .filter(|ev| ev.kind() == "fleet_dispatch")
+            .count() as u64;
+        assert_eq!(dispatched, traced.dispatches);
+    }
+
+    #[test]
+    fn ledger_quality_counts_router_sheds_at_full_value() {
+        // Round-robin with a backlog ceiling any queued work exceeds: jobs
+        // 0 and 1 take the two servers, job 2 is shed by the guard. No job
+        // has finished yet, so the shed is the whole denominator.
+        let mut cfg = base_cfg(2, 4.0);
+        cfg.routing = RoutingPolicy::RoundRobin;
+        cfg.shard.q_min = 0.8;
+        cfg.shed_backlog_factor = 1e-9;
+        let at = SimTime::from_secs(1.0);
+        let mut fleet = Fleet::start(cfg, FleetFaultSchedule::new(42), &[], &mut NullSink);
+        for id in 0..3 {
+            assert_eq!(fleet.ledger_quality(), 1.0, "nothing is booked yet");
+            let job = Job::new(JobId(id), at, at + SimDuration::from_millis(500.0), 400.0);
+            fleet.submit(job, &mut NullSink);
+        }
+        assert_eq!(fleet.ledger_quality(), 0.0);
+        let r = fleet.finish(&mut NullSink);
+        assert_eq!((r.dispatches, r.jobs_shed_router), (2, 1));
     }
 
     #[test]

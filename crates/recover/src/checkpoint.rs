@@ -29,8 +29,9 @@ pub const MAGIC: [u8; 8] = *b"GECKPT\r\n";
 
 /// Current checkpoint format version. Bump on any payload layout change.
 /// Version 4 stores the trace-arrival cursor instead of future arrivals
-/// and carries injected jobs in their pending events.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// and carries injected jobs in their pending events; version 5 drops
+/// the leading crash flag (server liveness is the fleet router's state).
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 const CHECKSUM_LEN: usize = 8;

@@ -20,11 +20,12 @@
 //! * `shed` — the engine's quality floor dropped it pre-start (the engine
 //!   also books it as a discard; that booking is not a second terminal).
 //!
-//! The engine runs under the session's own books as its sink. They
-//! report the trace disabled, so the engine builds no execution slices,
-//! arrivals, triggers or cuts; they ask only for job terminals
-//! ([`TraceSink::records_terminals`]) and fold each one, by reference,
-//! into the counts, the serve-event trace and the digest's terminals.
+//! The core is admission plus books over a one-server [`Fleet`], which
+//! runs under the books as its sink. They report the trace disabled, so
+//! nothing builds execution slices, arrivals, triggers or cuts; they ask
+//! only for job terminals ([`TraceSink::records_terminals`]) and fold
+//! each one, by reference, into the counts, the serve-event trace and
+//! the digest's terminals.
 //!
 //! Draining closes admission, runs the engine to the horizon so every
 //! in-flight request reaches its deadline (nothing is silently lost),
@@ -33,10 +34,12 @@
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionState};
 use ge_core::{Algorithm, Run, SimConfig};
+use ge_faults::FleetFaultSchedule;
+use ge_fleet::{Fleet, FleetConfig, RoutingPolicy};
 use ge_recover::codec::fnv1a64;
-use ge_simcore::SimTime;
+use ge_simcore::{SimDuration, SimTime, TIME_EPS};
 use ge_telemetry::{Registry, Telemetry};
-use ge_trace::{NullSink, RejectReason, TraceEvent, TraceSink};
+use ge_trace::{RejectReason, TraceEvent, TraceSink};
 use ge_workload::{Job, JobId, Trace};
 use std::time::Instant;
 
@@ -157,6 +160,13 @@ pub enum SubmitError {
         /// The session horizon in seconds.
         horizon: f64,
     },
+    /// A field cannot describe a job: `t` is not finite, `demand` is not
+    /// positive and finite, or the deadline does not follow `t` by more
+    /// than the engine's time tolerance (`TIME_EPS`).
+    InvalidRequest {
+        /// Which field is invalid (`"t"`, `"demand"` or `"deadline"`).
+        field: &'static str,
+    },
 }
 
 impl SubmitError {
@@ -165,6 +175,7 @@ impl SubmitError {
         match self {
             SubmitError::TimeRegression { .. } => "time-regression",
             SubmitError::BeyondHorizon { .. } => "beyond-horizon",
+            SubmitError::InvalidRequest { .. } => "invalid-request",
         }
     }
 }
@@ -177,6 +188,9 @@ impl std::fmt::Display for SubmitError {
             }
             SubmitError::BeyondHorizon { field, horizon } => {
                 write!(f, "{field} is at or beyond the session horizon {horizon}")
+            }
+            SubmitError::InvalidRequest { field } => {
+                write!(f, "{field} does not describe a valid job")
             }
         }
     }
@@ -307,6 +321,7 @@ impl DrainOutcome {
 /// into request terminals, serve events and the `ge_serve_*_total`
 /// counters. Every engine terminal a session sees, while running and at
 /// close, comes through here.
+#[derive(Default)]
 struct SessionBooks {
     counts: Counts,
     events: Vec<TraceEvent>,
@@ -382,14 +397,14 @@ fn tel() -> Option<&'static Registry> {
     Telemetry::is_enabled().then(Telemetry::registry)
 }
 
-/// The deterministic serving state machine over one engine [`Run`].
+/// The deterministic serving state machine: admission and books over a
+/// one-server [`Fleet`].
 pub struct ServeCore {
     cfg: ServeConfig,
-    run: Run,
+    fleet: Fleet,
     admission: AdmissionController,
     draining: bool,
     next_req: u64,
-    last_t: f64,
     books: SessionBooks,
     latency_ns: Vec<u64>,
     latency_dropped: u64,
@@ -402,36 +417,34 @@ impl ServeCore {
     /// Panics if `cfg` fails [`ServeConfig::validate`].
     pub fn new(cfg: ServeConfig) -> Self {
         cfg.validate();
-        let run = Run::start(
-            &cfg.sim,
-            &Trace::default(),
-            &cfg.algorithm,
-            None,
-            &mut NullSink,
-        );
         let admission = AdmissionController::new(cfg.queue_high, cfg.queue_low, cfg.sim.q_min);
-        let events = vec![TraceEvent::ServeRunStart {
-            t: 0.0,
-            algorithm: cfg.algorithm.label().to_string(),
-            cores: cfg.sim.cores as u64,
-            budget_w: cfg.sim.budget_w,
-            q_min: cfg.sim.q_min,
-            queue_high: cfg.queue_high as u64,
-            queue_low: cfg.queue_low as u64,
-        }];
+        let mut books = SessionBooks {
+            events: vec![TraceEvent::ServeRunStart {
+                t: 0.0,
+                algorithm: cfg.algorithm.label().to_string(),
+                cores: cfg.sim.cores as u64,
+                budget_w: cfg.sim.budget_w,
+                q_min: cfg.sim.q_min,
+                queue_high: cfg.queue_high as u64,
+                queue_low: cfg.queue_low as u64,
+            }],
+            ..SessionBooks::default()
+        };
+        // One server, round-robin, no faults, no router overload guard
+        // (admission is the only one) and one budget epoch.
+        let mut fleet = FleetConfig::new(1, cfg.sim.clone());
+        fleet.algorithm = cfg.algorithm.clone();
+        fleet.routing = RoutingPolicy::RoundRobin;
+        fleet.shed_backlog_factor = f64::INFINITY;
+        fleet.realloc_every = SimDuration::from_secs(cfg.sim.horizon.as_secs());
+        let fleet = Fleet::start(fleet, FleetFaultSchedule::default(), &[], &mut books);
         ServeCore {
             cfg,
-            run,
+            fleet,
             admission,
             draining: false,
             next_req: 0,
-            last_t: 0.0,
-            books: SessionBooks {
-                counts: Counts::default(),
-                events,
-                terminals: Vec::new(),
-                shed_pending: Vec::new(),
-            },
+            books,
             latency_ns: Vec::new(),
             latency_dropped: 0,
         }
@@ -447,36 +460,29 @@ impl ServeCore {
         c.admitted - c.completed - c.timed_out - c.shed
     }
 
-    /// Advances the engine to logical time `t`; the job terminals it
-    /// reaches (finishes, expiries, sheds) fold into the books.
-    fn advance(&mut self, t: f64) {
-        let until = SimTime::from_secs(t);
-        if !until.after(self.run.now()) {
-            return;
+    /// Checks a logical timestamp: finite, not before the session's
+    /// clock, before its horizon.
+    fn check_time(&self, t: f64) -> Result<SimTime, SubmitError> {
+        if !t.is_finite() {
+            return Err(SubmitError::InvalidRequest { field: "t" });
         }
-        self.run.advance_to(until, &mut self.books);
-    }
-
-    fn check_time(&self, t: f64) -> Result<(), SubmitError> {
-        if t < self.last_t {
-            return Err(SubmitError::TimeRegression {
-                t,
-                now: self.last_t,
-            });
+        let now = self.fleet.now().as_secs();
+        if t < now {
+            return Err(SubmitError::TimeRegression { t, now });
         }
-        let horizon = self.run.horizon().as_secs();
+        let horizon = self.fleet.horizon().as_secs();
         if t >= horizon {
             return Err(SubmitError::BeyondHorizon {
                 field: "t",
                 horizon,
             });
         }
-        Ok(())
+        Ok(SimTime::from_secs(t))
     }
 
-    /// One request: advance to `t`, decide admission, inject or reject.
-    /// The hot path of the live server; its wall-clock cost is sampled
-    /// into the decision-latency histogram.
+    /// One request: advance to `t`, decide admission, submit to the fleet
+    /// or reject. The hot path of the live server; its wall-clock cost is
+    /// sampled into the decision-latency histogram.
     pub fn submit(
         &mut self,
         t: f64,
@@ -484,8 +490,9 @@ impl ServeCore {
         deadline_rel: f64,
     ) -> Result<SubmitOutcome, SubmitError> {
         let started = Instant::now();
-        self.check_time(t)?;
-        let horizon = self.run.horizon().as_secs();
+        // Everything `Job::new` asserts is checked before the books change.
+        let release = self.check_time(t)?;
+        let horizon = self.fleet.horizon().as_secs();
         let deadline = t + deadline_rel;
         if deadline > horizon {
             return Err(SubmitError::BeyondHorizon {
@@ -493,8 +500,13 @@ impl ServeCore {
                 horizon,
             });
         }
-        self.advance(t);
-        self.last_t = t;
+        if !(demand.is_finite() && demand > 0.0) {
+            return Err(SubmitError::InvalidRequest { field: "demand" });
+        }
+        if deadline.is_nan() || deadline <= t + TIME_EPS {
+            return Err(SubmitError::InvalidRequest { field: "deadline" });
+        }
+        self.fleet.advance_to(release, &mut self.books);
         let req = self.next_req;
         self.next_req += 1;
         self.books.counts.requests += 1;
@@ -506,18 +518,13 @@ impl ServeCore {
         });
         let decision = self.admission.decide(
             self.in_flight() as usize,
-            self.run.ledger_quality(),
+            self.fleet.ledger_quality(),
             self.draining,
         );
         let out = match decision {
             AdmissionDecision::Admit => {
-                let job = Job::new(
-                    JobId(req),
-                    SimTime::from_secs(t),
-                    SimTime::from_secs(deadline),
-                    demand,
-                );
-                self.run.inject_job(job, SimTime::from_secs(t));
+                let job = Job::new(JobId(req), release, SimTime::from_secs(deadline), demand);
+                self.fleet.submit(job, &mut self.books);
                 self.books.counts.admitted += 1;
                 let queue_len = self.in_flight() as usize;
                 self.books.events.push(TraceEvent::ServeAdmit {
@@ -552,14 +559,11 @@ impl ServeCore {
         }
         if let Some(r) = tel() {
             r.counter("ge_serve_requests_total").inc();
-            match out {
-                SubmitOutcome::Admitted { .. } => {
-                    r.counter("ge_serve_admitted_total").inc();
-                }
-                SubmitOutcome::Rejected { .. } => {
-                    r.counter("ge_serve_rejected_total").inc();
-                }
-            }
+            let verdict = match out {
+                SubmitOutcome::Admitted { .. } => "ge_serve_admitted_total",
+                SubmitOutcome::Rejected { .. } => "ge_serve_rejected_total",
+            };
+            r.counter(verdict).inc();
             r.gauge("ge_serve_queue_depth").set(self.in_flight() as f64);
             r.histogram("ge_serve_decision_seconds")
                 .observe(elapsed_ns as f64 * 1e-9);
@@ -570,9 +574,8 @@ impl ServeCore {
     /// Advances logical time with no new work (deadline expiries between
     /// sparse arrivals fire here).
     pub fn tick(&mut self, t: f64) -> Result<f64, SubmitError> {
-        self.check_time(t)?;
-        self.advance(t);
-        self.last_t = t;
+        let at = self.check_time(t)?;
+        self.fleet.advance_to(at, &mut self.books);
         Ok(t)
     }
 
@@ -580,7 +583,7 @@ impl ServeCore {
     pub fn stats(&self) -> ServeStats {
         let c = &self.books.counts;
         ServeStats {
-            now_s: self.run.now().as_secs(),
+            now_s: self.fleet.now().as_secs(),
             requests: c.requests,
             admitted: c.admitted,
             completed: c.completed,
@@ -588,7 +591,7 @@ impl ServeCore {
             timed_out: c.timed_out,
             shed: c.shed,
             queue_len: self.in_flight() as usize,
-            quality: self.run.ledger_quality(),
+            quality: self.fleet.ledger_quality(),
             draining: self.draining,
         }
     }
@@ -616,40 +619,34 @@ impl ServeCore {
         }
         self.draining = true;
         let pending = self.in_flight();
-        self.books.events.push(TraceEvent::ServeDrain {
-            t: self.last_t.max(self.run.now().as_secs()),
-            pending,
-        });
+        // Not before a terminal booked a tolerance past the router's clock.
+        let t = self.fleet.now().max(self.fleet.shards()[0].now()).as_secs();
+        self.books
+            .events
+            .push(TraceEvent::ServeDrain { t, pending });
     }
 
-    /// Runs the session to its end: close admission, advance the engine
+    /// Runs the session to its end: close admission, advance the fleet
     /// to the horizon (every in-flight request reaches a terminal
-    /// state), seal the final checkpoint and prove it restores
+    /// state), seal the server's final checkpoint and prove it restores
     /// bit-exactly, close the books, and emit `serve_summary`.
     pub fn finish_drain(mut self) -> DrainOutcome {
         self.begin_drain();
-        let horizon = self.run.horizon();
-        self.run.advance_to(horizon, &mut self.books);
-        let checkpoint = self.run.snapshot();
-        let resume_bit_exact = match Run::restore(
-            &self.cfg.sim,
-            &Trace::default(),
-            &self.cfg.algorithm,
-            None,
-            &checkpoint,
-        ) {
-            Ok(restored) => restored.snapshot() == checkpoint,
-            Err(_) => false,
-        };
+        let horizon = self.fleet.horizon();
+        self.fleet.advance_to(horizon, &mut self.books);
+        let checkpoint = self.fleet.shards()[0].snapshot();
+        let (sim, algorithm) = (&self.cfg.sim, &self.cfg.algorithm);
+        let resume_bit_exact = Run::restore(sim, &Trace::default(), algorithm, None, &checkpoint)
+            .is_ok_and(|restored| restored.snapshot() == checkpoint);
         let ServeCore {
-            run,
+            fleet,
             mut books,
             latency_ns,
             latency_dropped,
             ..
         } = self;
         // Close the books; leftover discards fold like any engine terminal.
-        let outcome = run.finish(&mut books);
+        let result = fleet.finish(&mut books);
         let SessionBooks {
             counts,
             mut events,
@@ -677,8 +674,8 @@ impl ServeCore {
             digest: accounting_digest(&terminals),
             checkpoint,
             resume_bit_exact,
-            quality: outcome.result.quality,
-            energy_j: outcome.result.energy_j,
+            quality: result.quality,
+            energy_j: result.energy_j,
             latency_ns,
             latency_dropped,
         }

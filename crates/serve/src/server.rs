@@ -62,9 +62,9 @@ fn tel() -> Option<&'static Registry> {
     Telemetry::is_enabled().then(Telemetry::registry)
 }
 
-/// Locks the core, absorbing poison: a worker that panicked mid-call
-/// left the core in a consistent state (panics escape before any partial
-/// mutation we care about survives the drain's independent recount), and
+/// Locks the core, absorbing poison. The core checks every value a
+/// command carries before its first write to the books, and the `PANIC`
+/// drill fires outside the lock; should a worker still panic under it,
 /// wedging every future request on poison would turn one bad connection
 /// into a full outage.
 fn lock_core(shared: &Shared) -> MutexGuard<'_, Option<ServeCore>> {

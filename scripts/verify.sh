@@ -50,6 +50,15 @@ awk 'NR==FNR { base[$2] = $1; next }
        exit bad
      }' scripts/unwrap_baseline.txt "$smoke_dir/unwrap_now.txt"
 
+echo "== one arrival path (serve reaches its engine only through ge_fleet::Fleet)"
+# A serving session is admission plus books over a one-server fleet, so
+# every arrival enters an engine through the fleet's router: the serve
+# crate must not start an engine or inject a job itself.
+if grep -rnE 'Run::start|inject_job' crates/serve/src; then
+  echo "FAIL: crates/serve/src starts or feeds an engine directly; submit through ge_fleet::Fleet"
+  exit 1
+fi
+
 echo "== faults smoke run (--faults coreloss)"
 cargo run --release --offline -q -p ge-experiments -- \
   --quick --reps 1 --horizon 5 --out "$smoke_dir" --faults coreloss \
@@ -253,8 +262,8 @@ grep -q '"name": "e2e_ge/telemetry_on"' "$smoke_dir/BENCH_sched.json"
 # The committed report must also carry the interleaved pair, the
 # event-queue pair (live-work depth vs every arrival queued), the
 # engine-sweep entry (the server's share of one event), the largest
-# whole-fleet run, the in-process serving session, the trace codec
-# pair, one GE epoch, the water-fill and Quality-OPT kernels and the
+# whole-fleet run, the serving session in process and over loopback,
+# the trace codec pair, one GE epoch, the water-fill and Quality-OPT kernels and the
 # staggered-release YDS entries that keep the general peel benched.
 grep -q '"name": "e2e_ge/telemetry_off"' BENCH_sched.json
 grep -q '"name": "e2e_ge/telemetry_on"' BENCH_sched.json
@@ -263,6 +272,7 @@ grep -q '"name": "engine/event_queue/90000"' BENCH_sched.json
 grep -q '"name": "engine/server_advance_16"' BENCH_sched.json
 grep -q '"name": "fleet_e2e/16"' BENCH_sched.json
 grep -q '"name": "serve/in_process"' BENCH_sched.json
+grep -q '"name": "serve/loopback"' BENCH_sched.json
 grep -q '"name": "trace/encode_jsonl"' BENCH_sched.json
 grep -q '"name": "trace/decode_jsonl"' BENCH_sched.json
 grep -q '"name": "ge/epoch_16"' BENCH_sched.json

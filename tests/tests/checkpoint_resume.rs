@@ -261,8 +261,9 @@ fn wrong_version_and_wrong_inputs_are_typed_errors() {
     future[8] = 0xEE;
     assert!(Run::restore(&c, &trace, &Algorithm::Ge, None, &future).is_err());
     // So must the earlier formats, even with a valid checksum: 2 (before
-    // the single run handle) and 3 (before the arrival cursor).
-    for version in [2u32, 3] {
+    // the single run handle), 3 (before the arrival cursor) and 4 (with
+    // the crash flag).
+    for version in [2u32, 3, 4] {
         let mut old = snap.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         let body_end = old.len() - 8;
@@ -427,9 +428,10 @@ fn injected_job_checkpoint_round_trips_and_rejects_corruption() {
     let mut down = injected_run(&c);
     down.crash();
     let down = restore(&down.snapshot()).expect("crashed run restores");
-    assert!(
-        down.is_crashed(),
-        "the crash flag must survive a checkpoint"
+    assert_eq!(
+        down.online_cores(),
+        0,
+        "a crashed run's dead cores must survive a checkpoint"
     );
 
     // The envelope catches every truncation and every flipped bit.

@@ -26,7 +26,7 @@ use ge_core::SimConfig;
 use ge_experiments::fleet as fleet_study;
 use ge_experiments::Scale;
 use ge_faults::{FleetFaultSchedule, FleetScenario, FleetScenarioKind, ServerOutage};
-use ge_fleet::{run_fleet, FleetConfig, Partitioner, RoutingPolicy};
+use ge_fleet::{run_fleet, Fleet, FleetConfig, FleetResult, Partitioner, RoutingPolicy};
 use ge_simcore::{RngStream, SimDuration, SimTime};
 use ge_trace::{parse_jsonl, replay_fleet, write_jsonl, NullSink, TraceEvent, VecSink};
 use ge_workload::{Job, JobId, Trace, WorkloadConfig, WorkloadGenerator};
@@ -255,7 +255,7 @@ fn double_crash_fails_over_each_queued_job_exactly_once() {
         first.len(),
         "one crash handed the same job back twice"
     );
-    assert!(shard.is_crashed());
+    assert_eq!(shard.online_cores(), 0);
 
     // Crashing an already-dead shard hands back nothing: were it to
     // repeat the failover list, the router would re-dispatch (and
@@ -266,7 +266,7 @@ fn double_crash_fails_over_each_queued_job_exactly_once() {
         "double crash re-failed-over {} job(s)",
         second.len()
     );
-    assert!(shard.is_crashed());
+    assert_eq!(shard.online_cores(), 0);
 }
 
 #[test]
@@ -412,5 +412,103 @@ fn one_server_round_robin_fleet_equals_the_single_server_run() {
             fleet.quality,
             single.quality
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The online handle: `run_fleet` is `Fleet::start`, one `submit` per job
+// and `finish`, so extra `advance_to` calls between releases — what a
+// live front end does between arrivals — must not move a bit.
+// ---------------------------------------------------------------------
+
+/// Every measurement of a fleet run the online path could move, as bits:
+/// the aggregates, the router's counts and each server's latency.
+fn fleet_bits(r: &FleetResult) -> Vec<u64> {
+    let mut bits = vec![
+        r.quality.to_bits(),
+        r.energy_j.to_bits(),
+        r.jobs_total,
+        r.jobs_finished,
+        r.jobs_discarded,
+        r.jobs_shed_shards,
+        r.jobs_shed_router,
+        r.dispatches,
+        r.failovers,
+        r.retries,
+        r.budget_epochs,
+    ];
+    for s in &r.shards {
+        bits.extend([
+            s.quality.to_bits(),
+            s.energy_j.to_bits(),
+            s.mean_latency_ms.to_bits(),
+            s.p95_latency_ms.to_bits(),
+            s.p99_latency_ms.to_bits(),
+        ]);
+    }
+    bits
+}
+
+#[test]
+fn an_online_fleet_advanced_between_releases_equals_the_batch_run() {
+    // The golden fleet matrix's shape (4 servers of 4 cores and 80 W,
+    // 20 s, seed 105, 170 req/s) under `fleetcombined` — crashes, slow
+    // servers and dispatch loss, so failovers and retries — with the
+    // overload guard off (q_min 0) and armed (q_min 0.8).
+    let horizon = SimTime::from_secs(20.0);
+    let trace = WorkloadGenerator::new(
+        WorkloadConfig {
+            horizon,
+            ..WorkloadConfig::paper_default(170.0)
+        },
+        105,
+    )
+    .generate();
+    for q_min in [0.0, 0.8] {
+        for routing in RoutingPolicy::ALL {
+            let mut cfg = FleetConfig::new(
+                4,
+                SimConfig {
+                    horizon,
+                    q_min,
+                    ..shard_cfg(20.0)
+                },
+            );
+            cfg.routing = routing;
+            cfg.seed = 105;
+            let (fleet_faults, shard_faults) = FleetScenario::new(
+                FleetScenarioKind::FleetCombined,
+                1.0,
+            )
+            .build(cfg.servers, cfg.shard.cores, horizon, 105);
+            let batch = run_fleet(&cfg, &trace, &fleet_faults, &shard_faults, &mut NullSink);
+            assert!(batch.retries > 0 && batch.failovers > 0, "{batch:?}");
+
+            let mut online_cfg = cfg.clone();
+            online_cfg.shard.horizon = horizon.max(trace.last_deadline());
+            let mut fleet = Fleet::start(online_cfg, fleet_faults, &shard_faults, &mut NullSink);
+            let mut rng = RngStream::from_root(105, "fleet-integration/advance");
+            let mut advances = 0;
+            let jobs = trace.jobs();
+            for (k, &job) in jobs.iter().enumerate() {
+                fleet.submit(job, &mut NullSink);
+                let Some(next) = jobs.get(k + 1) else { break };
+                let (a, b) = (job.release.as_secs(), next.release.as_secs());
+                if b - a > 1e-6 && rng.uniform01() < 0.5 {
+                    let t = a + (b - a) * (0.1 + 0.8 * rng.uniform01());
+                    fleet.advance_to(SimTime::from_secs(t), &mut NullSink);
+                    assert_eq!(fleet.now().as_secs(), t);
+                    advances += 1;
+                }
+            }
+            assert!(advances > 1000, "{advances} advances");
+            let online = fleet.finish(&mut NullSink);
+            assert_eq!(
+                fleet_bits(&online),
+                fleet_bits(&batch),
+                "{} with q_min {q_min}: the online fleet drifted from run_fleet",
+                routing.name()
+            );
+        }
     }
 }

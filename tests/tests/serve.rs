@@ -266,3 +266,28 @@ fn a_session_that_admits_everything_equals_the_traced_batch_run() {
         assert!(batch_fates == served_fates, "{case}: per-job fates differ");
     }
 }
+
+#[test]
+fn a_deadline_inside_the_time_tolerance_is_refused_before_it_is_booked() {
+    // `deadline_rel = 1e-10` passes the parser (it is positive) but puts
+    // the deadline within the engine's time tolerance of the arrival, so
+    // no job can carry it. The core must answer a typed error without
+    // booking the request, and the connection must live on.
+    let server = bind(exemplar_config(20.0));
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr);
+    let reply = client.send("SUBMIT 1.0 400 0.5");
+    assert!(reply.starts_with("ACCEPTED"), "{reply}");
+    assert_eq!(client.send("SUBMIT 1.5 400 1e-10"), "ERR invalid-request");
+    assert_eq!(client.send("PING"), "PONG");
+    let reply = client.send("SUBMIT 2.0 400 0.5");
+    assert!(reply.starts_with("ACCEPTED"), "{reply}");
+    drop(client);
+    server.request_drain();
+    let out = server.shutdown_and_drain();
+    assert_eq!(out.requests, 2, "{out:?}");
+    assert!(out.is_consistent(), "{out:?}");
+    let report = replay_serve(&out.events).expect("serve trace replays");
+    assert!(report.is_ok(), "{}", report.render());
+    assert_eq!(report.requests, 2);
+}
