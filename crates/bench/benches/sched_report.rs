@@ -277,9 +277,11 @@ fn bench_e2e(h: &Harness) {
     }
 }
 
-/// The same end-to-end GE run with the telemetry layer armed vs dark —
-/// the observability tentpole's overhead budget (< 2%) is checked by
-/// `scripts/verify.sh` against this pair. Each armed run pays the full
+/// The same end-to-end GE run with the telemetry layer armed vs dark.
+/// `scripts/verify.sh` only checks that both entries are reported; the
+/// < 2% overhead budget is not gated, because the on/off ratio of
+/// unchanged code spreads wider than the budget (ROADMAP item 1 is the
+/// measurement work that could resolve it). Each armed run pays the full
 /// hot-path cost: span guards on `advance`/replan/kernels (sampled
 /// walks), the epoch counters, the sampled planning-latency histogram,
 /// and the replan gauges. Batches interleave (`bench_pair`) so machine

@@ -59,7 +59,7 @@ pub fn run_supervised(
 /// [`run_supervised`] with an optional crash drill: cell `inject_panic`
 /// (by index) panics on its first attempt, exercising the full
 /// isolate/retry/salvage path on otherwise-healthy inputs. Used by the
-/// integration tests and the `--supervise-drill` flag.
+/// tests.
 pub fn run_supervised_with_injection(
     kind: ScenarioKind,
     scale: &Scale,

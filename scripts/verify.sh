@@ -69,7 +69,7 @@ echo "== CLI flag validation (typed errors, exit 1)"
 # Out-of-range or malformed flag values are one diagnostic line and exit
 # status 1, never a panic or a degenerate run.
 # A path or address flag with no value is the same kind of error.
-for bad in "--horizon nan" "--horizon -5" "--reps 0" "--out"; do
+for bad in "--horizon nan" "--horizon -5" "--reps 0" "--out" "--retries 0" "--faults"; do
   set +e
   # shellcheck disable=SC2086
   ./target/release/ge-experiments --quick fig1 $bad >/dev/null 2>"$smoke_dir/cli.err"
@@ -80,6 +80,16 @@ for bad in "--horizon nan" "--horizon -5" "--reps 0" "--out"; do
     exit 1
   fi
 done
+# An unknown target is refused (usage, exit 2) before any target runs.
+set +e
+./target/release/ge-experiments --quick --horizon 1 --out "$smoke_dir/unknown" fig1 fig99 \
+  >/dev/null 2>"$smoke_dir/cli.err"
+status=$?
+set -e
+if [ "$status" -ne 2 ] || compgen -G "$smoke_dir/unknown/fig1*.csv" >/dev/null; then
+  echo "FAIL: 'fig1 fig99' exited $status or ran fig1: $(head -1 "$smoke_dir/cli.err")"
+  exit 1
+fi
 
 # Committed result digests. A change that moves any of them changes what
 # the simulator computes and must update the value here on purpose.
