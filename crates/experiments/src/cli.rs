@@ -7,6 +7,9 @@
 //! three different spellings.
 
 use crate::CliError;
+use ge_core::Algorithm::{self, Ge, GeWfOnly};
+use ge_experiments::trace::Exemplar;
+use ge_experiments::trace::Windows::{self, Fixed, Random};
 use ge_experiments::{ablations, bounds, figures, validation, Scale};
 use ge_faults::{FaultScenario, FleetScenario, FleetScenarioKind, ScenarioKind};
 use ge_metrics::Table;
@@ -264,27 +267,51 @@ pub struct Target {
     pub group: Group,
     /// Computes its tables at a scale.
     pub run: fn(&Scale) -> Vec<Table>,
+    /// The cell `--trace` instruments; every figure declares one.
+    pub exemplar: Option<Exemplar>,
 }
 
 impl Target {
     const fn new(name: &'static str, group: Group, run: fn(&Scale) -> Vec<Table>) -> Self {
-        Target { name, group, run }
+        Target {
+            name,
+            group,
+            run,
+            exemplar: None,
+        }
+    }
+
+    /// A figure, traced as `algorithm` over `windows`.
+    const fn figure(
+        name: &'static str,
+        run: fn(&Scale) -> Vec<Table>,
+        algorithm: Algorithm,
+        windows: Windows,
+    ) -> Self {
+        Target {
+            name,
+            group: Group::Figure,
+            run,
+            exemplar: Some(Exemplar { algorithm, windows }),
+        }
     }
 }
 
-/// Every run target, in the order `all` runs them.
+/// Every run target, in the order `all` runs them. A figure's exemplar is
+/// the series it is about: Fig. 4 is GE over its random windows, and
+/// Figs. 6 and 7, which contrast the power-split policies, trace pure WF.
 pub const TARGETS: &[Target] = &[
-    Target::new("fig1", Group::Figure, figures::fig01::run),
-    Target::new("fig3", Group::Figure, figures::fig03::run),
-    Target::new("fig4", Group::Figure, figures::fig04::run),
-    Target::new("fig5", Group::Figure, figures::fig05::run),
-    Target::new("fig6", Group::Figure, figures::fig06::run),
-    Target::new("fig7", Group::Figure, figures::fig07::run),
-    Target::new("fig8", Group::Figure, figures::fig08::run),
-    Target::new("fig9", Group::Figure, figures::fig09::run),
-    Target::new("fig10", Group::Figure, figures::fig10::run),
-    Target::new("fig11", Group::Figure, figures::fig11::run),
-    Target::new("fig12", Group::Figure, figures::fig12::run),
+    Target::figure("fig1", figures::fig01::run, Ge, Fixed),
+    Target::figure("fig3", figures::fig03::run, Ge, Fixed),
+    Target::figure("fig4", figures::fig04::run, Ge, Random),
+    Target::figure("fig5", figures::fig05::run, Ge, Fixed),
+    Target::figure("fig6", figures::fig06::run, GeWfOnly, Fixed),
+    Target::figure("fig7", figures::fig07::run, GeWfOnly, Fixed),
+    Target::figure("fig8", figures::fig08::run, Ge, Fixed),
+    Target::figure("fig9", figures::fig09::run, Ge, Fixed),
+    Target::figure("fig10", figures::fig10::run, Ge, Fixed),
+    Target::figure("fig11", figures::fig11::run, Ge, Fixed),
+    Target::figure("fig12", figures::fig12::run, Ge, Fixed),
     Target::new("ab1", Group::Ablation, ablations::critical_load_sensitivity),
     Target::new("ab2", Group::Ablation, ablations::hybrid_vs_pure),
     Target::new("ab3", Group::Ablation, ablations::ledger_window),
@@ -572,6 +599,39 @@ mod tests {
             names(&parse_line("fig6 fig1").expect("parses").1),
             "fig6 fig1".split(' ').collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn exemplar_mapping() {
+        for t in TARGETS {
+            assert_eq!(
+                t.exemplar.is_some(),
+                t.group == Group::Figure,
+                "{}: exactly the figures declare an exemplar",
+                t.name
+            );
+        }
+        let exemplar = |name: &str| {
+            let t = TARGETS.iter().find(|t| t.name == name).expect("declared");
+            t.exemplar.clone().expect("a figure")
+        };
+        assert_eq!(
+            exemplar("fig4"),
+            Exemplar {
+                algorithm: Algorithm::Ge,
+                windows: Windows::Random
+            }
+        );
+        for fig in ["fig6", "fig7"] {
+            assert_eq!(
+                exemplar(fig),
+                Exemplar {
+                    algorithm: Algorithm::GeWfOnly,
+                    windows: Windows::Fixed
+                }
+            );
+        }
+        assert_eq!(exemplar("fig12").algorithm, Algorithm::Ge);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! partitioner, seed)`, so the whole study — including its digest line —
 //! is bit-reproducible run to run.
 
-use crate::faults::Q_MIN;
+use crate::faults::{INTENSITIES, Q_MIN};
 use crate::scale::Scale;
 use crate::sweep::parallel_indexed;
 use ge_core::SimConfig;
@@ -21,9 +21,6 @@ use ge_metrics::Table;
 use ge_simcore::SimTime;
 use ge_trace::NullSink;
 use ge_workload::{WorkloadConfig, WorkloadGenerator};
-
-/// The intensity grid swept by the fleet study (same grid as `--faults`).
-pub const INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 /// Cores per fleet server (the paper's 16-core box split four ways).
 pub const SHARD_CORES: usize = 4;
@@ -63,7 +60,7 @@ pub fn run(kind: FleetScenarioKind, scale: &Scale, servers: usize) -> (Vec<Table
     // The mid-grid arrival rate, scaled from the paper's 16-core box to
     // this fleet's total core count: loaded enough that losing a server
     // pushes the survivors past their equal-split capacity.
-    let rate = scale.rates[scale.rates.len() / 2] * (servers * SHARD_CORES) as f64 / 16.0;
+    let rate = scale.mid_rate() * (servers * SHARD_CORES) as f64 / 16.0;
     let workload = WorkloadConfig {
         horizon,
         ..WorkloadConfig::paper_default(rate)

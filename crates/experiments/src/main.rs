@@ -11,8 +11,8 @@
 
 mod cli;
 
-use cli::{Flags, Group, Target};
-use ge_core::{Algorithm, CheckpointPolicy, DriveOutcome, Run, RunResult, SimConfig};
+use cli::{Flags, Target};
+use ge_core::{Algorithm, CheckpointPolicy, DriveOutcome, Run, RunResult};
 use ge_experiments::supervise::{run_supervised, write_manifest, SupervisorConfig};
 use ge_experiments::trace::TraceError;
 use ge_experiments::Scale;
@@ -21,7 +21,7 @@ use ge_metrics::{AsciiPlot, SvgChart, Table};
 use ge_recover::{CheckpointError, RetryPolicy};
 use ge_telemetry::{scrape_text, MetricsServer, PeriodicSnapshots, Telemetry};
 use ge_trace::NullSink;
-use ge_workload::{WorkloadConfig, WorkloadGenerator};
+use ge_workload::WorkloadGenerator;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -162,10 +162,14 @@ impl std::error::Error for CliError {
     }
 }
 
-/// Builds an ASCII plot from a table whose first column is the x axis
-/// and whose remaining columns are numeric series. Returns `None` for
-/// tables that do not parse as numbers.
-fn plot_table(t: &Table) -> Option<AsciiPlot> {
+/// One named series of a numeric table: `(x, y)` points, with the
+/// table's first column as the x axis.
+type Series = (String, Vec<(f64, f64)>);
+
+/// Splits a table whose first column is the x axis and whose remaining
+/// columns are numeric into the x axis's name and one series per column.
+/// Returns `None` for tables that do not parse as numbers.
+fn numeric_series(t: &Table) -> Option<(String, Vec<Series>)> {
     let csv = t.to_csv();
     let mut lines = csv.lines();
     let headers: Vec<&str> = lines.next()?.split(',').collect();
@@ -178,40 +182,36 @@ fn plot_table(t: &Table) -> Option<AsciiPlot> {
             columns.get_mut(i)?.push(cell.parse().ok()?);
         }
     }
+    let series = headers
+        .iter()
+        .zip(&columns)
+        .skip(1)
+        .map(|(h, ys)| {
+            (
+                h.to_string(),
+                columns[0].iter().copied().zip(ys.iter().copied()).collect(),
+            )
+        })
+        .collect();
+    Some((headers[0].to_string(), series))
+}
+
+/// Builds an ASCII plot from a numeric table (first column = x axis).
+fn plot_table(t: &Table) -> Option<AsciiPlot> {
+    let (_, series) = numeric_series(t)?;
     let mut plot = AsciiPlot::standard(t.title().to_string());
-    for (i, h) in headers.iter().enumerate().skip(1) {
-        let points: Vec<(f64, f64)> = columns[0]
-            .iter()
-            .copied()
-            .zip(columns[i].iter().copied())
-            .collect();
-        plot.add_series(h.to_string(), points);
+    for (name, points) in series {
+        plot.add_series(name, points);
     }
     Some(plot)
 }
 
 /// Builds an SVG chart from a numeric table (first column = x axis).
 fn svg_table(t: &Table) -> Option<SvgChart> {
-    let csv = t.to_csv();
-    let mut lines = csv.lines();
-    let headers: Vec<&str> = lines.next()?.split(',').collect();
-    if headers.len() < 2 {
-        return None;
-    }
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); headers.len()];
-    for line in lines {
-        for (i, cell) in line.split(',').enumerate() {
-            columns.get_mut(i)?.push(cell.parse().ok()?);
-        }
-    }
-    let mut chart = SvgChart::new(t.title().to_string(), headers[0].to_string(), "value");
-    for (i, h) in headers.iter().enumerate().skip(1) {
-        let points: Vec<(f64, f64)> = columns[0]
-            .iter()
-            .copied()
-            .zip(columns[i].iter().copied())
-            .collect();
-        chart.add_series(h.to_string(), points);
+    let (x, series) = numeric_series(t)?;
+    let mut chart = SvgChart::new(t.title().to_string(), x, "value");
+    for (name, points) in series {
+        chart.add_series(name, points);
     }
     Some(chart)
 }
@@ -286,16 +286,7 @@ fn result_digest(r: &RunResult) -> u64 {
 /// completion so shell tests can compare a straight run against a
 /// stop-and-resume run.
 fn checkpoint_exemplar(scale: &Scale, flags: &Flags, path: &Path) -> Result<(), CliError> {
-    let rate = scale.rates[scale.rates.len() / 2];
-    let sim = SimConfig {
-        horizon: scale.horizon(),
-        q_min: ge_experiments::faults::Q_MIN,
-        ..SimConfig::paper_default()
-    };
-    let workload = WorkloadConfig {
-        horizon: scale.horizon(),
-        ..WorkloadConfig::paper_default(rate)
-    };
+    let (sim, workload) = ge_experiments::faults::study_config(scale);
     let trace = WorkloadGenerator::new(workload, scale.root_seed).generate();
     let schedule = flags
         .faults
@@ -675,17 +666,18 @@ fn run_modes(flags: &Flags, targets: &[&Target]) -> Result<(), CliError> {
     if let Some(base) = &flags.trace {
         for (i, target) in targets.iter().enumerate() {
             let fig = target.name;
-            if target.group != Group::Figure {
+            let Some(exemplar) = &target.exemplar else {
                 eprintln!("--trace only applies to figures; skipping {fig}");
                 continue;
-            }
+            };
             let started = std::time::Instant::now();
-            let run = ge_experiments::trace::traced_exemplar(fig, scale).map_err(|source| {
-                CliError::Trace {
-                    fig: fig.to_string(),
-                    source,
-                }
-            })?;
+            let run =
+                ge_experiments::trace::traced_exemplar(exemplar, scale).map_err(|source| {
+                    CliError::Trace {
+                        fig: fig.to_string(),
+                        source,
+                    }
+                })?;
             // With several figures named, suffix the path with each one.
             let path = if i == 0 {
                 base.to_path_buf()

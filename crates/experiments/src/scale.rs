@@ -52,6 +52,14 @@ impl Scale {
         SimTime::from_secs(self.horizon_secs)
     }
 
+    /// The middle of the rate grid: loaded enough that faults, cuts and
+    /// mode switches bite, light enough that the fault-free point is
+    /// comfortably feasible. The degradation and fleet studies and the
+    /// traced and checkpointed exemplar cells run at it.
+    pub fn mid_rate(&self) -> f64 {
+        self.rates[self.rates.len() / 2]
+    }
+
     /// This scale restricted to rates at or above `min_rate` (Figs. 7 and
     /// 9a focus on the heavy-load region).
     pub fn rates_from(&self, min_rate: f64) -> Vec<f64> {

@@ -6,6 +6,9 @@
 //! simulation periodically — a retry *continues from the last checkpoint*
 //! instead of starting over. A cell that exhausts its attempts is recorded
 //! as failed without disturbing any other cell's results or artifacts.
+//! The cells and tables are the study's own ([`crate::faults::cells`],
+//! [`crate::faults::tables`]), walked serially, so a healthy supervised
+//! run reproduces [`crate::faults::run`] byte for byte.
 //!
 //! The study's outcome ledger is written as `run-manifest.json` (schema
 //! `ge-run-manifest/v1`, see EXPERIMENTS.md), one entry per cell with its
@@ -17,14 +20,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use ge_core::{Algorithm, CheckpointPolicy, DriveOutcome, Run, RunResult, SimConfig};
-use ge_faults::{FaultScenario, ScenarioKind};
+use ge_core::{CheckpointPolicy, DriveOutcome, Run, RunResult};
+use ge_faults::ScenarioKind;
 use ge_metrics::Table;
 use ge_recover::{supervise, write_atomic, CellOutcome, CellReport, RetryPolicy};
+use ge_telemetry::json_escape;
 use ge_trace::NullSink;
-use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
-use crate::faults::{algorithms, INTENSITIES, Q_MIN};
+use crate::faults::{self, FaultCell};
 use crate::scale::Scale;
 
 /// How the supervised study runs each cell.
@@ -38,10 +41,10 @@ pub struct SupervisorConfig {
     pub checkpoint_every: u64,
 }
 
-/// The supervised study's outcome: the usual degradation tables (averaged
-/// over the cells that produced results) plus the per-cell ledger.
+/// The supervised study's outcome: the study's tables plus the per-cell
+/// ledger.
 pub struct SupervisedStudy {
-    /// Quality / energy / discarded tables, as in [`crate::faults::run`].
+    /// Quality / energy / discarded tables, from [`faults::tables`].
     pub tables: Vec<Table>,
     /// One report per cell, in cell order.
     pub reports: Vec<CellReport>,
@@ -66,54 +69,14 @@ pub fn run_supervised_with_injection(
     cfg: &SupervisorConfig,
     inject_panic: Option<usize>,
 ) -> SupervisedStudy {
-    let rate = scale.rates[scale.rates.len() / 2];
-    let sim = SimConfig {
-        horizon: scale.horizon(),
-        q_min: Q_MIN,
-        ..SimConfig::paper_default()
-    };
-    let workload = WorkloadConfig {
-        horizon: scale.horizon(),
-        ..WorkloadConfig::paper_default(rate)
-    };
-    let algs = algorithms();
-    let reps = scale.replications.max(1) as usize;
     // Checkpoints need their directory up front; if it cannot be created
     // the cells themselves will report the write failure.
     let _ = std::fs::create_dir_all(&cfg.checkpoint_dir);
-
-    let mut reports = Vec::new();
-    let mut results: Vec<Option<RunResult>> = Vec::new();
-    let mut idx = 0usize;
-    for &intensity in &INTENSITIES {
-        for alg in &algs {
-            for k in 0..reps {
-                let seed = scale.root_seed + k as u64;
-                let name = format!(
-                    "{}-i{:03}-{}-s{seed}",
-                    kind.name(),
-                    (intensity * 100.0).round() as u32,
-                    alg.label().to_lowercase().replace(' ', "-"),
-                );
-                let ckpt = cfg.checkpoint_dir.join(format!("{name}.ckpt"));
-                let (report, value) = supervise_cell(SupervisedCell {
-                    name: &name,
-                    sim: sim.clone(),
-                    workload: workload.clone(),
-                    algorithm: alg.clone(),
-                    scenario: FaultScenario::new(kind, intensity),
-                    seed,
-                    checkpoint: ckpt,
-                    checkpoint_every: cfg.checkpoint_every,
-                    retry: &cfg.retry,
-                    inject_panic: inject_panic == Some(idx),
-                });
-                reports.push(report);
-                results.push(value);
-                idx += 1;
-            }
-        }
-    }
+    let (reports, results): (Vec<CellReport>, Vec<Option<RunResult>>) = faults::cells(kind, scale)
+        .into_iter()
+        .enumerate()
+        .map(|(i, cell)| supervise_cell(cell, cfg, inject_panic == Some(i)))
+        .unzip();
 
     // Supervisor health counters for the live metrics endpoint. Timeouts
     // are recognized by the retry layer's error text (only the last
@@ -137,57 +100,44 @@ pub fn run_supervised_with_injection(
         reg.counter("ge_supervise_salvages_total").add(salvages);
     }
 
-    let tables = aggregate(kind, &algs, reps, &results);
+    let tables = faults::tables(kind, scale, &results);
     SupervisedStudy { tables, reports }
 }
 
-struct SupervisedCell<'a> {
-    name: &'a str,
-    sim: SimConfig,
-    workload: WorkloadConfig,
-    algorithm: Algorithm,
-    scenario: FaultScenario,
-    seed: u64,
-    checkpoint: PathBuf,
-    checkpoint_every: u64,
-    retry: &'a RetryPolicy,
+/// Runs one cell under supervision, checkpointing to
+/// `<checkpoint_dir>/<name>.ckpt`. Each attempt first tries to continue
+/// from that file (so work done before a crash is kept); a missing,
+/// corrupt, or mismatched checkpoint falls back to a fresh run.
+fn supervise_cell(
+    cell: FaultCell,
+    cfg: &SupervisorConfig,
     inject_panic: bool,
-}
-
-/// Runs one cell under supervision. Each attempt first tries to continue
-/// from the cell's checkpoint file (so work done before a crash is kept);
-/// a missing, corrupt, or mismatched checkpoint falls back to a fresh run.
-fn supervise_cell(cell: SupervisedCell<'_>) -> (CellReport, Option<RunResult>) {
-    let SupervisedCell {
-        name,
-        sim,
-        workload,
-        algorithm,
-        scenario,
-        seed,
-        checkpoint,
-        checkpoint_every,
-        retry,
-        inject_panic,
-    } = cell;
+) -> (CellReport, Option<RunResult>) {
+    let checkpoint = cfg.checkpoint_dir.join(format!("{}.ckpt", cell.name));
     let attempt_no = Arc::new(AtomicU32::new(0));
     let used_checkpoint = Arc::new(AtomicBool::new(false));
     let used = Arc::clone(&used_checkpoint);
     let policy = CheckpointPolicy {
         path: checkpoint.clone(),
-        every_quanta: checkpoint_every.max(1),
+        every_quanta: cfg.checkpoint_every.max(1),
         stop_after: None,
     };
+    let name = cell.name.clone();
     let work = move || -> Result<RunResult, String> {
         let attempt = attempt_no.fetch_add(1, Ordering::SeqCst);
         if inject_panic && attempt == 0 {
             panic!("injected crash drill");
         }
-        let trace = WorkloadGenerator::new(workload.clone(), seed).generate();
-        let schedule = scenario.build(sim.cores, sim.horizon, seed);
+        let trace = cell.trace();
+        let schedule = cell.schedule();
         if policy.path.exists() {
-            let restored =
-                Run::restore_file(&sim, &trace, &algorithm, Some(&schedule), &policy.path);
+            let restored = Run::restore_file(
+                &cell.sim,
+                &trace,
+                &cell.algorithm,
+                Some(&schedule),
+                &policy.path,
+            );
             match restored.and_then(|run| run.drive(&policy, &mut NullSink)) {
                 Ok(DriveOutcome::Finished(r)) => {
                     used.store(true, Ordering::SeqCst);
@@ -199,14 +149,20 @@ fn supervise_cell(cell: SupervisedCell<'_>) -> (CellReport, Option<RunResult>) {
                 Ok(DriveOutcome::Stopped { .. }) | Err(_) => {}
             }
         }
-        let run = Run::start(&sim, &trace, &algorithm, Some(&schedule), &mut NullSink);
+        let run = Run::start(
+            &cell.sim,
+            &trace,
+            &cell.algorithm,
+            Some(&schedule),
+            &mut NullSink,
+        );
         match run.drive(&policy, &mut NullSink) {
             Ok(DriveOutcome::Finished(r)) => Ok(r),
             Ok(DriveOutcome::Stopped { .. }) => Err("run stopped before the horizon".to_string()),
             Err(e) => Err(e.to_string()),
         }
     };
-    let (mut report, value) = supervise(name, retry, work);
+    let (mut report, value) = supervise(&name, &cfg.retry, work);
     // A retry that continued from the crashed attempt's checkpoint
     // salvaged partial work rather than redoing it.
     if report.outcome == CellOutcome::Retried && used_checkpoint.load(Ordering::SeqCst) {
@@ -217,77 +173,6 @@ fn supervise_cell(cell: SupervisedCell<'_>) -> (CellReport, Option<RunResult>) {
         let _ = std::fs::remove_file(&checkpoint);
     }
     (report, value)
-}
-
-/// Builds the three degradation tables, averaging each `(intensity,
-/// algorithm)` point over the replications that produced a result. Points
-/// where every replication failed are reported as NaN rather than
-/// invented.
-fn aggregate(
-    kind: ScenarioKind,
-    algs: &[Algorithm],
-    reps: usize,
-    results: &[Option<RunResult>],
-) -> Vec<Table> {
-    let mut headers = vec!["intensity"];
-    headers.extend(algs.iter().map(|a| a.label()));
-    let name = kind.name();
-    let mut quality = Table::with_headers(
-        format!("Degradation ({name}): delivered quality vs fault intensity (Q_min = {Q_MIN})"),
-        &headers,
-    );
-    let mut energy = Table::with_headers(
-        format!("Degradation ({name}): energy (J) vs fault intensity"),
-        &headers,
-    );
-    let mut discarded = Table::with_headers(
-        format!("Degradation ({name}): jobs discarded (expired + shed) vs fault intensity"),
-        &headers,
-    );
-    let per_intensity = algs.len() * reps;
-    for (ii, &intensity) in INTENSITIES.iter().enumerate() {
-        let mut qrow = vec![intensity];
-        let mut erow = vec![intensity];
-        let mut drow = vec![intensity];
-        for ai in 0..algs.len() {
-            let base = ii * per_intensity + ai * reps;
-            let ok: Vec<&RunResult> = results[base..base + reps]
-                .iter()
-                .filter_map(|r| r.as_ref())
-                .collect();
-            if ok.is_empty() {
-                qrow.push(f64::NAN);
-                erow.push(f64::NAN);
-                drow.push(f64::NAN);
-            } else {
-                let n = ok.len() as f64;
-                qrow.push(ok.iter().map(|r| r.quality).sum::<f64>() / n);
-                erow.push(ok.iter().map(|r| r.energy_j).sum::<f64>() / n);
-                drow.push(ok.iter().map(|r| r.jobs_discarded as f64).sum::<f64>() / n);
-            }
-        }
-        quality.push_numeric_row(&qrow, 4);
-        energy.push_numeric_row(&erow, 2);
-        discarded.push_numeric_row(&drow, 2);
-    }
-    vec![quality, energy, discarded]
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the run manifest (schema `ge-run-manifest/v1`).

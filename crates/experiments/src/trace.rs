@@ -13,17 +13,23 @@ use ge_trace::{
 };
 use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
-/// The representative algorithm (and deadline-window style) traced for
-/// each figure name: the series the figure is *about*.
-fn exemplar(fig: &str) -> (Algorithm, bool) {
-    match fig {
-        // Fig. 4 uses the random 150–500 ms deadline windows.
-        "fig4" => (Algorithm::Ge, true),
-        // Fig. 6/7 contrast the power-split policies; trace pure WF.
-        "fig6" | "fig7" => (Algorithm::GeWfOnly, false),
-        // Everything else centres on the paper's GE configuration.
-        _ => (Algorithm::Ge, false),
-    }
+/// The cell traced for a figure: the series the figure is *about*, at
+/// the middle of the rate grid.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Exemplar {
+    /// The traced algorithm.
+    pub algorithm: Algorithm,
+    /// The deadline windows of its arrival stream.
+    pub windows: Windows,
+}
+
+/// The deadline windows of an exemplar's arrival stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Windows {
+    /// The paper's fixed 150 ms windows.
+    Fixed,
+    /// Fig. 4's random 150–500 ms windows.
+    Random,
 }
 
 /// The outcome of a traced exemplar run.
@@ -69,32 +75,25 @@ impl std::error::Error for TraceError {
     }
 }
 
-/// Runs one exemplar cell of `fig` with full tracing and round-trips the
-/// trace through the JSONL encoder before replaying it.
-pub fn traced_exemplar(fig: &str, scale: &Scale) -> Result<TracedRun, TraceError> {
-    let (algorithm, random_windows) = exemplar(fig);
-    // The middle of the rate grid: loaded enough for cuts and mode
-    // switches, light enough that AES residency stays interesting.
-    let rate = scale.rates[scale.rates.len() / 2];
+/// Runs `exemplar` with full tracing and round-trips the trace through
+/// the JSONL encoder before replaying it.
+pub fn traced_exemplar(exemplar: &Exemplar, scale: &Scale) -> Result<TracedRun, TraceError> {
+    let rate = scale.mid_rate();
     let sim = SimConfig {
         horizon: scale.horizon(),
         ..SimConfig::paper_default()
     };
-    let wc = if random_windows {
-        WorkloadConfig {
-            horizon: scale.horizon(),
-            ..WorkloadConfig::paper_random_windows(rate)
-        }
-    } else {
-        WorkloadConfig {
-            horizon: scale.horizon(),
-            ..WorkloadConfig::paper_default(rate)
+    let wc = WorkloadConfig {
+        horizon: scale.horizon(),
+        ..match exemplar.windows {
+            Windows::Fixed => WorkloadConfig::paper_default(rate),
+            Windows::Random => WorkloadConfig::paper_random_windows(rate),
         }
     };
     let trace = WorkloadGenerator::new(wc, scale.root_seed).generate();
 
     let mut sink = VecSink::new();
-    let result = run_with_sink(&sim, &trace, &algorithm, None, &mut sink);
+    let result = run_with_sink(&sim, &trace, &exemplar.algorithm, None, &mut sink);
     let mut events = sink.into_events();
 
     // Prepend the provenance header. The config digest covers the
@@ -145,9 +144,14 @@ mod tests {
         }
     }
 
+    const GE: Exemplar = Exemplar {
+        algorithm: Algorithm::Ge,
+        windows: Windows::Fixed,
+    };
+
     #[test]
     fn fig1_trace_replays_clean() {
-        let run = traced_exemplar("fig1", &tiny()).expect("exemplar trace verifies");
+        let run = traced_exemplar(&GE, &tiny()).expect("exemplar trace verifies");
         assert!(run.report.is_ok(), "{}", run.report.render());
         assert!(!run.events.is_empty());
         assert!((run.report.reported_energy_j - run.result.energy_j).abs() < 1e-9);
@@ -156,13 +160,17 @@ mod tests {
 
     #[test]
     fn fig4_uses_random_windows_and_replays_clean() {
-        let run = traced_exemplar("fig4", &tiny()).expect("exemplar trace verifies");
+        let fig4 = Exemplar {
+            windows: Windows::Random,
+            ..GE
+        };
+        let run = traced_exemplar(&fig4, &tiny()).expect("exemplar trace verifies");
         assert!(run.report.is_ok(), "{}", run.report.render());
     }
 
     #[test]
     fn traced_exemplar_emits_a_valid_header() {
-        let run = traced_exemplar("fig1", &tiny()).expect("exemplar trace verifies");
+        let run = traced_exemplar(&GE, &tiny()).expect("exemplar trace verifies");
         match &run.events[0] {
             TraceEvent::RunMeta {
                 t,
@@ -181,12 +189,5 @@ mod tests {
         }
         // Replay counted the body only — the header is provenance.
         assert_eq!(run.report.events, run.events.len() - 1);
-    }
-
-    #[test]
-    fn exemplar_mapping() {
-        assert_eq!(exemplar("fig6").0, Algorithm::GeWfOnly);
-        assert!(exemplar("fig4").1);
-        assert_eq!(exemplar("fig12").0, Algorithm::Ge);
     }
 }

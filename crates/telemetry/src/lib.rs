@@ -52,7 +52,7 @@ pub use registry::{
     Counter, Gauge, HistSnapshot, HistogramHandle, MetricId, Registry, TelemetrySnapshot,
 };
 pub use server::{scrape_text, MetricsServer};
-pub use snapshot::{snapshot_jsonl_line, PeriodicSnapshots};
+pub use snapshot::{json_escape, snapshot_jsonl_line, PeriodicSnapshots};
 pub use span::{
     flush_thread_profile, folded_profile, profile_rows, reset_profile, set_span_sample_shift,
     span_sample_interval, SpanGuard, SpanRow, DEFAULT_SAMPLE_SHIFT,

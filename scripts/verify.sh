@@ -135,6 +135,17 @@ grep -q '"status": "ok"' "$smoke_dir/run-manifest.json"
 grep -q '^# TYPE ge_supervise_retries_total counter$' "$smoke_dir/metrics-scrape.txt"
 grep -q '^# TYPE ge_supervise_timeouts_total counter$' "$smoke_dir/metrics-scrape.txt"
 grep -q '^# TYPE ge_supervise_salvages_total counter$' "$smoke_dir/metrics-scrape.txt"
+# Supervision wraps the study's own cells and tables: the same study run
+# unsupervised must write byte-identical CSVs.
+cargo run --release --offline -q -p ge-experiments -- \
+  --quick --reps 1 --horizon 5 --out "$smoke_dir/unsupervised" --faults throttle \
+  >"$smoke_dir/unsupervised.log"
+for t in a b c; do
+  if ! cmp "$smoke_dir/faults-throttle$t.csv" "$smoke_dir/unsupervised/faults-throttle$t.csv"; then
+    echo "FAIL: --supervise and unsupervised faults-throttle$t.csv differ"
+    exit 1
+  fi
+done
 
 echo "== kill-and-resume smoke (checkpoint bit-exactness)"
 # Stop a checkpointed run mid-flight, resume it, and require the resumed

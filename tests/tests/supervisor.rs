@@ -9,15 +9,14 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use ge_core::{Algorithm, CheckpointPolicy, DriveOutcome, Run, SimConfig};
+use ge_core::{CheckpointPolicy, DriveOutcome, Run};
 use ge_experiments::supervise::{
     run_supervised, run_supervised_with_injection, write_manifest, SupervisorConfig,
 };
 use ge_experiments::Scale;
-use ge_faults::{FaultScenario, ScenarioKind};
+use ge_faults::ScenarioKind;
 use ge_recover::{CellOutcome, RetryPolicy};
 use ge_trace::NullSink;
-use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -92,34 +91,27 @@ fn crashed_cell_with_checkpoint_is_salvaged() {
     let scale = tiny_scale();
     let cfg = supervisor_cfg(&dir);
 
-    // Stage the crash: run cell 0's exact configuration up to a mid-run
-    // checkpoint and stop — exactly the file a killed process would leave.
-    // Cell 0 is (intensity 0.0, GE, root_seed), named by the supervisor as
-    // "<scenario>-i000-ge-s<seed>".
-    let sim = SimConfig {
-        horizon: scale.horizon(),
-        q_min: ge_experiments::faults::Q_MIN,
-        ..SimConfig::paper_default()
-    };
-    let workload = WorkloadConfig {
-        horizon: scale.horizon(),
-        ..WorkloadConfig::paper_default(scale.rates[scale.rates.len() / 2])
-    };
-    let trace = WorkloadGenerator::new(workload, scale.root_seed).generate();
-    let schedule = FaultScenario::new(ScenarioKind::Throttle, 0.0).build(
-        sim.cores,
-        sim.horizon,
-        scale.root_seed,
-    );
-    let ckpt = dir.join(format!("throttle-i000-ge-s{}.ckpt", scale.root_seed));
+    // Stage the crash: run the study's own cell 0 up to a mid-run
+    // checkpoint and stop — exactly the file a killed process would leave,
+    // under the name the supervisor gives that cell.
+    let cell = &ge_experiments::faults::cells(ScenarioKind::Throttle, &scale)[0];
+    let trace = cell.trace();
+    let schedule = cell.schedule();
+    let ckpt = dir.join(format!("{}.ckpt", cell.name));
     let policy = CheckpointPolicy {
         path: ckpt.clone(),
         every_quanta: 2,
         stop_after: Some(1),
     };
-    let staged = Run::start(&sim, &trace, &Algorithm::Ge, Some(&schedule), &mut NullSink)
-        .drive(&policy, &mut NullSink)
-        .expect("staging run");
+    let staged = Run::start(
+        &cell.sim,
+        &trace,
+        &cell.algorithm,
+        Some(&schedule),
+        &mut NullSink,
+    )
+    .drive(&policy, &mut NullSink)
+    .expect("staging run");
     assert!(matches!(
         staged,
         DriveOutcome::Stopped { checkpoints: 1, .. }
