@@ -456,13 +456,19 @@ fn bench_trace_codec(h: &Harness) {
     });
 }
 
+/// Sample batches for the figure pipelines. One `fig08` iteration takes
+/// about 125 ms, so a batch of the harness's minimum 10 iterations is
+/// over a second: 15 batches spent about 20 s of the report on one
+/// advisory entry, and 3 still give a minimum over 30 iterations.
+const FIGURE_BATCHES: usize = 3;
+
 /// Representative figure pipelines (workload → sweep → tables).
 fn bench_figures(h: &Harness) {
     let scale = Scale::bench();
-    h.bench("figures/fig01_aes_residency", || {
+    h.bench_batches("figures/fig01_aes_residency", FIGURE_BATCHES, || {
         figures::fig01::run(&scale)
     });
-    h.bench("figures/fig08_control_policies", || {
+    h.bench_batches("figures/fig08_control_policies", FIGURE_BATCHES, || {
         figures::fig08::run(&scale)
     });
 }

@@ -212,7 +212,14 @@ pub mod harness {
         ///
         /// Skipped (silently) when a filter was given and `name` does not
         /// contain it.
-        pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) {
+        pub fn bench<T>(&self, name: &str, f: impl FnMut() -> T) {
+            self.bench_batches(name, BATCHES, f)
+        }
+
+        /// [`Harness::bench`] over `batches` sample batches instead of
+        /// [`BATCHES`], for bodies slow enough that [`MIN_ITERS`]
+        /// iterations already make one batch far longer than the target.
+        pub fn bench_batches<T>(&self, name: &str, batches: usize, mut f: impl FnMut() -> T) {
             if let Some(filter) = &self.filter {
                 if !name.contains(filter.as_str()) {
                     return;
@@ -221,7 +228,7 @@ pub mod harness {
             let iters = calibrate(&mut f);
             let mut min_ns = f64::INFINITY;
             let mut sum_ns = 0.0;
-            for _ in 0..BATCHES {
+            for _ in 0..batches {
                 let t = Instant::now();
                 for _ in 0..iters {
                     black_box(f());
@@ -230,9 +237,9 @@ pub mod harness {
                 min_ns = min_ns.min(per_iter);
                 sum_ns += per_iter;
             }
-            let mean_ns = sum_ns / BATCHES as f64;
+            let mean_ns = sum_ns / batches as f64;
             println!(
-                "{name:<40} {:>12.1} ns/iter   (mean {:>12.1}, {iters} iters x {BATCHES})",
+                "{name:<40} {:>12.1} ns/iter   (mean {:>12.1}, {iters} iters x {batches})",
                 min_ns, mean_ns,
             );
             self.results.borrow_mut().push(BenchResult {

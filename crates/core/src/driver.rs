@@ -35,7 +35,7 @@ use ge_quality::{ExpConcave, LedgerMode, QualityFunction, QualityLedger};
 use ge_server::{CoreJob, FinishedJob, Server};
 use ge_simcore::{SimContext, SimTime, Simulator};
 use ge_telemetry::{SpanGuard, Telemetry};
-use ge_trace::{NullSink, TraceEvent, TraceSink, TriggerKind};
+use ge_trace::{NullSink, RunStartEvent, TraceEvent, TraceSink, TriggerKind};
 use ge_workload::{Job, Trace};
 use std::collections::VecDeque;
 
@@ -417,7 +417,7 @@ impl Engine {
     /// Emits the `RunStart` trace event (once, before the first segment).
     pub(crate) fn emit_run_start(&self, sched: &dyn Scheduler, sink: &mut dyn TraceSink) {
         if sink.is_enabled() {
-            sink.record(&TraceEvent::RunStart {
+            sink.record(&TraceEvent::from(RunStartEvent {
                 t: 0.0,
                 algorithm: sched.name().to_string(),
                 cores: self.cfg.cores as u64,
@@ -434,7 +434,7 @@ impl Engine {
                     LedgerMode::Cumulative => 0,
                     LedgerMode::SlidingWindow(n) => n as u64,
                 },
-            });
+            }));
         }
     }
 

@@ -684,18 +684,16 @@ fn run_modes(flags: &Flags, targets: &[&Target]) -> Result<(), CliError> {
             } else {
                 base.with_extension(format!("{fig}.jsonl"))
             };
-            let mut jsonl = Vec::new();
-            ge_trace::write_jsonl(&run.events, &mut jsonl).map_err(|source| CliError::Trace {
-                fig: fig.to_string(),
-                source: TraceError::Serialize(source),
-            })?;
-            ge_recover::write_atomic(&path, &jsonl).map_err(|source| CliError::Write {
-                path: path.clone(),
-                source,
+            // Write the bytes the replay certified, not a re-serialization.
+            ge_recover::write_atomic(&path, run.jsonl.as_bytes()).map_err(|source| {
+                CliError::Write {
+                    path: path.clone(),
+                    source,
+                }
             })?;
             println!(
                 "{fig}: wrote {} events to {} ({:.1?})",
-                run.events.len(),
+                run.event_count,
                 path.display(),
                 started.elapsed()
             );

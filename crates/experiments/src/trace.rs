@@ -2,14 +2,16 @@
 //!
 //! Figures report seed-averaged summaries; this module runs a *single*
 //! representative cell of the named figure with every decision event
-//! streamed into a [`ge_trace::VecSink`], writes the JSONL trace, parses
-//! it back, and replays it through the invariant checker — so the trace
-//! on disk is proven, not assumed, to reproduce the run it describes.
+//! streamed into a [`ge_trace::VecSink`], serializes the JSONL trace,
+//! parses it back, and replays it through the invariant checker. The CLI
+//! writes those same bytes, so the trace on disk is proven, not assumed,
+//! to reproduce the run it describes.
 
 use crate::scale::Scale;
 use ge_core::{run_with_sink, Algorithm, RunResult, SimConfig};
 use ge_trace::{
-    jsonl_line, parse_jsonl, replay, write_jsonl, ReplayReport, TraceEvent, VecSink, TRACE_SCHEMA,
+    jsonl_line, parse_jsonl, replay, write_jsonl, ReplayReport, RunMetaEvent, TraceEvent, VecSink,
+    TRACE_SCHEMA,
 };
 use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -36,8 +38,11 @@ pub enum Windows {
 pub struct TracedRun {
     /// The driver's reported measurements.
     pub result: RunResult,
-    /// Every event the run emitted, in order.
-    pub events: Vec<TraceEvent>,
+    /// The trace as JSONL, provenance header first: exactly the bytes
+    /// the replay below parsed back and checked.
+    pub jsonl: String,
+    /// Number of events (lines) in `jsonl`, the header included.
+    pub event_count: usize,
     /// The invariant checker's verdict over the *parsed-back* trace.
     pub report: ReplayReport,
 }
@@ -101,24 +106,28 @@ pub fn traced_exemplar(exemplar: &Exemplar, scale: &Scale) -> Result<TracedRun, 
     // appears on the wire — so any config drift changes the digest.
     let config_digest = events
         .first()
-        .filter(|e| matches!(e, TraceEvent::RunStart { .. }))
+        .filter(|e| matches!(e, TraceEvent::RunStart(_)))
         .map(|e| ge_recover::codec::fnv1a64(jsonl_line(e).as_bytes()))
         .unwrap_or(0);
     events.insert(
         0,
-        TraceEvent::RunMeta {
+        TraceEvent::from(RunMetaEvent {
             t: 0.0,
             schema: TRACE_SCHEMA.to_string(),
             seed: scale.root_seed,
             config_digest,
             version: env!("CARGO_PKG_VERSION").to_string(),
-        },
+        }),
     );
+    let event_count = events.len();
 
     // Round-trip through the wire format before replaying: the report
-    // then certifies the serialized artifact, not the in-memory one.
+    // then certifies the serialized artifact, not the in-memory one. The
+    // in-memory events are dropped once serialized, so at most two
+    // copies of the trace are alive at a time.
     let mut jsonl = Vec::new();
     write_jsonl(&events, &mut jsonl).map_err(TraceError::Serialize)?;
+    drop(events);
     let jsonl = String::from_utf8(jsonl).map_err(|e| {
         TraceError::Serialize(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     })?;
@@ -126,7 +135,8 @@ pub fn traced_exemplar(exemplar: &Exemplar, scale: &Scale) -> Result<TracedRun, 
     let report = replay(&parsed).map_err(TraceError::Replay)?;
     Ok(TracedRun {
         result,
-        events,
+        jsonl,
+        event_count,
         report,
     })
 }
@@ -153,7 +163,8 @@ mod tests {
     fn fig1_trace_replays_clean() {
         let run = traced_exemplar(&GE, &tiny()).expect("exemplar trace verifies");
         assert!(run.report.is_ok(), "{}", run.report.render());
-        assert!(!run.events.is_empty());
+        assert!(run.event_count > 0);
+        assert_eq!(run.jsonl.lines().count(), run.event_count);
         assert!((run.report.reported_energy_j - run.result.energy_j).abs() < 1e-9);
         assert!((run.report.reported_aes - run.result.aes_fraction).abs() < 1e-12);
     }
@@ -171,23 +182,18 @@ mod tests {
     #[test]
     fn traced_exemplar_emits_a_valid_header() {
         let run = traced_exemplar(&GE, &tiny()).expect("exemplar trace verifies");
-        match &run.events[0] {
-            TraceEvent::RunMeta {
-                t,
-                schema,
-                seed,
-                config_digest,
-                version,
-            } => {
-                assert_eq!(*t, 0.0);
-                assert_eq!(schema, TRACE_SCHEMA);
-                assert_eq!(*seed, 7);
-                assert_ne!(*config_digest, 0, "digest must cover run_start");
-                assert_eq!(version, env!("CARGO_PKG_VERSION"));
+        let first = run.jsonl.lines().next().expect("a non-empty trace");
+        match ge_trace::parse_jsonl_line(first).expect("header parses") {
+            TraceEvent::RunMeta(meta) => {
+                assert_eq!(meta.t, 0.0);
+                assert_eq!(meta.schema, TRACE_SCHEMA);
+                assert_eq!(meta.seed, 7);
+                assert_ne!(meta.config_digest, 0, "digest must cover run_start");
+                assert_eq!(meta.version, env!("CARGO_PKG_VERSION"));
             }
             other => panic!("first event is {other:?}, not run_meta"),
         }
         // Replay counted the body only — the header is provenance.
-        assert_eq!(run.report.events, run.events.len() - 1);
+        assert_eq!(run.report.events, run.event_count - 1);
     }
 }

@@ -36,7 +36,7 @@ use ge_core::{Run, RunResult};
 use ge_faults::{FaultSchedule, FleetFaultSchedule, FleetTransition};
 use ge_simcore::{RngStream, SimContext, SimTime, Simulator};
 use ge_telemetry::Telemetry;
-use ge_trace::{NullSink, TraceEvent, TraceSink};
+use ge_trace::{FleetRunStartEvent, FleetSummaryEvent, NullSink, TraceEvent, TraceSink};
 use ge_workload::{Job, Trace};
 
 use crate::config::{FleetConfig, Partitioner, RoutingPolicy};
@@ -249,7 +249,7 @@ impl Fleet {
             tel.live_shards.set(cfg.servers as f64);
         }
         if sink.is_enabled() {
-            sink.record(&TraceEvent::FleetRunStart {
+            sink.record(&TraceEvent::from(FleetRunStartEvent {
                 t: 0.0,
                 servers: cfg.servers as u64,
                 cores: cfg.shard.cores as u64,
@@ -257,7 +257,7 @@ impl Fleet {
                 policy: cfg.routing.name().to_string(),
                 partitioner: cfg.partitioner.name().to_string(),
                 seed: cfg.seed,
-            });
+            }));
         }
 
         let mut sim = Simulator::new();
@@ -378,7 +378,7 @@ impl Fleet {
         let energy_j: f64 = outcomes.iter().map(|o| o.result.energy_j).sum();
 
         if sink.is_enabled() {
-            sink.record(&TraceEvent::FleetSummary {
+            sink.record(&TraceEvent::from(FleetSummaryEvent {
                 t: horizon.as_secs(),
                 dispatched: self.dispatched,
                 failovers: self.failovers,
@@ -386,7 +386,7 @@ impl Fleet {
                 shed: self.shed,
                 energy_j,
                 quality,
-            });
+            }));
         }
 
         FleetResult {

@@ -39,7 +39,7 @@ use ge_fleet::{Fleet, FleetConfig, RoutingPolicy};
 use ge_recover::codec::fnv1a64;
 use ge_simcore::{SimDuration, SimTime, TIME_EPS};
 use ge_telemetry::{Registry, Telemetry};
-use ge_trace::{RejectReason, TraceEvent, TraceSink};
+use ge_trace::{RejectReason, ServeRunStartEvent, ServeSummaryEvent, TraceEvent, TraceSink};
 use ge_workload::{Job, JobId, Trace};
 use std::time::Instant;
 
@@ -419,7 +419,7 @@ impl ServeCore {
         cfg.validate();
         let admission = AdmissionController::new(cfg.queue_high, cfg.queue_low, cfg.sim.q_min);
         let mut books = SessionBooks {
-            events: vec![TraceEvent::ServeRunStart {
+            events: vec![TraceEvent::from(ServeRunStartEvent {
                 t: 0.0,
                 algorithm: cfg.algorithm.label().to_string(),
                 cores: cfg.sim.cores as u64,
@@ -427,7 +427,7 @@ impl ServeCore {
                 q_min: cfg.sim.q_min,
                 queue_high: cfg.queue_high as u64,
                 queue_low: cfg.queue_low as u64,
-            }],
+            })],
             ..SessionBooks::default()
         };
         // One server, round-robin, no faults, no router overload guard
@@ -653,7 +653,7 @@ impl ServeCore {
             mut terminals,
             ..
         } = books;
-        events.push(TraceEvent::ServeSummary {
+        events.push(TraceEvent::from(ServeSummaryEvent {
             t: horizon.as_secs(),
             requests: counts.requests,
             admitted: counts.admitted,
@@ -661,7 +661,7 @@ impl ServeCore {
             rejected: counts.rejected,
             timed_out: counts.timed_out,
             shed: counts.shed,
-        });
+        }));
         terminals.sort_unstable_by_key(|&(req, _, _)| req);
         DrainOutcome {
             events,

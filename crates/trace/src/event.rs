@@ -12,6 +12,12 @@
 //! encode/decode the JSONL and CSV codecs in [`crate::export`] are built
 //! on. Adding an event is one table entry (plus a CSV column for any new
 //! field name).
+//!
+//! The events a run emits at most once sit in the table's `boxed` block:
+//! their fields live in a payload struct behind a `Box` (for example
+//! [`RunStartEvent`]), so they do not set the enum's size. A traced run
+//! or a serving session keeps millions of events, and a `TraceEvent` is
+//! 56 bytes rather than the 120 the largest of them would make it.
 
 use crate::export::{err, Field, ParseError, Wire};
 use std::collections::BTreeMap;
@@ -113,6 +119,18 @@ macro_rules! wire_name {
 /// Generates [`TraceEvent`] and its codec hooks from the event table.
 /// Each entry is `Variant => "wire_kind" { field[ as "wire_name"]: Type }`;
 /// every variant's first field is `t: f64`.
+///
+/// Rows in the trailing `boxed { … }` block are written
+/// `Variant(Payload) => "wire_kind" { … }`: the table generates a public
+/// `Payload` struct holding the row's fields and the variant
+/// `Variant(Box<Payload>)`, plus `From<Payload> for TraceEvent`. Their
+/// wire kind, field order and codec are exactly those of an inline row.
+///
+/// The size rule: every variant emitted per job, per epoch or per slice
+/// is inline, and its fields fit in 48 bytes, so a `TraceEvent` is 56
+/// bytes (the tag plus the largest inline payload). A payload larger
+/// than 48 bytes is allowed only for a variant emitted at most once per
+/// run, and that variant must be boxed. A test pins the size.
 macro_rules! trace_events {
     (
         $(#[$meta:meta])*
@@ -127,6 +145,17 @@ macro_rules! trace_events {
                 }
             ),* $(,)?
         }
+        boxed {
+            $(
+                $(#[doc = $bdoc:literal])*
+                $bvariant:ident($payload:ident) => $bkind:literal {
+                    $(
+                        $(#[doc = $bfdoc:literal])*
+                        $bfield:ident $(as $bwire:literal)?: $bty:ty
+                    ),* $(,)?
+                }
+            ),* $(,)?
+        }
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone, PartialEq)]
@@ -137,19 +166,39 @@ macro_rules! trace_events {
                     $( $(#[doc = $fdoc])* $field: $ty, )*
                 },
             )*
+            $(
+                $(#[doc = $bdoc])*
+                $bvariant(Box<$payload>),
+            )*
         }
+
+        $(
+            $(#[doc = $bdoc])*
+            #[derive(Debug, Clone, PartialEq)]
+            pub struct $payload {
+                $( $(#[doc = $bfdoc])* pub $bfield: $bty, )*
+            }
+
+            impl From<$payload> for $enum {
+                fn from(payload: $payload) -> Self {
+                    $enum::$bvariant(Box::new(payload))
+                }
+            }
+        )*
 
         impl $enum {
             /// Every declared event kind with its fields' wire names, in
             /// table (and wire) order.
             pub const SCHEMA: &'static [(&'static str, &'static [&'static str])] = &[
                 $( ($kind, &[ $( wire_name!($field $(, $wire)?) ),* ]), )*
+                $( ($bkind, &[ $( wire_name!($bfield $(, $bwire)?) ),* ]), )*
             ];
 
             /// The event's simulation timestamp in seconds.
             pub fn t(&self) -> f64 {
                 match self {
                     $( $enum::$variant { t, .. } => *t, )*
+                    $( $enum::$bvariant(payload) => payload.t, )*
                 }
             }
 
@@ -157,6 +206,7 @@ macro_rules! trace_events {
             pub fn kind(&self) -> &'static str {
                 match self {
                     $( $enum::$variant { .. } => $kind, )*
+                    $( $enum::$bvariant(_) => $bkind, )*
                 }
             }
 
@@ -166,6 +216,12 @@ macro_rules! trace_events {
                     $(
                         $enum::$variant { $($field),* } => {
                             $( f(wire_name!($field $(, $wire)?), $field.encode()); )*
+                        }
+                    )*
+                    $(
+                        $enum::$bvariant(payload) => {
+                            let $payload { $($bfield),* } = &**payload;
+                            $( f(wire_name!($bfield $(, $bwire)?), $bfield.encode()); )*
                         }
                     )*
                 }
@@ -185,6 +241,14 @@ macro_rules! trace_events {
                             }, )*
                         },
                     )*
+                    $(
+                        $bkind => $enum::$bvariant(Box::new($payload {
+                            $( $bfield: {
+                                let name = wire_name!($bfield $(, $bwire)?);
+                                Wire::decode(fields.get(name), name)?
+                            }, )*
+                        })),
+                    )*
                     other => return Err(err(format!("unknown event kind '{other}'"))),
                 })
             }
@@ -202,53 +266,6 @@ trace_events! {
     /// Quality-OPT second cuts, YDS speed segments, per-slice energy, job
     /// completions, periodic quality samples, and run bracketing events.
     pub enum TraceEvent {
-        /// Run provenance header, emitted (at most once) as the very first
-        /// line of a trace. Unlike [`TraceEvent::RunStart`] it carries no
-        /// simulation state — only enough metadata to tell which binary and
-        /// which inputs produced the file. Replay validates it when present;
-        /// headerless traces remain valid for compatibility.
-        RunMeta => "run_meta" {
-            /// Simulation time (always `0.0`).
-            t: f64,
-            /// Wire-schema tag (currently `"ge-trace/v1"`).
-            schema: String,
-            /// Workload seed the run was driven with.
-            seed: u64,
-            /// FNV-1a digest of the serialized run configuration.
-            config_digest: u64,
-            /// Workspace crate version that wrote the trace.
-            version: String,
-        },
-        /// Run configuration, emitted once before any other event. Carries
-        /// everything replay needs to rebuild the run's bookkeeping.
-        RunStart => "run_start" {
-            /// Simulation time of the run start (always `0.0`).
-            t: f64,
-            /// Human-readable algorithm label (e.g. `"GE"`, `"OQ"`).
-            algorithm: String,
-            /// Number of cores.
-            cores: u64,
-            /// Server-wide power budget in watts.
-            budget_w: f64,
-            /// Target batch quality `Q_GE`.
-            q_ge: f64,
-            /// Simulation horizon in seconds.
-            horizon_s: f64,
-            /// Static coefficient `a` of the power model `P(s) = a + s^β`.
-            power_a: f64,
-            /// Exponent `β` of the power model.
-            power_beta: f64,
-            /// Concavity `c` of the exponential quality function.
-            quality_c: f64,
-            /// Saturation point `x_max` of the quality function.
-            quality_xmax: f64,
-            /// Work units one GHz-second of compute retires.
-            units_per_ghz_sec: f64,
-            /// Mode at `t = 0` (`0` = AES, `1` = BQ).
-            initial_mode: u64,
-            /// Sliding-window length of the quality ledger (`0` = cumulative).
-            ledger_window: u64,
-        },
         /// A job entered the system.
         JobArrival => "job_arrival" {
             /// Event time in seconds.
@@ -454,24 +471,6 @@ trace_events! {
             /// Projected batch quality that triggered the shed.
             projected_quality: f64,
         },
-        /// Fleet run configuration, emitted once before any other fleet
-        /// event (`ge-fleet` traces only).
-        FleetRunStart => "fleet_run_start" {
-            /// Simulation time of the run start (always `0.0`).
-            t: f64,
-            /// Number of servers behind the router.
-            servers: u64,
-            /// Cores per server.
-            cores: u64,
-            /// Global power budget `H` split across servers (watts).
-            budget_w: f64,
-            /// Routing policy wire name (e.g. `"jsq"`).
-            policy: String,
-            /// Budget partitioner wire name (e.g. `"prop"`).
-            partitioner: String,
-            /// Root seed driving routing and dispatch-loss coins.
-            seed: u64,
-        },
         /// A whole server crashed or recovered (fleet fault injection).
         ShardFault => "shard_fault" {
             /// Event time in seconds.
@@ -532,41 +531,6 @@ trace_events! {
             shard: u64,
             /// The server's allocated budget `H_i` (watts).
             budget_w: f64,
-        },
-        /// Final fleet aggregates, emitted once after all other fleet events.
-        FleetSummary => "fleet_summary" {
-            /// Horizon time in seconds.
-            t: f64,
-            /// Successful router→server dispatches.
-            dispatched: u64,
-            /// Jobs reclaimed from dead servers.
-            failovers: u64,
-            /// Dispatch attempts lost and retried.
-            retries: u64,
-            /// Jobs the router shed.
-            shed: u64,
-            /// Total energy across all servers (joules).
-            energy_j: f64,
-            /// Fleet-wide delivered quality.
-            quality: f64,
-        },
-        /// Serving-session configuration, emitted once before any other serve
-        /// event (`ge-serve` traces only).
-        ServeRunStart => "serve_run_start" {
-            /// Logical time of the session start (always `0.0`).
-            t: f64,
-            /// Human-readable algorithm label (e.g. `"GE"`).
-            algorithm: String,
-            /// Number of cores behind the front end.
-            cores: u64,
-            /// Server power budget in watts.
-            budget_w: f64,
-            /// Armed quality floor (`0` = disarmed).
-            q_min: f64,
-            /// Admission high watermark (in-flight depth that closes admission).
-            queue_high: u64,
-            /// Admission low watermark (in-flight depth that reopens admission).
-            queue_low: u64,
         },
         /// A request arrived at the front end (before any admission decision).
         ServeRequest => "serve_request" {
@@ -636,25 +600,6 @@ trace_events! {
             /// Requests admitted but not yet terminal at drain start.
             pending: u64,
         },
-        /// Final serving-session aggregates, emitted once after all other
-        /// serve events. Every request is exactly one of completed /
-        /// rejected / shed / timed-out: the four counters sum to `requests`.
-        ServeSummary => "serve_summary" {
-            /// Logical time the books closed, in seconds.
-            t: f64,
-            /// Requests that reached the front end.
-            requests: u64,
-            /// Requests admitted into the engine.
-            admitted: u64,
-            /// Terminal: finished with work done.
-            completed: u64,
-            /// Terminal: refused at admission.
-            rejected: u64,
-            /// Terminal: deadline expired unserved.
-            timed_out: u64,
-            /// Terminal: shed by the engine's quality floor or at drain.
-            shed: u64,
-        },
         /// Final reported aggregates, emitted once after all other events.
         RunSummary => "run_summary" {
             /// Horizon time in seconds.
@@ -669,6 +614,129 @@ trace_events! {
             jobs_finished: u64,
             /// Jobs discarded unserved.
             jobs_discarded: u64,
+        },
+    }
+    // Emitted at most once per run, and larger than the per-job and
+    // per-slice events: boxed, so they do not set the enum's size.
+    boxed {
+        /// Run provenance header, emitted (at most once) as the very first
+        /// line of a trace. Unlike [`TraceEvent::RunStart`] it carries no
+        /// simulation state — only enough metadata to tell which binary and
+        /// which inputs produced the file. Replay validates it when present;
+        /// headerless traces remain valid for compatibility.
+        RunMeta(RunMetaEvent) => "run_meta" {
+            /// Simulation time (always `0.0`).
+            t: f64,
+            /// Wire-schema tag (currently `"ge-trace/v1"`).
+            schema: String,
+            /// Workload seed the run was driven with.
+            seed: u64,
+            /// FNV-1a digest of the serialized run configuration.
+            config_digest: u64,
+            /// Workspace crate version that wrote the trace.
+            version: String,
+        },
+        /// Run configuration, emitted once before any other event. Carries
+        /// everything replay needs to rebuild the run's bookkeeping.
+        RunStart(RunStartEvent) => "run_start" {
+            /// Simulation time of the run start (always `0.0`).
+            t: f64,
+            /// Human-readable algorithm label (e.g. `"GE"`, `"OQ"`).
+            algorithm: String,
+            /// Number of cores.
+            cores: u64,
+            /// Server-wide power budget in watts.
+            budget_w: f64,
+            /// Target batch quality `Q_GE`.
+            q_ge: f64,
+            /// Simulation horizon in seconds.
+            horizon_s: f64,
+            /// Static coefficient `a` of the power model `P(s) = a + s^β`.
+            power_a: f64,
+            /// Exponent `β` of the power model.
+            power_beta: f64,
+            /// Concavity `c` of the exponential quality function.
+            quality_c: f64,
+            /// Saturation point `x_max` of the quality function.
+            quality_xmax: f64,
+            /// Work units one GHz-second of compute retires.
+            units_per_ghz_sec: f64,
+            /// Mode at `t = 0` (`0` = AES, `1` = BQ).
+            initial_mode: u64,
+            /// Sliding-window length of the quality ledger (`0` = cumulative).
+            ledger_window: u64,
+        },
+        /// Fleet run configuration, emitted once before any other fleet
+        /// event (`ge-fleet` traces only).
+        FleetRunStart(FleetRunStartEvent) => "fleet_run_start" {
+            /// Simulation time of the run start (always `0.0`).
+            t: f64,
+            /// Number of servers behind the router.
+            servers: u64,
+            /// Cores per server.
+            cores: u64,
+            /// Global power budget `H` split across servers (watts).
+            budget_w: f64,
+            /// Routing policy wire name (e.g. `"jsq"`).
+            policy: String,
+            /// Budget partitioner wire name (e.g. `"prop"`).
+            partitioner: String,
+            /// Root seed driving routing and dispatch-loss coins.
+            seed: u64,
+        },
+        /// Final fleet aggregates, emitted once after all other fleet events.
+        FleetSummary(FleetSummaryEvent) => "fleet_summary" {
+            /// Horizon time in seconds.
+            t: f64,
+            /// Successful router→server dispatches.
+            dispatched: u64,
+            /// Jobs reclaimed from dead servers.
+            failovers: u64,
+            /// Dispatch attempts lost and retried.
+            retries: u64,
+            /// Jobs the router shed.
+            shed: u64,
+            /// Total energy across all servers (joules).
+            energy_j: f64,
+            /// Fleet-wide delivered quality.
+            quality: f64,
+        },
+        /// Serving-session configuration, emitted once before any other serve
+        /// event (`ge-serve` traces only).
+        ServeRunStart(ServeRunStartEvent) => "serve_run_start" {
+            /// Logical time of the session start (always `0.0`).
+            t: f64,
+            /// Human-readable algorithm label (e.g. `"GE"`).
+            algorithm: String,
+            /// Number of cores behind the front end.
+            cores: u64,
+            /// Server power budget in watts.
+            budget_w: f64,
+            /// Armed quality floor (`0` = disarmed).
+            q_min: f64,
+            /// Admission high watermark (in-flight depth that closes admission).
+            queue_high: u64,
+            /// Admission low watermark (in-flight depth that reopens admission).
+            queue_low: u64,
+        },
+        /// Final serving-session aggregates, emitted once after all other
+        /// serve events. Every request is exactly one of completed /
+        /// rejected / shed / timed-out: the four counters sum to `requests`.
+        ServeSummary(ServeSummaryEvent) => "serve_summary" {
+            /// Logical time the books closed, in seconds.
+            t: f64,
+            /// Requests that reached the front end.
+            requests: u64,
+            /// Requests admitted into the engine.
+            admitted: u64,
+            /// Terminal: finished with work done.
+            completed: u64,
+            /// Terminal: refused at admission.
+            rejected: u64,
+            /// Terminal: deadline expired unserved.
+            timed_out: u64,
+            /// Terminal: shed by the engine's quality floor or at drain.
+            shed: u64,
         },
     }
 }
@@ -717,6 +785,17 @@ mod tests {
             assert_eq!(RejectReason::parse(r.as_str()), Some(r));
         }
         assert_eq!(TriggerKind::parse("nope"), None);
+    }
+
+    #[test]
+    fn trace_event_is_at_most_56_bytes() {
+        assert!(
+            std::mem::size_of::<TraceEvent>() <= 56,
+            "TraceEvent is {} bytes, over 56: keep every per-job, per-epoch and \
+             per-slice payload within 48 bytes, and declare a larger variant \
+             only if a run emits it at most once, in the table's `boxed` block",
+            std::mem::size_of::<TraceEvent>()
+        );
     }
 
     #[test]

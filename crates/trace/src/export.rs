@@ -589,19 +589,23 @@ pub fn write_csv<'a, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{RejectReason, SplitPolicy, TriggerKind};
+    use crate::event::{
+        FleetRunStartEvent, FleetSummaryEvent, RejectReason, RunMetaEvent, RunStartEvent,
+        ServeRunStartEvent, ServeSummaryEvent, SplitPolicy, TriggerKind,
+    };
     use std::collections::BTreeSet;
 
     fn exemplars() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::RunMeta {
+            RunMetaEvent {
                 t: 0.0,
                 schema: "ge-trace/v1".to_string(),
                 seed: 0xdead_beef_cafe_f00d,
                 config_digest: 0x1234_5678_9abc_def0,
                 version: "0.1.0".to_string(),
-            },
-            TraceEvent::RunStart {
+            }
+            .into(),
+            RunStartEvent {
                 t: 0.0,
                 algorithm: "GE".to_string(),
                 cores: 8,
@@ -615,7 +619,8 @@ mod tests {
                 units_per_ghz_sec: 1000.0,
                 initial_mode: 1,
                 ledger_window: 0,
-            },
+            }
+            .into(),
             TraceEvent::JobArrival {
                 t: 0.013_527_891_236_4,
                 job: 7,
@@ -727,7 +732,7 @@ mod tests {
                 full_demand: 530.25,
                 projected_quality: 0.712_345_678_9,
             },
-            TraceEvent::FleetRunStart {
+            FleetRunStartEvent {
                 t: 15.0,
                 servers: 4,
                 cores: 8,
@@ -735,7 +740,8 @@ mod tests {
                 policy: "jsq".to_string(),
                 partitioner: "prop".to_string(),
                 seed: 77,
-            },
+            }
+            .into(),
             TraceEvent::ShardFault {
                 t: 15.5,
                 shard: 2,
@@ -768,7 +774,7 @@ mod tests {
                 shard: 1,
                 budget_w: 213.333_333_333_3,
             },
-            TraceEvent::FleetSummary {
+            FleetSummaryEvent {
                 t: 59.0,
                 dispatched: 4021,
                 failovers: 13,
@@ -776,8 +782,9 @@ mod tests {
                 shed: 9,
                 energy_j: 4_813.217,
                 quality: 0.9017,
-            },
-            TraceEvent::ServeRunStart {
+            }
+            .into(),
+            ServeRunStartEvent {
                 t: 59.0,
                 algorithm: "GE".to_string(),
                 cores: 8,
@@ -785,7 +792,8 @@ mod tests {
                 q_min: 0.5,
                 queue_high: 64,
                 queue_low: 16,
-            },
+            }
+            .into(),
             TraceEvent::ServeRequest {
                 t: 59.1,
                 req: 0,
@@ -815,7 +823,7 @@ mod tests {
                 t: 59.5,
                 pending: 2,
             },
-            TraceEvent::ServeSummary {
+            ServeSummaryEvent {
                 t: 59.9,
                 requests: 4,
                 admitted: 3,
@@ -823,7 +831,8 @@ mod tests {
                 rejected: 1,
                 timed_out: 1,
                 shed: 1,
-            },
+            }
+            .into(),
             TraceEvent::RunSummary {
                 t: 60.0,
                 energy_j: 1_234.567_890_123,
@@ -1044,7 +1053,7 @@ mod tests {
 
     #[test]
     fn string_escaping_round_trips() {
-        let ev = TraceEvent::RunStart {
+        let ev: TraceEvent = RunStartEvent {
             t: 0.0,
             algorithm: "we\"ird\\label\nx".to_string(),
             cores: 1,
@@ -1058,7 +1067,8 @@ mod tests {
             units_per_ghz_sec: 1.0,
             initial_mode: 0,
             ledger_window: 0,
-        };
+        }
+        .into();
         let back = parse_jsonl_line(&jsonl_line(&ev)).unwrap();
         assert_eq!(back, ev);
     }

@@ -31,7 +31,10 @@ pub mod export;
 pub mod replay;
 pub mod sink;
 
-pub use event::{RejectReason, SplitPolicy, TraceEvent, TriggerKind};
+pub use event::{
+    FleetRunStartEvent, FleetSummaryEvent, RejectReason, RunMetaEvent, RunStartEvent,
+    ServeRunStartEvent, ServeSummaryEvent, SplitPolicy, TraceEvent, TriggerKind,
+};
 pub use export::{
     csv_header, csv_row, jsonl_line, parse_jsonl, parse_jsonl_line, parse_jsonl_reader, write_csv,
     write_jsonl, ParseError, ParseErrorKind, MAX_JSONL_LINE_BYTES,

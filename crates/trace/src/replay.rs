@@ -9,7 +9,7 @@
 //! [`ge_quality::QualityLedger`] — and cross-check each against the
 //! driver's reported [`crate::TraceEvent::RunSummary`].
 
-use crate::event::TraceEvent;
+use crate::event::{RunMetaEvent, TraceEvent};
 use ge_metrics::ModeTracker;
 use ge_power::EnergyMeter;
 use ge_quality::{ExpConcave, LedgerMode, QualityFunction, QualityLedger};
@@ -149,9 +149,10 @@ impl ReplayReport {
 /// the wire format stabilized). Every consumer of `--trace` output that
 /// expects `run_start` first should go through this.
 pub fn strip_header(events: &[TraceEvent]) -> Result<&[TraceEvent], ReplayError> {
-    let Some(TraceEvent::RunMeta { schema, t, .. }) = events.first() else {
+    let Some(TraceEvent::RunMeta(meta)) = events.first() else {
         return Ok(events);
     };
+    let RunMetaEvent { schema, t, .. } = &**meta;
     if schema != TRACE_SCHEMA {
         return Err(ReplayError::BadHeader(format!(
             "unsupported schema tag '{schema}' (expected '{TRACE_SCHEMA}')"
@@ -177,23 +178,14 @@ pub fn replay(events: &[TraceEvent]) -> Result<ReplayReport, ReplayError> {
     }
     let (cores, horizon_s, quality_c, quality_xmax, initial_mode, ledger_window, start_t) =
         match &events[0] {
-            TraceEvent::RunStart {
-                t,
-                cores,
-                horizon_s,
-                quality_c,
-                quality_xmax,
-                initial_mode,
-                ledger_window,
-                ..
-            } => (
-                *cores as usize,
-                *horizon_s,
-                *quality_c,
-                *quality_xmax,
-                *initial_mode as usize,
-                *ledger_window,
-                *t,
+            TraceEvent::RunStart(start) => (
+                start.cores as usize,
+                start.horizon_s,
+                start.quality_c,
+                start.quality_xmax,
+                start.initial_mode as usize,
+                start.ledger_window,
+                start.t,
             ),
             _ => return Err(ReplayError::MissingRunStart),
         };
@@ -228,12 +220,12 @@ pub fn replay(events: &[TraceEvent]) -> Result<ReplayReport, ReplayError> {
         }
         last_t = last_t.max(t);
         match ev {
-            TraceEvent::RunStart { .. } if i != 0 => {
+            TraceEvent::RunStart(_) if i != 0 => {
                 issues.push(format!("duplicate run_start at event {i}"));
             }
             // The header was stripped above; any run_meta left in the
             // body is a duplicate or misplaced header.
-            TraceEvent::RunMeta { .. } => {
+            TraceEvent::RunMeta(_) => {
                 issues.push(format!("misplaced run_meta at event {i}"));
             }
             TraceEvent::ExecSlice {
@@ -517,9 +509,7 @@ pub fn replay_fleet(events: &[TraceEvent]) -> Result<FleetReplayReport, ReplayEr
         return Err(ReplayError::MissingFleetRunStart);
     }
     let (servers, budget_w) = match &events[0] {
-        TraceEvent::FleetRunStart {
-            servers, budget_w, ..
-        } => (*servers as usize, *budget_w),
+        TraceEvent::FleetRunStart(start) => (start.servers as usize, start.budget_w),
         _ => return Err(ReplayError::MissingFleetRunStart),
     };
 
@@ -602,10 +592,10 @@ pub fn replay_fleet(events: &[TraceEvent]) -> Result<FleetReplayReport, ReplayEr
             close_group(&mut group, &mut group_t, &mut budget_epochs, &mut issues);
         }
         match ev {
-            TraceEvent::FleetRunStart { .. } if i != 0 => {
+            TraceEvent::FleetRunStart(_) if i != 0 => {
                 issues.push(format!("duplicate fleet_run_start at event {i}"));
             }
-            TraceEvent::RunMeta { .. } => {
+            TraceEvent::RunMeta(_) => {
                 issues.push(format!("misplaced run_meta at event {i}"));
             }
             TraceEvent::ShardFault {
@@ -669,25 +659,17 @@ pub fn replay_fleet(events: &[TraceEvent]) -> Result<FleetReplayReport, ReplayEr
                 group_t = Some(*t);
                 group.push((*shard, *budget_w));
             }
-            TraceEvent::FleetSummary {
-                dispatched,
-                failovers,
-                retries,
-                shed,
-                energy_j,
-                quality,
-                ..
-            } => {
+            TraceEvent::FleetSummary(s) => {
                 if summary.is_some() {
                     issues.push(format!("duplicate fleet_summary at event {i}"));
                 }
                 summary = Some((
-                    *dispatched,
-                    *failovers,
-                    *retries,
-                    *shed,
-                    *energy_j,
-                    *quality,
+                    s.dispatched,
+                    s.failovers,
+                    s.retries,
+                    s.shed,
+                    s.energy_j,
+                    s.quality,
                 ));
             }
             _ => {}
@@ -804,7 +786,7 @@ pub fn replay_serve(events: &[TraceEvent]) -> Result<ServeReplayReport, ReplayEr
         return Err(ReplayError::Empty);
     }
     let events = strip_header(events)?;
-    if !matches!(events.first(), Some(TraceEvent::ServeRunStart { .. })) {
+    if !matches!(events.first(), Some(TraceEvent::ServeRunStart(_))) {
         return Err(ReplayError::MissingServeRunStart);
     }
 
@@ -843,10 +825,10 @@ pub fn replay_serve(events: &[TraceEvent]) -> Result<ServeReplayReport, ReplayEr
         }
         last_t = last_t.max(t);
         match ev {
-            TraceEvent::ServeRunStart { .. } if i != 0 => {
+            TraceEvent::ServeRunStart(_) if i != 0 => {
                 issues.push(format!("duplicate serve_run_start at event {i}"));
             }
-            TraceEvent::RunMeta { .. } => {
+            TraceEvent::RunMeta(_) => {
                 issues.push(format!("misplaced run_meta at event {i}"));
             }
             TraceEvent::ServeRequest { req, demand, .. } => {
@@ -936,20 +918,17 @@ pub fn replay_serve(events: &[TraceEvent]) -> Result<ServeReplayReport, ReplayEr
                     drained_at = Some(i);
                 }
             }
-            TraceEvent::ServeSummary {
-                requests,
-                admitted,
-                completed,
-                rejected,
-                timed_out,
-                shed,
-                ..
-            } => {
+            TraceEvent::ServeSummary(s) => {
                 if summary.is_some() {
                     issues.push(format!("duplicate serve_summary at event {i}"));
                 }
                 summary = Some((
-                    *requests, *admitted, *completed, *rejected, *timed_out, *shed,
+                    s.requests,
+                    s.admitted,
+                    s.completed,
+                    s.rejected,
+                    s.timed_out,
+                    s.shed,
                 ));
             }
             _ => {}
@@ -1005,9 +984,12 @@ pub fn replay_serve(events: &[TraceEvent]) -> Result<ServeReplayReport, ReplayEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{
+        FleetRunStartEvent, FleetSummaryEvent, RunStartEvent, ServeRunStartEvent, ServeSummaryEvent,
+    };
 
     fn start() -> TraceEvent {
-        TraceEvent::RunStart {
+        RunStartEvent {
             t: 0.0,
             algorithm: "GE".to_string(),
             cores: 2,
@@ -1022,6 +1004,7 @@ mod tests {
             initial_mode: 1,
             ledger_window: 0,
         }
+        .into()
     }
 
     fn slice(t: f64, core: u64, energy: f64) -> TraceEvent {
@@ -1279,13 +1262,14 @@ mod tests {
     }
 
     fn header(schema: &str) -> TraceEvent {
-        TraceEvent::RunMeta {
+        RunMetaEvent {
             t: 0.0,
             schema: schema.to_string(),
             seed: 42,
             config_digest: 0xfeed,
             version: "0.1.0".to_string(),
         }
+        .into()
     }
 
     #[test]
@@ -1305,13 +1289,14 @@ mod tests {
         events.push(summary_for(&events));
         assert!(matches!(replay(&events), Err(ReplayError::BadHeader(_))));
         // A nonzero header timestamp is equally unusable.
-        let bad_t = TraceEvent::RunMeta {
+        let bad_t: TraceEvent = RunMetaEvent {
             t: 1.0,
             schema: TRACE_SCHEMA.to_string(),
             seed: 1,
             config_digest: 2,
             version: "0.1.0".to_string(),
-        };
+        }
+        .into();
         assert!(matches!(
             replay(&[bad_t, start()]),
             Err(ReplayError::BadHeader(_))
@@ -1345,7 +1330,7 @@ mod tests {
     // ---- fleet replay -------------------------------------------------
 
     fn fleet_start(servers: u64, budget_w: f64) -> TraceEvent {
-        TraceEvent::FleetRunStart {
+        FleetRunStartEvent {
             t: 0.0,
             servers,
             cores: 4,
@@ -1354,6 +1339,7 @@ mod tests {
             partitioner: "prop".to_string(),
             seed: 7,
         }
+        .into()
     }
 
     fn budget_epoch(t: f64, slices: &[f64]) -> Vec<TraceEvent> {
@@ -1378,7 +1364,7 @@ mod tests {
     }
 
     fn fleet_summary(dispatched: u64, failovers: u64, retries: u64, shed: u64) -> TraceEvent {
-        TraceEvent::FleetSummary {
+        FleetSummaryEvent {
             t: 10.0,
             dispatched,
             failovers,
@@ -1387,6 +1373,7 @@ mod tests {
             energy_j: 100.0,
             quality: 0.93,
         }
+        .into()
     }
 
     #[test]
@@ -1520,7 +1507,7 @@ mod tests {
     // ----- serve replay -----
 
     fn serve_start() -> TraceEvent {
-        TraceEvent::ServeRunStart {
+        ServeRunStartEvent {
             t: 0.0,
             algorithm: "GE".to_string(),
             cores: 4,
@@ -1529,6 +1516,7 @@ mod tests {
             queue_high: 8,
             queue_low: 2,
         }
+        .into()
     }
 
     fn serve_req(t: f64, req: u64) -> TraceEvent {
@@ -1552,7 +1540,7 @@ mod tests {
         t: f64,
         counts: (u64, u64, u64, u64, u64, u64), // req, adm, comp, rej, to, shed
     ) -> TraceEvent {
-        TraceEvent::ServeSummary {
+        ServeSummaryEvent {
             t,
             requests: counts.0,
             admitted: counts.1,
@@ -1561,6 +1549,7 @@ mod tests {
             timed_out: counts.4,
             shed: counts.5,
         }
+        .into()
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use ge_core::{run_with_sink, Algorithm, SimConfig};
 use ge_examples::{opt, parse_args};
 use ge_simcore::SimTime;
-use ge_trace::{parse_jsonl, replay, TraceEvent, VecSink};
+use ge_trace::{parse_jsonl, replay, RunStartEvent, TraceEvent, VecSink};
 use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
 /// Per-bucket aggregates distilled from the event stream.
@@ -56,7 +56,7 @@ fn bucketize(events: &[TraceEvent], horizon: f64, n: usize) -> Vec<Bucket> {
     let initial = events
         .iter()
         .find_map(|e| match e {
-            TraceEvent::RunStart { initial_mode, .. } => Some(*initial_mode),
+            TraceEvent::RunStart(start) => Some(start.initial_mode),
             _ => None,
         })
         .unwrap_or(0);
@@ -155,18 +155,18 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let Some(TraceEvent::RunStart {
+    let Some(TraceEvent::RunStart(start)) = events.first().cloned() else {
+        eprintln!("trace does not begin with a run_start event");
+        std::process::exit(1);
+    };
+    let RunStartEvent {
         algorithm,
         cores,
         budget_w,
         q_ge,
         horizon_s,
         ..
-    }) = events.first().cloned()
-    else {
-        eprintln!("trace does not begin with a run_start event");
-        std::process::exit(1);
-    };
+    } = *start;
     println!(
         "{algorithm} on {cores} cores, budget {budget_w} W, Q_GE {q_ge}, \
          horizon {horizon_s:.1} s — {} events\n",

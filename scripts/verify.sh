@@ -97,6 +97,22 @@ fleet_digest='digest=0x93e1402037f3a1ba'
 resume_digest='digest=0xc12f84f8cc86500b'
 serve_digest='digest=0x6010d599f20da3aa'
 soak_digest='0x3f46ffe26c6a100a'
+# sha256 of the short fig1 trace below: pins the JSONL wire bytes.
+trace_sha256='0927e2e7b996aa20ce85dc9a60727cc864179735fbe31839931d4ed49adc57db'
+
+echo "== trace wire-format pin (--trace fig1, sha256 of the JSONL bytes)"
+# The written trace is the replay-certified JSONL, byte for byte. A
+# change to the event table, the codec or the exemplar run that moves
+# any byte of it must update the value here on purpose.
+cargo run --release --offline -q -p ge-experiments -- \
+  --quick --horizon 2 --out "$smoke_dir" --trace "$smoke_dir/wire.jsonl" fig1 \
+  >"$smoke_dir/wire.log"
+grep -q 'verdict   OK' "$smoke_dir/wire.log"
+trace_sha=$(sha256sum "$smoke_dir/wire.jsonl" | cut -d' ' -f1)
+if [ "$trace_sha" != "$trace_sha256" ]; then
+  echo "FAIL: trace sha256 $trace_sha != committed $trace_sha256"
+  exit 1
+fi
 
 echo "== fleet smoke run (--fleet fleetcombined, digest bit-exactness)"
 # Run the fleet degradation study twice at a small scale and require the

@@ -13,7 +13,8 @@ use ge_faults::{FaultScenario, ScenarioKind};
 use ge_integration_tests::prop::{check, shrink_vec, PropConfig, Shrink};
 use ge_simcore::{RngStream, SimTime};
 use ge_trace::{
-    jsonl_line, parse_jsonl, replay, write_jsonl, ReplayError, TraceEvent, VecSink, TRACE_SCHEMA,
+    jsonl_line, parse_jsonl, replay, write_jsonl, ReplayError, RunMetaEvent, TraceEvent, VecSink,
+    TRACE_SCHEMA,
 };
 use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -234,13 +235,14 @@ fn out_of_order_timestamps_are_an_error() {
 #[test]
 fn corrupted_run_meta_header_is_rejected() {
     let clean = sample_jsonl();
-    let header = jsonl_line(&TraceEvent::RunMeta {
+    let meta = TraceEvent::from(RunMetaEvent {
         t: 0.0,
         schema: TRACE_SCHEMA.to_string(),
         seed: 61,
         config_digest: 0xabad_cafe,
         version: "0.1.0".to_string(),
     });
+    let header = jsonl_line(&meta);
 
     // Baseline: the headered document parses and replays clean.
     let headered = format!("{header}\n{clean}");
@@ -282,16 +284,7 @@ fn corrupted_run_meta_header_is_rejected() {
     // parser is flagged by replay, not silently accepted as provenance.
     let mut events = parse_jsonl(clean).expect("clean trace parses");
     let mid = events.len() / 2;
-    events.insert(
-        mid,
-        TraceEvent::RunMeta {
-            t: 0.0,
-            schema: TRACE_SCHEMA.to_string(),
-            seed: 61,
-            config_digest: 0xabad_cafe,
-            version: "0.1.0".to_string(),
-        },
-    );
+    events.insert(mid, meta);
     let report = replay(&events).expect("structure is otherwise fine");
     assert!(report
         .issues

@@ -182,7 +182,7 @@ fn trace_derived_aes_residency_matches_mode_summary() {
     let initial = events
         .iter()
         .find_map(|e| match e {
-            TraceEvent::RunStart { initial_mode, .. } => Some(*initial_mode as usize),
+            TraceEvent::RunStart(start) => Some(start.initial_mode as usize),
             _ => None,
         })
         .expect("run_start present");
