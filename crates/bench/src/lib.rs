@@ -30,6 +30,7 @@ pub mod harness {
     //! between runs of unchanged code. Fancier statistics are
     //! deliberately out of scope (no external deps).
 
+    use ge_experiments::trajectory;
     use std::cell::RefCell;
     pub use std::hint::black_box;
     use std::path::PathBuf;
@@ -145,7 +146,7 @@ pub mod harness {
         ///
         /// The report itself is written atomically (temp + rename), and
         /// the same entries are appended as one compact line — schema
-        /// `ge-bench-trajectory/v1`, stamped with the wall-clock time —
+        /// `ge-bench-trajectory/v2`, stamped with the wall-clock time —
         /// to `BENCH_trajectory.jsonl` next to the report, so successive
         /// runs accumulate a performance trajectory instead of
         /// overwriting each other.
@@ -168,44 +169,30 @@ pub mod harness {
             self.append_trajectory(path, &results)
         }
 
-        /// Appends this run's entries as one `ge-bench-trajectory/v1`
-        /// line to `BENCH_trajectory.jsonl` beside the `--json` report.
-        /// A single `O_APPEND` write keeps concurrent runs line-atomic
-        /// on POSIX filesystems.
+        /// Appends this run's entries (in ns) as one
+        /// [`ge_experiments::trajectory`] line to `BENCH_trajectory.jsonl`
+        /// beside the `--json` report.
         fn append_trajectory(
             &self,
             report_path: &std::path::Path,
             results: &[BenchResult],
         ) -> std::io::Result<()> {
-            use std::io::Write as _;
-            let unix_secs = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            let mut line = format!(
-                "{{\"schema\": \"ge-bench-trajectory/v1\", \"unix_secs\": {unix_secs}, \"entries\": ["
-            );
-            for (i, r) in results.iter().enumerate() {
-                if i > 0 {
-                    line.push_str(", ");
-                }
-                line.push_str(&format!(
-                    "{{\"name\": \"{}\", \"min_ns\": {:.1}, \"mean_ns\": {:.1}, \"iters\": {}}}",
-                    r.name, r.min_ns, r.mean_ns, r.iters
-                ));
-            }
-            line.push_str("]}\n");
+            let entries: Vec<trajectory::Entry> = results
+                .iter()
+                .map(|r| trajectory::Entry {
+                    name: r.name.clone(),
+                    unit: "ns",
+                    min: r.min_ns,
+                    mean: r.mean_ns,
+                    iters: r.iters,
+                })
+                .collect();
             let traj = report_path
                 .parent()
                 .filter(|d| !d.as_os_str().is_empty())
                 .map(|d| d.join("BENCH_trajectory.jsonl"))
                 .unwrap_or_else(|| PathBuf::from("BENCH_trajectory.jsonl"));
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(traj)?;
-            f.write_all(line.as_bytes())?;
-            f.sync_all()
+            trajectory::append(&traj, &entries)
         }
 
         /// Benchmarks `f`, printing `name: <min> ns/iter (mean <mean>)`.

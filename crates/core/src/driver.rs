@@ -38,6 +38,7 @@ use ge_telemetry::{SpanGuard, Telemetry};
 use ge_trace::{NullSink, RunStartEvent, TraceEvent, TraceSink, TriggerKind};
 use ge_workload::{Job, Trace};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::config::SimConfig;
 use crate::policy::{Algorithm, ScheduleCtx, Scheduler, TriggerSet};
@@ -299,7 +300,11 @@ pub(crate) struct Engine {
     pub(crate) horizon: SimTime,
     /// The jobs present at construction (trace plus surge jobs), stably
     /// sorted by release bits; job `i` arrives under sequence number `i`.
-    pub(crate) all_jobs: Vec<Job>,
+    /// Never mutated after construction: when the faults leave the
+    /// workload as it is and the trace is already in release-bit order,
+    /// this is the trace's own shared storage, not a copy (see
+    /// [`arrival_list`]).
+    pub(crate) all_jobs: Arc<Vec<Job>>,
 
     // -- Mutable run state ----------------------------------------------
     pub(crate) sim: Simulator<Ev>,
@@ -330,6 +335,41 @@ pub(crate) struct Engine {
     pub(crate) finished: Vec<FinishedJob>,
 }
 
+/// The arrival list of a run over `trace` under `faults`: the trace's jobs
+/// plus any surge jobs, with demand-noise estimates applied, stably sorted
+/// by release bits so ties keep trace order, the heap's `(time, seq)`
+/// order for arrivals (bit order is time order for non-negative times, and
+/// [`Job::new`] stores a `-0.0` release as `+0.0`).
+///
+/// When the faults add no surge jobs and no demand noise and the trace is
+/// already in that order — every generated or parsed trace is — the
+/// result is the trace's own shared storage, so a run holds no copy of
+/// its input. Otherwise the jobs are copied, changed and sorted.
+fn arrival_list(trace: &Trace, faults: Option<&FaultSchedule>) -> Arc<Vec<Job>> {
+    let release_bits = |j: &Job| j.release.as_secs().to_bits();
+    let workload_faults = faults.filter(|fs| !fs.surges().is_empty() || fs.demand_noise() > 0.0);
+    let jobs = trace.jobs();
+    if workload_faults.is_none()
+        && jobs
+            .windows(2)
+            .all(|w| release_bits(&w[0]) <= release_bits(&w[1]))
+    {
+        return Arc::clone(trace.shared_jobs());
+    }
+    let mut all_jobs = jobs.to_vec();
+    if let Some(fs) = workload_faults {
+        all_jobs.extend(fs.surge_jobs(all_jobs.len() as u64));
+        if fs.demand_noise() > 0.0 {
+            for job in &mut all_jobs {
+                let est = fs.demand_estimate(job.id.index() as u64, job.demand);
+                *job = job.with_estimate(est);
+            }
+        }
+    }
+    all_jobs.sort_by_key(release_bits);
+    Arc::new(all_jobs)
+}
+
 impl Engine {
     /// Builds a fresh engine at t = 0 with the first trace arrival, every
     /// fault transition and the first quantum tick scheduled.
@@ -349,21 +389,7 @@ impl Engine {
             cfg.units_per_ghz_sec,
         );
 
-        // -- Workload under faults: surge arrivals + demand misestimation -
-        let mut all_jobs: Vec<Job> = trace.jobs().to_vec();
-        if let Some(fs) = faults {
-            all_jobs.extend(fs.surge_jobs(all_jobs.len() as u64));
-            if fs.demand_noise() > 0.0 {
-                for job in &mut all_jobs {
-                    let est = fs.demand_estimate(job.id.index() as u64, job.demand);
-                    *job = job.with_estimate(est);
-                }
-            }
-        }
-        // Surge jobs break release order; a stable sort restores it with
-        // ties in trace order, the heap's `(time, seq)` order for arrivals
-        // (bit order is time order for non-negative times).
-        all_jobs.sort_by_key(|j| j.release.as_secs().to_bits());
+        let all_jobs = arrival_list(trace, faults);
         let injector = faults.map(|fs| FaultInjector::new(fs, cfg.cores));
 
         // The run must cover every job's deadline so each job's fate lands
@@ -1064,6 +1090,83 @@ mod tests {
         assert_eq!(r.jobs_finished, 0);
         assert_eq!(r.energy_j, 0.0);
         assert_eq!(r.quality, 1.0);
+    }
+
+    fn engine_over(trace: &Trace, faults: Option<&FaultSchedule>) -> Engine {
+        Engine::new(&small_cfg(), trace, faults, 0)
+    }
+
+    fn scenario(kind: ge_faults::ScenarioKind) -> FaultSchedule {
+        ge_faults::FaultScenario::new(kind, 0.5).build(16, SimTime::from_secs(20.0), 3)
+    }
+
+    #[test]
+    fn engine_shares_the_trace_when_the_faults_leave_the_workload_alone() {
+        let trace = small_trace(120.0, 1);
+        let plain = engine_over(&trace, None);
+        assert!(Arc::ptr_eq(&plain.all_jobs, trace.shared_jobs()));
+        let machine = scenario(ge_faults::ScenarioKind::CoreLoss);
+        assert!(machine.surges().is_empty() && machine.demand_noise() == 0.0);
+        let faulted = engine_over(&trace, Some(&machine));
+        assert!(Arc::ptr_eq(&faulted.all_jobs, trace.shared_jobs()));
+    }
+
+    #[test]
+    fn engine_copies_the_trace_under_surges_or_demand_noise() {
+        let trace = small_trace(120.0, 1);
+        for kind in [
+            ge_faults::ScenarioKind::Surge,
+            ge_faults::ScenarioKind::Demand,
+        ] {
+            let engine = engine_over(&trace, Some(&scenario(kind)));
+            assert!(
+                !Arc::ptr_eq(&engine.all_jobs, trace.shared_jobs()),
+                "{kind:?}"
+            );
+            assert!(engine
+                .all_jobs
+                .windows(2)
+                .all(|w| w[0].release.as_secs() <= w[1].release.as_secs()));
+        }
+        let surged = engine_over(&trace, Some(&scenario(ge_faults::ScenarioKind::Surge)));
+        assert!(surged.all_jobs.len() > trace.len());
+    }
+
+    #[test]
+    fn engine_copies_and_sorts_a_trace_out_of_release_bit_order() {
+        // `-0.0` and `+0.0` are the same instant, so the trace is release
+        // ordered, but the sign bit puts the first job after the second
+        // in bit order. Only a job built around `Job::new` can hold one.
+        let t = SimTime::from_secs;
+        let first = Job {
+            release: t(-0.0),
+            ..Job::new(ge_workload::JobId(0), t(0.0), t(0.15), 300.0)
+        };
+        let second = Job::new(ge_workload::JobId(1), t(0.0), t(0.15), 300.0);
+        let trace = Trace::new(vec![first, second]);
+        let engine = engine_over(&trace, None);
+        assert!(!Arc::ptr_eq(&engine.all_jobs, trace.shared_jobs()));
+        let ids: Vec<u64> = engine.all_jobs.iter().map(|j| j.id.0).collect();
+        assert_eq!(ids, [1, 0]);
+    }
+
+    #[test]
+    fn a_negative_zero_release_runs_like_a_zero_release() {
+        // A `-0` release passes the CSV parser's `>= 0` check; its run must
+        // be bit for bit the run of the same trace with release `0`.
+        let cfg = SimConfig {
+            horizon: SimTime::from_secs(5.0),
+            ..SimConfig::paper_default()
+        };
+        let run_csv = |release: &str| {
+            let csv = format!(
+                "id,release_s,deadline_s,demand\n0,{release},0.15,300\n\
+                 1,0.5,0.65,300\n2,1.0,1.15,300\n"
+            );
+            let trace = ge_workload::trace_from_csv(&csv).expect("valid trace");
+            format!("{:?}", run(&cfg, &trace, &Algorithm::Ge))
+        };
+        assert_eq!(run_csv("-0"), run_csv("0"));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::path::Path;
 use ge_power::{PolynomialPower, SpeedProfile, SpeedSegment};
 use ge_quality::{LedgerMode, QualityLedger};
 use ge_recover::checkpoint::{seal, unseal};
-use ge_recover::codec::fnv1a64;
+use ge_recover::codec::Fnv1a64;
 use ge_recover::{write_atomic, CheckpointError, CodecError, Decoder, Encoder};
 use ge_server::{Core, CoreJob, Server};
 use ge_simcore::{EventEntry, SimTime, Simulator};
@@ -220,8 +220,13 @@ pub(crate) fn input_digest(engine: &Engine, algorithm_label: &str) -> u64 {
     }
     enc.put_f64(cfg.load_window_secs);
     enc.put_usize(engine.all_jobs.len());
-    for j in &engine.all_jobs {
+    // The job list can be a whole trace: fold it job by job instead of
+    // encoding it into one buffer.
+    let mut hash = Fnv1a64::new();
+    enc.drain_into(&mut hash);
+    for j in engine.all_jobs.iter() {
         put_job(&mut enc, j);
+        enc.drain_into(&mut hash);
     }
     match &engine.injector {
         None => enc.put_u8(0),
@@ -234,7 +239,8 @@ pub(crate) fn input_digest(engine: &Engine, algorithm_label: &str) -> u64 {
             }
         }
     }
-    fnv1a64(&enc.into_bytes())
+    enc.drain_into(&mut hash);
+    hash.finish()
 }
 
 fn encode_fault_transition(enc: &mut Encoder, tr: ge_faults::FaultTransition) {

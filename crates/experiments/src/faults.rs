@@ -35,7 +35,7 @@ pub fn algorithms() -> Vec<Algorithm> {
 
 /// The study's platform and workload at `scale`: the paper's server with
 /// the `Q_min` floor armed, fed at the middle of the rate grid.
-pub fn study_config(scale: &Scale) -> (SimConfig, WorkloadConfig) {
+fn study_config(scale: &Scale) -> (SimConfig, WorkloadConfig) {
     let sim = SimConfig {
         horizon: scale.horizon(),
         q_min: Q_MIN,
@@ -66,6 +66,31 @@ pub struct FaultCell {
 }
 
 impl FaultCell {
+    /// The study's cell for `kind` at `intensity`, running `algorithm`
+    /// over seed `seed` at `scale`.
+    pub fn new(
+        kind: ScenarioKind,
+        intensity: f64,
+        algorithm: Algorithm,
+        seed: u64,
+        scale: &Scale,
+    ) -> Self {
+        let (sim, workload) = study_config(scale);
+        FaultCell {
+            name: format!(
+                "{}-i{:03}-{}-s{seed}",
+                kind.name(),
+                (intensity * 100.0).round() as u32,
+                algorithm.label().to_lowercase().replace(' ', "-"),
+            ),
+            sim,
+            workload,
+            algorithm,
+            scenario: FaultScenario::new(kind, intensity),
+            seed,
+        }
+    }
+
     /// The cell's arrival stream.
     pub fn trace(&self) -> Trace {
         WorkloadGenerator::new(self.workload.clone(), self.seed).generate()
@@ -97,7 +122,6 @@ fn replications(scale: &Scale) -> usize {
 /// Every cell of the study for `kind`, ordered by intensity, then
 /// algorithm, then seed.
 pub fn cells(kind: ScenarioKind, scale: &Scale) -> Vec<FaultCell> {
-    let (sim, workload) = study_config(scale);
     let algs = algorithms();
     let reps = replications(scale);
     let mut cells = Vec::with_capacity(INTENSITIES.len() * algs.len() * reps);
@@ -105,19 +129,7 @@ pub fn cells(kind: ScenarioKind, scale: &Scale) -> Vec<FaultCell> {
         for alg in &algs {
             for k in 0..reps {
                 let seed = scale.root_seed + k as u64;
-                cells.push(FaultCell {
-                    name: format!(
-                        "{}-i{:03}-{}-s{seed}",
-                        kind.name(),
-                        (intensity * 100.0).round() as u32,
-                        alg.label().to_lowercase().replace(' ', "-"),
-                    ),
-                    sim: sim.clone(),
-                    workload: workload.clone(),
-                    algorithm: alg.clone(),
-                    scenario: FaultScenario::new(kind, intensity),
-                    seed,
-                });
+                cells.push(FaultCell::new(kind, intensity, alg.clone(), seed, scale));
             }
         }
     }

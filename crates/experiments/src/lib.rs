@@ -41,6 +41,7 @@ pub mod serve;
 pub mod supervise;
 pub mod sweep;
 pub mod trace;
+pub mod trajectory;
 pub mod validation;
 
 pub use calibrate::{calibrate_bep_budget, calibrate_bes_speed};

@@ -13,15 +13,15 @@ mod cli;
 
 use cli::{Flags, Target};
 use ge_core::{Algorithm, CheckpointPolicy, DriveOutcome, Run, RunResult};
+use ge_experiments::faults::FaultCell;
 use ge_experiments::supervise::{run_supervised, write_manifest, SupervisorConfig};
 use ge_experiments::trace::TraceError;
 use ge_experiments::Scale;
-use ge_faults::FaultScenario;
+use ge_faults::ScenarioKind;
 use ge_metrics::{AsciiPlot, SvgChart, Table};
 use ge_recover::{CheckpointError, RetryPolicy};
 use ge_telemetry::{scrape_text, MetricsServer, PeriodicSnapshots, Telemetry};
 use ge_trace::NullSink;
-use ge_workload::WorkloadGenerator;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -286,11 +286,13 @@ fn result_digest(r: &RunResult) -> u64 {
 /// completion so shell tests can compare a straight run against a
 /// stop-and-resume run.
 fn checkpoint_exemplar(scale: &Scale, flags: &Flags, path: &Path) -> Result<(), CliError> {
-    let (sim, workload) = ge_experiments::faults::study_config(scale);
-    let trace = WorkloadGenerator::new(workload, scale.root_seed).generate();
-    let schedule = flags
-        .faults
-        .map(|kind| FaultScenario::new(kind, 0.5).build(sim.cores, sim.horizon, scale.root_seed));
+    // The `--faults` study's GE cell at intensity 0.5 and the root seed;
+    // without `--faults` the same arrival stream runs with no faults (the
+    // scenario kind then picks nothing).
+    let kind = flags.faults.unwrap_or(ScenarioKind::Combined);
+    let cell = FaultCell::new(kind, 0.5, Algorithm::Ge, scale.root_seed, scale);
+    let (sim, trace) = (&cell.sim, cell.trace());
+    let schedule = flags.faults.map(|_| cell.schedule());
     let policy = CheckpointPolicy {
         path: path.to_path_buf(),
         every_quanta: flags.checkpoint_every,
@@ -298,12 +300,12 @@ fn checkpoint_exemplar(scale: &Scale, flags: &Flags, path: &Path) -> Result<(), 
     };
     let faults = schedule.as_ref();
     let run = if flags.resume {
-        Run::restore_file(&sim, &trace, &Algorithm::Ge, faults, path)
+        Run::restore_file(sim, &trace, &cell.algorithm, faults, path)
     } else {
         Ok(Run::start(
-            &sim,
+            sim,
             &trace,
-            &Algorithm::Ge,
+            &cell.algorithm,
             faults,
             &mut NullSink,
         ))

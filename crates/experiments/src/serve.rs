@@ -25,6 +25,7 @@
 //!   stream are pure functions of the seed, so two soak runs must land
 //!   on the identical accounting digest — the caller compares them.
 
+use crate::trajectory;
 use ge_core::{Algorithm, SimConfig};
 use ge_faults::{ChaosOp, ChaosSchedule, GarbageKind};
 use ge_serve::{install_term_handler, term_requested, DrainOutcome, ServeConfig, ServeServer};
@@ -95,38 +96,24 @@ pub fn latency_percentiles(out: &DrainOutcome) -> (u64, u64, u64) {
     (p50, p99, p999)
 }
 
-/// Appends the session's decision-latency percentiles as one
-/// `ge-bench-trajectory/v1` line to `BENCH_trajectory.jsonl` under
+/// Appends the session's decision-latency percentiles (in ns) as one
+/// [`crate::trajectory`] line to `BENCH_trajectory.jsonl` under
 /// `out_dir` — the same accumulating file the scheduler micro-benches
 /// append to, so serving-path latency rides the same trajectory.
 fn append_latency_trajectory(out_dir: &Path, label: &str, out: &DrainOutcome) -> io::Result<()> {
     let (p50, p99, p999) = latency_percentiles(out);
-    let iters = out.latency_ns.len();
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut line = format!(
-        "{{\"schema\": \"ge-bench-trajectory/v1\", \"unix_secs\": {unix_secs}, \"entries\": ["
-    );
-    for (i, (name, v)) in [("p50", p50), ("p99", p99), ("p999", p999)]
-        .iter()
-        .enumerate()
-    {
-        if i > 0 {
-            line.push_str(", ");
-        }
-        line.push_str(&format!(
-            "{{\"name\": \"{label}_decision/{name}\", \"min_ns\": {v}.0, \"mean_ns\": {v}.0, \"iters\": {iters}}}"
-        ));
-    }
-    line.push_str("]}\n");
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(out_dir.join("BENCH_trajectory.jsonl"))?;
-    f.write_all(line.as_bytes())?;
-    f.sync_all()
+    let iters = out.latency_ns.len() as u64;
+    let entries: Vec<trajectory::Entry> = [("p50", p50), ("p99", p99), ("p999", p999)]
+        .into_iter()
+        .map(|(name, v)| trajectory::Entry {
+            name: format!("{label}_decision/{name}"),
+            unit: "ns",
+            min: v as f64,
+            mean: v as f64,
+            iters,
+        })
+        .collect();
+    trajectory::append(&out_dir.join("BENCH_trajectory.jsonl"), &entries)
 }
 
 /// Writes one drained session's artifacts under `out_dir` (the serve

@@ -86,6 +86,13 @@ impl Encoder {
         self.buf
     }
 
+    /// Folds the bytes written so far into `hash` and empties the
+    /// encoder, keeping its buffer for the next piece of the stream.
+    pub fn drain_into(&mut self, hash: &mut Fnv1a64) {
+        hash.update(&self.buf);
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -376,12 +383,41 @@ impl<'a> Decoder<'a> {
 /// FNV-1a 64-bit hash — used both as the checkpoint checksum and for
 /// input-compatibility digests. Stable across platforms and PRs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a64`]: folding a byte stream in pieces gives the same
+/// value as hashing it whole, so a digest over a large input needs no
+/// buffer the size of that input.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The hash of the empty stream.
+    pub fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Folds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]
@@ -466,5 +502,21 @@ mod tests {
         // FNV-1a("") = offset basis; FNV-1a("a") is the published vector.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn draining_an_encoder_in_pieces_hashes_the_whole_stream() {
+        let mut whole = Encoder::new();
+        let mut enc = Encoder::new();
+        let mut h = Fnv1a64::new();
+        for k in 0..5u64 {
+            whole.put_u64(k);
+            whole.put_str("job");
+            enc.put_u64(k);
+            enc.put_str("job");
+            enc.drain_into(&mut h);
+            assert!(enc.is_empty());
+        }
+        assert_eq!(h.finish(), fnv1a64(&whole.into_bytes()));
     }
 }

@@ -49,7 +49,10 @@ pub struct Job {
 }
 
 impl Job {
-    /// Creates a job, validating its invariants.
+    /// Creates a job, validating its invariants. A release of `-0.0` is
+    /// stored as `+0.0`: the two are the same instant, but only `+0.0`
+    /// has the bit pattern that orders first among non-negative times,
+    /// and arrivals are ordered by release bits.
     ///
     /// # Panics
     /// Panics if the deadline does not strictly follow the release or the
@@ -63,6 +66,11 @@ impl Job {
             demand.is_finite() && demand > 0.0,
             "job {id}: demand must be positive and finite, got {demand}"
         );
+        let release = if release.as_secs() == 0.0 {
+            SimTime::ZERO
+        } else {
+            release
+        };
         Job {
             id,
             release,
@@ -124,6 +132,12 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    #[test]
+    fn a_negative_zero_release_is_stored_as_zero() {
+        let j = Job::new(JobId(0), t(-0.0), t(0.15), 300.0);
+        assert_eq!(j.release.as_secs().to_bits(), 0);
     }
 
     #[test]

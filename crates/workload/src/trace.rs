@@ -3,15 +3,22 @@
 use crate::job::Job;
 use crate::UNITS_PER_GHZ_SEC;
 use ge_simcore::SimTime;
+use std::sync::Arc;
 
 /// A complete, release-ordered job trace for one simulation run.
+///
+/// The jobs are immutable once wrapped and live in shared storage, so
+/// cloning a trace is O(1) — the clone shares the jobs rather than
+/// copying them — and a run over a trace may keep that storage as its
+/// arrival list (see [`Trace::shared_jobs`]).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    jobs: Vec<Job>,
+    jobs: Arc<Vec<Job>>,
 }
 
 impl Trace {
-    /// Wraps a release-ordered job list.
+    /// Wraps a release-ordered job list, taking ownership without
+    /// copying it.
     ///
     /// # Panics
     /// Panics (debug builds) if the jobs are not sorted by release time.
@@ -21,11 +28,19 @@ impl Trace {
                 .all(|w| w[0].release.as_secs() <= w[1].release.as_secs()),
             "trace must be release-ordered"
         );
-        Trace { jobs }
+        Trace {
+            jobs: Arc::new(jobs),
+        }
     }
 
     /// The jobs, in release order.
     pub fn jobs(&self) -> &[Job] {
+        &self.jobs
+    }
+
+    /// The shared storage behind [`Trace::jobs`]; cloning the `Arc`
+    /// shares the jobs with this trace and its clones.
+    pub fn shared_jobs(&self) -> &Arc<Vec<Job>> {
         &self.jobs
     }
 
@@ -173,6 +188,14 @@ mod tests {
         let trace = WorkloadGenerator::new(WorkloadConfig::paper_default(154.0), 11).generate();
         let u = trace.utilization(16, 2.0);
         assert!(u > 0.8 && u < 1.05, "utilization {u}");
+    }
+
+    #[test]
+    fn clone_shares_the_jobs() {
+        let tr = small_trace();
+        let copy = tr.clone();
+        assert!(Arc::ptr_eq(tr.shared_jobs(), copy.shared_jobs()));
+        assert_eq!(copy.jobs(), tr.jobs());
     }
 
     #[test]
