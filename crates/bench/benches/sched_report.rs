@@ -8,7 +8,7 @@
 //! server's share of one engine event, end-to-end GE runs with the
 //! dirty-bit path on and forced off, whole fleets at N ∈ {1, 4, 16}
 //! servers, one serving session in process and over loopback TCP, the
-//! trace codec per event,
+//! trace codec per event, one replay of a faulted run's trace,
 //! and representative figure pipelines at [`Scale::bench`]. Run with
 //! `--json <path>` to write the `ge-bench-sched/v1` report (Cargo runs
 //! benches from the package directory, so give the repository-root path
@@ -38,7 +38,7 @@ use ge_quality::{
 use ge_serve::{ServeConfig, ServeCore, ServeServer};
 use ge_server::Server;
 use ge_simcore::{EventQueue, RngStream, SimDuration, SimTime};
-use ge_trace::{jsonl_line, parse_jsonl_line, NullSink, TraceEvent, VecSink};
+use ge_trace::{jsonl_line, parse_jsonl_line, replay, NullSink, TraceEvent, VecSink};
 use ge_workload::{BoundedPareto, Job, JobId, Sampler, UNITS_PER_GHZ_SEC};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -440,7 +440,9 @@ fn mixed_events() -> Vec<TraceEvent> {
 }
 
 /// The JSONL trace codec, in ns per event: each iteration encodes (or
-/// decodes) the next event of the fixed mixed stream, cycling.
+/// decodes) the next event of the fixed mixed stream, cycling. Then the
+/// replay checker: each `trace/replay_run` iteration replays the whole
+/// faulted single-run part of that stream.
 fn bench_trace_codec(h: &Harness) {
     let events = mixed_events();
     let lines: Vec<String> = events.iter().map(jsonl_line).collect();
@@ -453,6 +455,18 @@ fn bench_trace_codec(h: &Harness) {
     h.bench("trace/decode_jsonl", || {
         i = (i + 1) % lines.len();
         parse_jsonl_line(black_box(&lines[i])).map(|_| ())
+    });
+    let run_len = events
+        .iter()
+        .position(|e| matches!(e, TraceEvent::RunSummary { .. }))
+        .map_or(0, |i| i + 1);
+    let run = &events[..run_len];
+    assert!(
+        replay(run).is_ok_and(|r| r.is_ok()),
+        "the run part replays clean"
+    );
+    h.bench("trace/replay_run", || {
+        replay(black_box(run)).map(|r| r.events)
     });
 }
 

@@ -41,7 +41,7 @@ enum CliError {
     Trace {
         /// The figure whose exemplar was being traced.
         fig: String,
-        /// What went wrong in the serialize/parse/replay round-trip.
+        /// What went wrong in the parse/replay round-trip.
         source: TraceError,
     },
     /// The replay invariant checker flagged violations in a trace.

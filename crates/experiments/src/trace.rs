@@ -2,16 +2,16 @@
 //!
 //! Figures report seed-averaged summaries; this module runs a *single*
 //! representative cell of the named figure with every decision event
-//! streamed into a [`ge_trace::VecSink`], serializes the JSONL trace,
-//! parses it back, and replays it through the invariant checker. The CLI
-//! writes those same bytes, so the trace on disk is proven, not assumed,
-//! to reproduce the run it describes.
+//! encoded to JSONL as it is recorded, parses the bytes back one event at
+//! a time, and feeds each event to the invariant checker. The CLI writes
+//! those same bytes, so the trace on disk is proven, not assumed, to
+//! reproduce the run it describes.
 
 use crate::scale::Scale;
 use ge_core::{run_with_sink, Algorithm, RunResult, SimConfig};
 use ge_trace::{
-    jsonl_line, parse_jsonl, replay, write_jsonl, ReplayReport, RunMetaEvent, TraceEvent, VecSink,
-    TRACE_SCHEMA,
+    for_each_jsonl, jsonl_line, Replay, ReplayReport, RunLedger, RunMetaEvent, TraceEvent,
+    TraceSink, TRACE_SCHEMA,
 };
 use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -47,13 +47,11 @@ pub struct TracedRun {
     pub report: ReplayReport,
 }
 
-/// Why a traced exemplar run could not produce a verified trace. Any of
-/// these indicates a bug in the tracing layer, not a property of the
-/// workload — but the CLI reports them as errors instead of panicking.
+/// Why a traced exemplar run could not produce a verified trace. Either
+/// indicates a bug in the tracing layer, not a property of the workload
+/// — but the CLI reports them as errors instead of panicking.
 #[derive(Debug)]
 pub enum TraceError {
-    /// The in-memory JSONL serialization failed.
-    Serialize(std::io::Error),
     /// The emitted JSONL did not parse back.
     Parse(ge_trace::ParseError),
     /// The parsed trace was structurally incomplete.
@@ -63,7 +61,6 @@ pub enum TraceError {
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceError::Serialize(e) => write!(f, "failed to serialize trace: {e}"),
             TraceError::Parse(e) => write!(f, "emitted trace did not parse back: {e}"),
             TraceError::Replay(e) => write!(f, "emitted trace did not replay: {e}"),
         }
@@ -73,10 +70,47 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TraceError::Serialize(e) => Some(e),
             TraceError::Parse(e) => Some(e),
             TraceError::Replay(e) => Some(e),
         }
+    }
+}
+
+/// Encodes each event to a JSONL line as the run records it, behind a
+/// `run_meta` provenance header, so a traced run holds bytes, not events.
+struct JsonlSink {
+    seed: u64,
+    jsonl: String,
+    lines: usize,
+}
+
+impl JsonlSink {
+    fn line(&mut self, ev: &TraceEvent) {
+        self.jsonl.push_str(&jsonl_line(ev));
+        self.jsonl.push('\n');
+        self.lines += 1;
+    }
+}
+
+impl TraceSink for JsonlSink {
+    fn record(&mut self, ev: &TraceEvent) {
+        if self.lines == 0 {
+            // The header's config digest covers the serialized run_start
+            // line — the run's entire configuration as it appears on the
+            // wire — so any config drift changes the digest.
+            let config_digest = match ev {
+                TraceEvent::RunStart(_) => ge_recover::codec::fnv1a64(jsonl_line(ev).as_bytes()),
+                _ => 0,
+            };
+            self.line(&TraceEvent::from(RunMetaEvent {
+                t: 0.0,
+                schema: TRACE_SCHEMA.to_string(),
+                seed: self.seed,
+                config_digest,
+                version: env!("CARGO_PKG_VERSION").to_string(),
+            }));
+        }
+        self.line(ev);
     }
 }
 
@@ -97,46 +131,22 @@ pub fn traced_exemplar(exemplar: &Exemplar, scale: &Scale) -> Result<TracedRun, 
     };
     let trace = WorkloadGenerator::new(wc, scale.root_seed).generate();
 
-    let mut sink = VecSink::new();
+    let mut sink = JsonlSink {
+        seed: scale.root_seed,
+        jsonl: String::new(),
+        lines: 0,
+    };
     let result = run_with_sink(&sim, &trace, &exemplar.algorithm, None, &mut sink);
-    let mut events = sink.into_events();
 
-    // Prepend the provenance header. The config digest covers the
-    // serialized run_start line — the run's entire configuration as it
-    // appears on the wire — so any config drift changes the digest.
-    let config_digest = events
-        .first()
-        .filter(|e| matches!(e, TraceEvent::RunStart(_)))
-        .map(|e| ge_recover::codec::fnv1a64(jsonl_line(e).as_bytes()))
-        .unwrap_or(0);
-    events.insert(
-        0,
-        TraceEvent::from(RunMetaEvent {
-            t: 0.0,
-            schema: TRACE_SCHEMA.to_string(),
-            seed: scale.root_seed,
-            config_digest,
-            version: env!("CARGO_PKG_VERSION").to_string(),
-        }),
-    );
-    let event_count = events.len();
-
-    // Round-trip through the wire format before replaying: the report
-    // then certifies the serialized artifact, not the in-memory one. The
-    // in-memory events are dropped once serialized, so at most two
-    // copies of the trace are alive at a time.
-    let mut jsonl = Vec::new();
-    write_jsonl(&events, &mut jsonl).map_err(TraceError::Serialize)?;
-    drop(events);
-    let jsonl = String::from_utf8(jsonl).map_err(|e| {
-        TraceError::Serialize(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    })?;
-    let parsed = parse_jsonl(&jsonl).map_err(TraceError::Parse)?;
-    let report = replay(&parsed).map_err(TraceError::Replay)?;
+    // Replay the wire bytes, not the recorded events: the report then
+    // certifies the serialized artifact, and no parsed copy is kept.
+    let mut replay = Replay::<RunLedger>::default();
+    for_each_jsonl(sink.jsonl.as_bytes(), |ev| replay.push(&ev)).map_err(TraceError::Parse)?;
+    let report = replay.finish().map_err(TraceError::Replay)?;
     Ok(TracedRun {
         result,
-        jsonl,
-        event_count,
+        jsonl: sink.jsonl,
+        event_count: sink.lines,
         report,
     })
 }

@@ -399,8 +399,17 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
     parse_jsonl_reader(text.as_bytes())
 }
 
-/// Parses a whole JSONL document from `r`, line by line (blank lines
-/// skipped; `\n` or `\r\n` endings).
+/// Parses a whole JSONL document from `r` into memory; see
+/// [`for_each_jsonl`].
+pub fn parse_jsonl_reader<R: BufRead>(r: R) -> Result<Vec<TraceEvent>, ParseError> {
+    let mut out = Vec::new();
+    for_each_jsonl(r, |ev| out.push(ev))?;
+    Ok(out)
+}
+
+/// Parses a JSONL document from `r` line by line (blank lines skipped;
+/// `\n` or `\r\n` endings), handing each event to `f` in order and
+/// keeping none of them.
 ///
 /// Beyond per-line syntax, this validates the document-level contract:
 /// event timestamps must be non-decreasing (within a small numerical
@@ -409,8 +418,10 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
 /// overlong (or newline-less, endless) line fails fast with
 /// [`ParseErrorKind::LineTooLong`] after at most one cap's worth of
 /// bytes, instead of growing a line buffer without bound.
-pub fn parse_jsonl_reader<R: BufRead>(mut r: R) -> Result<Vec<TraceEvent>, ParseError> {
-    let mut out: Vec<TraceEvent> = Vec::new();
+pub fn for_each_jsonl<R: BufRead>(
+    mut r: R,
+    mut f: impl FnMut(TraceEvent),
+) -> Result<(), ParseError> {
     let mut last_t = f64::NEG_INFINITY;
     let mut buf: Vec<u8> = Vec::new();
     let mut lineno = 0usize;
@@ -450,7 +461,7 @@ pub fn parse_jsonl_reader<R: BufRead>(mut r: R) -> Result<Vec<TraceEvent>, Parse
             }
         }
         if buf.is_empty() && !saw_newline {
-            return Ok(out); // clean EOF
+            return Ok(()); // clean EOF
         }
         let line = std::str::from_utf8(&buf).map_err(|_| at_line(err("invalid UTF-8")))?;
         if line.trim().is_empty() {
@@ -467,7 +478,7 @@ pub fn parse_jsonl_reader<R: BufRead>(mut r: R) -> Result<Vec<TraceEvent>, Parse
             ))));
         }
         last_t = last_t.max(t);
-        out.push(ev);
+        f(ev);
     }
 }
 

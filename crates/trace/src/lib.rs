@@ -15,9 +15,9 @@
 //!   [`VecSink`] (record everything).
 //! * [`export`] — hand-rolled JSONL and wide-schema CSV writers and the
 //!   matching JSONL parser (no serde; floats round-trip exactly).
-//! * [`replay`] — an invariant checker that rebuilds energy, AES
-//!   residency, and ledger quality from a trace and cross-checks them
-//!   against the run's reported summary.
+//! * [`replay`] — the invariant checker: one event-at-a-time walker and
+//!   a ledger per trace kind (run, fleet, serve) rebuild a trace's books
+//!   from its events and cross-check them against its reported summary.
 //!
 //! Emission sites guard with [`TraceSink::is_enabled`], so running with
 //! [`NullSink`] costs a branch per site — the driver's untraced path
@@ -36,11 +36,11 @@ pub use event::{
     ServeRunStartEvent, ServeSummaryEvent, SplitPolicy, TraceEvent, TriggerKind,
 };
 pub use export::{
-    csv_header, csv_row, jsonl_line, parse_jsonl, parse_jsonl_line, parse_jsonl_reader, write_csv,
-    write_jsonl, ParseError, ParseErrorKind, MAX_JSONL_LINE_BYTES,
+    csv_header, csv_row, for_each_jsonl, jsonl_line, parse_jsonl, parse_jsonl_line,
+    parse_jsonl_reader, write_csv, write_jsonl, ParseError, ParseErrorKind, MAX_JSONL_LINE_BYTES,
 };
 pub use replay::{
-    replay, replay_fleet, replay_serve, strip_header, FleetReplayReport, ReplayError, ReplayReport,
-    ServeReplayReport, TRACE_SCHEMA,
+    replay, replay_fleet, replay_serve, FleetLedger, FleetReplayReport, Ledger, Replay,
+    ReplayError, ReplayReport, RunLedger, ServeLedger, ServeReplayReport, TRACE_SCHEMA,
 };
 pub use sink::{NullSink, TraceSink, VecSink};

@@ -1,15 +1,16 @@
 //! Trace replay and invariant checking.
 //!
-//! A trace is self-contained: [`crate::TraceEvent::RunStart`] carries the
-//! run configuration, so the checker can rebuild the run's bookkeeping
-//! from scratch — energy by summing [`crate::TraceEvent::ExecSlice`]
-//! through a fresh [`ge_power::EnergyMeter`], AES residency by feeding
-//! [`crate::TraceEvent::ModeSwitch`] through [`ge_metrics::ModeTracker`],
-//! and quality by feeding [`crate::TraceEvent::JobFinish`] through
-//! [`ge_quality::QualityLedger`] — and cross-check each against the
-//! driver's reported [`crate::TraceEvent::RunSummary`].
+//! A trace is self-contained: its start event carries the run's
+//! configuration, so a checker can rebuild the run's books from scratch
+//! and cross-check them against the summary the run reported. One walker,
+//! [`Replay`], takes a trace one event at a time and owns the structure
+//! every trace shares; one [`Ledger`] per trace kind owns the rest:
+//! [`RunLedger`] rebuilds energy through a fresh [`EnergyMeter`], AES
+//! residency through a [`ModeTracker`] and quality through a
+//! [`QualityLedger`]; [`FleetLedger`] checks routing and budget epochs;
+//! [`ServeLedger`] checks request terminal states.
 
-use crate::event::{RunMetaEvent, TraceEvent};
+use crate::event::{RejectReason, TraceEvent};
 use ge_metrics::ModeTracker;
 use ge_power::EnergyMeter;
 use ge_quality::{ExpConcave, LedgerMode, QualityFunction, QualityLedger};
@@ -22,6 +23,9 @@ pub const ENERGY_REL_TOL: f64 = 1e-6;
 pub const AES_ABS_TOL: f64 = 1e-9;
 /// Tolerance for the absolute quality-rebuild check.
 pub const QUALITY_ABS_TOL: f64 = 1e-9;
+/// Tolerance for the relative budget-conservation check: each budget
+/// reallocation epoch's slices must sum to the global budget `H`.
+pub const BUDGET_REL_TOL: f64 = 1e-6;
 
 /// Wire-schema tag a [`TraceEvent::RunMeta`] header must carry for this
 /// replay implementation to accept the trace.
@@ -35,18 +39,10 @@ pub enum ReplayError {
     /// A `run_meta` header was present but unusable (wrong schema tag or
     /// a nonzero timestamp).
     BadHeader(String),
-    /// The first event was not `run_start`.
-    MissingRunStart,
-    /// No `run_summary` event was found.
-    MissingRunSummary,
-    /// The first event of a fleet trace was not `fleet_run_start`.
-    MissingFleetRunStart,
-    /// No `fleet_summary` event was found.
-    MissingFleetSummary,
-    /// The first event of a serve trace was not `serve_run_start`.
-    MissingServeRunStart,
-    /// No `serve_summary` event was found.
-    MissingServeSummary,
+    /// The first event after the header was not of the named start kind.
+    MissingStart(&'static str),
+    /// No event of the named summary kind was found.
+    MissingSummary(&'static str),
 }
 
 impl std::fmt::Display for ReplayError {
@@ -54,34 +50,165 @@ impl std::fmt::Display for ReplayError {
         match self {
             ReplayError::Empty => write!(f, "empty trace"),
             ReplayError::BadHeader(why) => write!(f, "invalid run_meta header: {why}"),
-            ReplayError::MissingRunStart => {
-                write!(f, "trace does not begin with a run_start event")
-            }
-            ReplayError::MissingRunSummary => {
-                write!(f, "trace has no run_summary event")
-            }
-            ReplayError::MissingFleetRunStart => {
-                write!(f, "fleet trace does not begin with a fleet_run_start event")
-            }
-            ReplayError::MissingFleetSummary => {
-                write!(f, "fleet trace has no fleet_summary event")
-            }
-            ReplayError::MissingServeRunStart => {
-                write!(f, "serve trace does not begin with a serve_run_start event")
-            }
-            ReplayError::MissingServeSummary => {
-                write!(f, "serve trace has no serve_summary event")
-            }
+            ReplayError::MissingStart(ev) => write!(f, "trace does not begin with a {ev} event"),
+            ReplayError::MissingSummary(ev) => write!(f, "trace has no {ev} event"),
         }
     }
 }
 
 impl std::error::Error for ReplayError {}
 
+/// The rules of one trace kind, fed by [`Replay`] once its shared
+/// structural checks pass.
+pub trait Ledger: Sized {
+    /// Wire kind of the event the trace must open with.
+    const START: &'static str;
+    /// Wire kind of the event carrying the run's reported totals.
+    const SUMMARY: &'static str;
+    /// What [`Replay::finish`] returns.
+    type Report;
+
+    /// Opens the ledger on the first event after the header, or `None`
+    /// when that event is not of kind [`Ledger::START`].
+    fn open(start: &TraceEvent, issues: &mut Vec<String>) -> Option<Self>;
+    /// Checks body event `i`: any event but a header, start or summary.
+    fn check(&mut self, i: usize, ev: &TraceEvent, issues: &mut Vec<String>);
+    /// Cross-checks the books against `summary`, the trace's last event
+    /// of kind [`Ledger::SUMMARY`] as received, and reports on `events`
+    /// body events.
+    fn close(self, summary: &TraceEvent, events: usize, issues: Vec<String>) -> Self::Report;
+}
+
+/// The event-at-a-time replay walker over one trace of kind `L`: a
+/// caller reading a trace pushes each event as it reads and keeps none.
+pub struct Replay<L: Ledger> {
+    /// Whether any event, the header included, was pushed.
+    pushed: bool,
+    /// Body events pushed (the header excluded).
+    events: usize,
+    last_t: f64,
+    ledger: Option<L>,
+    summary: Option<TraceEvent>,
+    issues: Vec<String>,
+    /// The structural fault that ended the replay; later events are ignored.
+    error: Option<ReplayError>,
+}
+
+impl<L: Ledger> Default for Replay<L> {
+    fn default() -> Self {
+        Replay {
+            pushed: false,
+            events: 0,
+            last_t: f64::NEG_INFINITY,
+            ledger: None,
+            summary: None,
+            issues: Vec::new(),
+            error: None,
+        }
+    }
+}
+
+impl<L: Ledger> Replay<L> {
+    /// Checks the next event of the trace.
+    // Inlined with the ledger's `check`: a call per event made a run
+    // replay 20-30% slower.
+    #[inline(always)]
+    pub fn push(&mut self, ev: &TraceEvent) {
+        let Some(ledger) = &mut self.ledger else {
+            return self.open(ev);
+        };
+        let (i, t, kind) = (self.events, ev.t(), ev.kind());
+        self.events += 1;
+        let issues = &mut self.issues;
+        if t + 1e-12 < self.last_t {
+            let last_t = self.last_t;
+            issues.push(format!(
+                "event {i} ({kind}) goes back in time: {t} < {last_t}"
+            ));
+        }
+        self.last_t = self.last_t.max(t);
+        if matches!(ev, TraceEvent::RunMeta(_)) {
+            issues.push(format!("misplaced run_meta at event {i}"));
+        } else if kind == L::START {
+            issues.push(format!("duplicate {} at event {i}", L::START));
+        } else if kind == L::SUMMARY {
+            if self.summary.replace(ev.clone()).is_some() {
+                issues.push(format!("duplicate {} at event {i}", L::SUMMARY));
+            }
+        } else {
+            ledger.check(i, ev, issues);
+        }
+    }
+
+    /// Takes an event that arrives before the ledger is open: the
+    /// optional header, then the start event.
+    fn open(&mut self, ev: &TraceEvent) {
+        if self.error.is_some() {
+            return;
+        }
+        let first = !std::mem::replace(&mut self.pushed, true);
+        if let (true, TraceEvent::RunMeta(meta)) = (first, ev) {
+            let (schema, t) = (&meta.schema, meta.t);
+            let why = if *schema != TRACE_SCHEMA {
+                format!("unsupported schema tag '{schema}' (expected '{TRACE_SCHEMA}')")
+            } else if t != 0.0 {
+                format!("header timestamp must be 0, got {t}")
+            } else {
+                return;
+            };
+            self.error = Some(ReplayError::BadHeader(why));
+            return;
+        }
+        self.events += 1;
+        self.last_t = ev.t();
+        self.ledger = L::open(ev, &mut self.issues);
+        if self.ledger.is_none() {
+            self.error = Some(ReplayError::MissingStart(L::START));
+        }
+    }
+
+    /// Ends the trace: the ledger's report, or the structural fault that
+    /// stopped the replay.
+    pub fn finish(self) -> Result<L::Report, ReplayError> {
+        match (self.error, self.pushed, self.ledger, self.summary) {
+            (Some(e), ..) => Err(e),
+            (None, false, ..) => Err(ReplayError::Empty),
+            (None, true, None, _) => Err(ReplayError::MissingStart(L::START)),
+            (None, true, Some(_), None) => Err(ReplayError::MissingSummary(L::SUMMARY)),
+            (None, true, Some(ledger), Some(s)) => Ok(ledger.close(&s, self.events, self.issues)),
+        }
+    }
+}
+
+fn replay_slice<L: Ledger>(events: &[TraceEvent]) -> Result<L::Report, ReplayError> {
+    let mut walker = Replay::<L>::default();
+    events.iter().for_each(|ev| walker.push(ev));
+    walker.finish()
+}
+
+/// Ends a report's `render`: one line per issue, or the `ok` verdict.
+fn verdict(mut out: String, issues: &[String], ok: &str) -> String {
+    if issues.is_empty() {
+        out.push_str(&format!("verdict   OK — {ok}\n"));
+    }
+    for issue in issues {
+        out.push_str(&format!("ISSUE     {issue}\n"));
+    }
+    out
+}
+
+/// `|x - reference| / |reference|`, or `|x|` for a zero reference.
+fn rel_err(x: f64, reference: f64) -> f64 {
+    match reference.abs() {
+        r if r > 0.0 => (x - reference).abs() / r,
+        _ => x.abs(),
+    }
+}
+
 /// Outcome of replaying a trace and cross-checking its invariants.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
-    /// Total events replayed.
+    /// Total events replayed (header excluded).
     pub events: usize,
     /// Energy rebuilt by summing `exec_slice` events (joules).
     pub energy_from_slices_j: f64,
@@ -111,145 +238,104 @@ impl ReplayReport {
 
     /// A short human-readable verdict block.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("replayed {} events\n", self.events));
-        out.push_str(&format!(
-            "energy    rebuilt {:.6} J vs reported {:.6} J (rel err {:.3e})\n",
-            self.energy_from_slices_j, self.reported_energy_j, self.energy_rel_err
-        ));
-        out.push_str(&format!(
-            "aes       rebuilt {:.9} vs reported {:.9}\n",
-            self.aes_residency, self.reported_aes
-        ));
-        out.push_str(&format!(
-            "quality   rebuilt {:.9} vs reported {:.9}\n",
-            self.quality_rebuilt, self.reported_quality
-        ));
+        let mut out = format!(
+            "replayed {} events\n\
+             energy    rebuilt {:.6} J vs reported {:.6} J (rel err {:.3e})\n\
+             aes       rebuilt {:.9} vs reported {:.9}\n\
+             quality   rebuilt {:.9} vs reported {:.9}\n",
+            self.events,
+            self.energy_from_slices_j,
+            self.reported_energy_j,
+            self.energy_rel_err,
+            self.aes_residency,
+            self.reported_aes,
+            self.quality_rebuilt,
+            self.reported_quality
+        );
         if self.shed_jobs > 0 {
             out.push_str(&format!(
                 "shed      {} jobs (cross-checked)\n",
                 self.shed_jobs
             ));
         }
-        if self.issues.is_empty() {
-            out.push_str("verdict   OK — all invariants hold\n");
-        } else {
-            for issue in &self.issues {
-                out.push_str(&format!("ISSUE     {issue}\n"));
-            }
-        }
-        out
+        verdict(out, &self.issues, "all invariants hold")
     }
 }
 
-/// Validates and strips the optional `run_meta` provenance header.
-///
-/// When present the header must be usable (matching schema tag, t = 0);
-/// when absent the trace is still valid (headers were introduced after
-/// the wire format stabilized). Every consumer of `--trace` output that
-/// expects `run_start` first should go through this.
-pub fn strip_header(events: &[TraceEvent]) -> Result<&[TraceEvent], ReplayError> {
-    let Some(TraceEvent::RunMeta(meta)) = events.first() else {
-        return Ok(events);
-    };
-    let RunMetaEvent { schema, t, .. } = &**meta;
-    if schema != TRACE_SCHEMA {
-        return Err(ReplayError::BadHeader(format!(
-            "unsupported schema tag '{schema}' (expected '{TRACE_SCHEMA}')"
-        )));
-    }
-    if *t != 0.0 {
-        return Err(ReplayError::BadHeader(format!(
-            "header timestamp must be 0, got {t}"
-        )));
-    }
-    Ok(&events[1..])
-}
-
-/// Replays `events`, rebuilding energy, mode residency, and quality from
-/// first principles and cross-checking them against the run summary.
+/// Replays a single-server run trace, rebuilding energy, mode residency
+/// and quality from first principles and cross-checking them against the
+/// run summary; also checks the fault and shed invariants.
 pub fn replay(events: &[TraceEvent]) -> Result<ReplayReport, ReplayError> {
-    if events.is_empty() {
-        return Err(ReplayError::Empty);
-    }
-    let events = strip_header(events)?;
-    if events.is_empty() {
-        return Err(ReplayError::MissingRunStart);
-    }
-    let (cores, horizon_s, quality_c, quality_xmax, initial_mode, ledger_window, start_t) =
-        match &events[0] {
-            TraceEvent::RunStart(start) => (
-                start.cores as usize,
-                start.horizon_s,
-                start.quality_c,
-                start.quality_xmax,
-                start.initial_mode as usize,
-                start.ledger_window,
-                start.t,
-            ),
-            _ => return Err(ReplayError::MissingRunStart),
+    replay_slice::<RunLedger>(events)
+}
+
+/// The rules of a single-server run trace; see [`replay`].
+pub struct RunLedger {
+    horizon_s: f64,
+    meter: EnergyMeter,
+    modes: ModeTracker,
+    f: ExpConcave,
+    quality: QualityLedger,
+    online: Vec<bool>,
+    /// Jobs shed by admission control: job -> index of its `job_shed`.
+    shed: BTreeMap<u64, usize>,
+    /// Jobs that finished discarded: job -> units processed.
+    discarded: BTreeMap<u64, f64>,
+}
+
+impl Ledger for RunLedger {
+    const START: &'static str = "run_start";
+    const SUMMARY: &'static str = "run_summary";
+    type Report = ReplayReport;
+
+    fn open(start: &TraceEvent, _: &mut Vec<String>) -> Option<Self> {
+        let TraceEvent::RunStart(s) = start else {
+            return None;
         };
+        let cores = (s.cores as usize).max(1);
+        let window = match s.ledger_window {
+            0 => LedgerMode::Cumulative,
+            w => LedgerMode::SlidingWindow(w as usize),
+        };
+        Some(RunLedger {
+            horizon_s: s.horizon_s,
+            meter: EnergyMeter::new(cores),
+            modes: ModeTracker::new(2, (s.initial_mode as usize).min(1), SimTime::from_secs(s.t)),
+            f: ExpConcave::new(s.quality_c, s.quality_xmax),
+            quality: QualityLedger::new(window),
+            online: vec![true; cores],
+            shed: BTreeMap::new(),
+            discarded: BTreeMap::new(),
+        })
+    }
 
-    let mut issues = Vec::new();
-
-    // Rebuild the three ledgers the summary aggregates.
-    let mut meter = EnergyMeter::new(cores.max(1));
-    let mut modes = ModeTracker::new(2, initial_mode.min(1), SimTime::from_secs(start_t));
-    let f = ExpConcave::new(quality_c, quality_xmax);
-    let mut ledger = QualityLedger::new(if ledger_window == 0 {
-        LedgerMode::Cumulative
-    } else {
-        LedgerMode::SlidingWindow(ledger_window as usize)
-    });
-    let mut last_t = start_t;
-    let mut summary: Option<(f64, f64, f64, f64, u64, u64)> = None;
-
-    // Fault-aware state: which cores are online, which jobs were shed,
-    // and which jobs finished discarded (shed jobs must be a subset).
-    let mut online = vec![true; cores.max(1)];
-    let mut shed: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut discarded_finishes: BTreeMap<u64, f64> = BTreeMap::new();
-
-    for (i, ev) in events.iter().enumerate() {
-        let t = ev.t();
-        if t + 1e-12 < last_t {
-            issues.push(format!(
-                "event {i} ({}) goes back in time: {t} < {last_t}",
-                ev.kind()
-            ));
-        }
-        last_t = last_t.max(t);
-        match ev {
-            TraceEvent::RunStart(_) if i != 0 => {
-                issues.push(format!("duplicate run_start at event {i}"));
-            }
-            // The header was stripped above; any run_meta left in the
-            // body is a duplicate or misplaced header.
-            TraceEvent::RunMeta(_) => {
-                issues.push(format!("misplaced run_meta at event {i}"));
-            }
+    #[inline(always)]
+    fn check(&mut self, i: usize, ev: &TraceEvent, issues: &mut Vec<String>) {
+        match *ev {
             TraceEvent::ExecSlice {
+                t,
                 core,
                 start_s,
                 end_s,
                 energy_j,
                 ..
             } => {
-                if *energy_j < 0.0 {
+                if energy_j < 0.0 {
                     issues.push(format!("negative slice energy at event {i}"));
                 }
                 if end_s < start_s {
                     issues.push(format!("inverted slice interval at event {i}"));
                 }
-                if (*core as usize) < meter.cores() {
-                    meter.record_joules(*core as usize, *energy_j);
-                } else {
-                    issues.push(format!("slice on unknown core {core} at event {i}"));
-                }
-                if (*core as usize) < online.len() && !online[*core as usize] {
-                    issues.push(format!(
-                        "exec_slice on offline core {core} at event {i} (t={t})"
-                    ));
+                match self.online.get(core as usize) {
+                    None => issues.push(format!("slice on unknown core {core} at event {i}")),
+                    Some(&up) => {
+                        self.meter.record_joules(core as usize, energy_j);
+                        if !up {
+                            issues.push(format!(
+                                "exec_slice on offline core {core} at event {i} (t={t})"
+                            ));
+                        }
+                    }
                 }
             }
             TraceEvent::ModeSwitch {
@@ -258,13 +344,14 @@ pub fn replay(events: &[TraceEvent]) -> Result<ReplayReport, ReplayError> {
                 to_mode,
                 ..
             } => {
-                if modes.current() != *from_mode as usize {
+                let current = self.modes.current();
+                if current != from_mode as usize {
                     issues.push(format!(
-                        "mode_switch at event {i} claims from={from_mode} but replay is in {}",
-                        modes.current()
+                        "mode_switch at event {i} claims from={from_mode} but replay is in {current}"
                     ));
                 }
-                modes.switch((*to_mode as usize).min(1), SimTime::from_secs(*t));
+                self.modes
+                    .switch((to_mode as usize).min(1), SimTime::from_secs(t));
             }
             TraceEvent::JobFinish {
                 job,
@@ -273,13 +360,14 @@ pub fn replay(events: &[TraceEvent]) -> Result<ReplayReport, ReplayError> {
                 discarded,
                 ..
             } => {
-                if *discarded {
-                    ledger.record(0.0, f.value(*full_demand));
-                    discarded_finishes.insert(*job, *processed);
+                let full = self.f.value(full_demand);
+                if discarded {
+                    self.quality.record(0.0, full);
+                    self.discarded.insert(job, processed);
                 } else {
-                    ledger.record(f.value(*processed), f.value(*full_demand));
+                    self.quality.record(self.f.value(processed), full);
                 }
-                if *processed > *full_demand + 1e-6 {
+                if processed > full_demand + 1e-6 {
                     issues.push(format!("job processed beyond its demand at event {i}"));
                 }
             }
@@ -287,157 +375,123 @@ pub fn replay(events: &[TraceEvent]) -> Result<ReplayReport, ReplayError> {
                 full_demand,
                 cut_demand,
                 ..
-            } if *cut_demand > *full_demand + 1e-9 => {
+            } if cut_demand > full_demand + 1e-9 => {
                 issues.push(format!("job_cut grew a job at event {i}"));
             }
-            TraceEvent::QualitySample { quality, .. } if !(0.0..=1.0).contains(quality) => {
+            TraceEvent::QualitySample { quality, .. } if !(0.0..=1.0).contains(&quality) => {
                 issues.push(format!("quality sample out of [0,1] at event {i}"));
             }
-            TraceEvent::CoreFault {
-                core, online: up, ..
-            } => {
-                if (*core as usize) < online.len() {
-                    online[*core as usize] = *up;
-                } else {
-                    issues.push(format!("core_fault on unknown core {core} at event {i}"));
+            TraceEvent::CoreFault { core, online, .. } => {
+                match self.online.get_mut(core as usize) {
+                    Some(state) => *state = online,
+                    None => issues.push(format!("core_fault on unknown core {core} at event {i}")),
                 }
             }
             TraceEvent::BudgetThrottle {
                 factor,
-                budget_w_effective,
+                budget_w_effective: w,
                 ..
             } => {
-                if !(*factor > 0.0 && *factor <= 1.0) {
+                if !(factor > 0.0 && factor <= 1.0) {
                     issues.push(format!("budget_throttle factor out of (0,1] at event {i}"));
                 }
-                if !budget_w_effective.is_finite() || *budget_w_effective < 0.0 {
+                if !w.is_finite() || w < 0.0 {
                     issues.push(format!("invalid effective budget at event {i}"));
                 }
             }
             TraceEvent::DvfsDeviation { factor, core, .. } => {
-                if !factor.is_finite() || *factor <= 0.0 {
+                if !factor.is_finite() || factor <= 0.0 {
                     issues.push(format!("dvfs_deviation factor not positive at event {i}"));
                 }
-                if (*core as usize) >= online.len() {
+                if core as usize >= self.online.len() {
                     issues.push(format!(
                         "dvfs_deviation on unknown core {core} at event {i}"
                     ));
                 }
             }
             TraceEvent::JobShed { job, .. } => {
-                let previous = shed.insert(*job, i);
-                if previous.is_some() {
-                    issues.push(format!("job {job} shed twice (second at event {i})"));
+                if let Some(first) = self.shed.insert(job, i) {
+                    issues.push(format!("job {job} shed twice (events {first} and {i})"));
                 }
-            }
-            TraceEvent::RunSummary {
-                energy_j,
-                quality,
-                aes_fraction,
-                jobs_finished,
-                jobs_discarded,
-                t,
-            } => {
-                if summary.is_some() {
-                    issues.push(format!("duplicate run_summary at event {i}"));
-                }
-                summary = Some((
-                    *energy_j,
-                    *quality,
-                    *aes_fraction,
-                    *t,
-                    *jobs_finished,
-                    *jobs_discarded,
-                ));
             }
             _ => {}
         }
     }
 
-    let (rep_energy, rep_quality, rep_aes, end_t, rep_finished, rep_discarded) =
-        summary.ok_or(ReplayError::MissingRunSummary)?;
-
-    let energy = meter.total_energy();
-    let energy_rel_err = if rep_energy.abs() > 0.0 {
-        (energy - rep_energy).abs() / rep_energy.abs()
-    } else {
-        energy.abs()
-    };
-    if energy_rel_err > ENERGY_REL_TOL {
-        issues.push(format!(
-            "energy conservation violated: slices sum to {energy} J, summary says {rep_energy} J"
-        ));
-    }
-
-    // The driver finalizes residency at the horizon; fall back to the
-    // summary timestamp if the trace disagrees.
-    let end = if (end_t - horizon_s).abs() < 1e-9 {
-        horizon_s
-    } else {
-        end_t
-    };
-    let aes = modes.fractions_at(SimTime::from_secs(end))[0];
-    if (aes - rep_aes).abs() > AES_ABS_TOL {
-        issues.push(format!(
-            "AES residency mismatch: rebuilt {aes}, summary says {rep_aes}"
-        ));
-    }
-
-    let quality = ledger.quality();
-    if (quality - rep_quality).abs() > QUALITY_ABS_TOL {
-        issues.push(format!(
-            "quality mismatch: ledger rebuild gives {quality}, summary says {rep_quality}"
-        ));
-    }
-    if ledger.jobs_recorded() != rep_finished {
-        issues.push(format!(
-            "job accounting mismatch: {} job_finish events, summary says {rep_finished}",
-            ledger.jobs_recorded()
-        ));
-    }
-    if ledger.jobs_discarded() != rep_discarded {
-        issues.push(format!(
-            "discard accounting mismatch: {} discards, summary says {rep_discarded}",
-            ledger.jobs_discarded()
-        ));
-    }
-
-    // Shed cross-check: every job the trace reports as shed must also
-    // appear as a discarded job_finish with zero work processed — a shed
-    // that quietly received service (or never left the system) means the
-    // admission-control accounting lied.
-    for (&job, &ev_idx) in &shed {
-        match discarded_finishes.get(&job) {
-            None => issues.push(format!(
-                "job {job} shed at event {ev_idx} but never finished discarded"
-            )),
-            Some(&processed) if processed > 1e-9 => issues.push(format!(
-                "shed job {job} reports {processed} units processed (must be 0)"
-            )),
-            Some(_) => {}
+    fn close(self, summary: &TraceEvent, events: usize, mut issues: Vec<String>) -> ReplayReport {
+        let TraceEvent::RunSummary {
+            t: end_t,
+            energy_j,
+            quality: reported_quality,
+            aes_fraction,
+            jobs_finished,
+            jobs_discarded,
+        } = *summary
+        else {
+            unreachable!("a run ledger closes on a {} event", Self::SUMMARY)
+        };
+        let energy = self.meter.total_energy();
+        let energy_rel_err = rel_err(energy, energy_j);
+        if energy_rel_err > ENERGY_REL_TOL {
+            issues.push(format!(
+                "energy conservation violated: slices sum to {energy} J, summary says {energy_j} J"
+            ));
+        }
+        // The driver finalizes residency at the horizon; fall back to the
+        // summary timestamp if the trace disagrees.
+        let end = if (end_t - self.horizon_s).abs() < 1e-9 {
+            self.horizon_s
+        } else {
+            end_t
+        };
+        let aes = self.modes.fractions_at(SimTime::from_secs(end))[0];
+        let quality = self.quality.quality();
+        let finished = self.quality.jobs_recorded() as f64;
+        let discarded = self.quality.jobs_discarded() as f64;
+        for (what, rebuilt, reported, tol) in [
+            ("AES residency", aes, aes_fraction, AES_ABS_TOL),
+            ("quality", quality, reported_quality, QUALITY_ABS_TOL),
+            ("job_finish count", finished, jobs_finished as f64, 0.0),
+            ("discard count", discarded, jobs_discarded as f64, 0.0),
+        ] {
+            if (rebuilt - reported).abs() > tol {
+                issues.push(format!(
+                    "{what} mismatch: rebuilt {rebuilt}, summary says {reported}"
+                ));
+            }
+        }
+        // Every job the trace reports as shed must also appear as a
+        // discarded job_finish with zero work processed — a shed that
+        // quietly received service (or never left the system) means the
+        // admission-control accounting lied.
+        for (&job, &at) in &self.shed {
+            match self.discarded.get(&job) {
+                None => issues.push(format!(
+                    "job {job} shed at event {at} but never finished discarded"
+                )),
+                Some(&processed) if processed > 1e-9 => issues.push(format!(
+                    "shed job {job} reports {processed} units processed (must be 0)"
+                )),
+                Some(_) => {}
+            }
+        }
+        ReplayReport {
+            events,
+            energy_from_slices_j: energy,
+            reported_energy_j: energy_j,
+            energy_rel_err,
+            aes_residency: aes,
+            reported_aes: aes_fraction,
+            quality_rebuilt: quality,
+            reported_quality,
+            shed_jobs: self.shed.len(),
+            issues,
         }
     }
-
-    Ok(ReplayReport {
-        events: events.len(),
-        energy_from_slices_j: energy,
-        reported_energy_j: rep_energy,
-        energy_rel_err,
-        aes_residency: aes,
-        reported_aes: rep_aes,
-        quality_rebuilt: quality,
-        reported_quality: rep_quality,
-        shed_jobs: shed.len(),
-        issues,
-    })
 }
 
-/// Tolerance for the relative budget-conservation check: each budget
-/// reallocation epoch's slices must sum to the global budget `H`.
-pub const BUDGET_REL_TOL: f64 = 1e-6;
-
 /// Outcome of replaying a fleet trace and cross-checking its invariants.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetReplayReport {
     /// Total events replayed (header excluded).
     pub events: usize,
@@ -465,34 +519,27 @@ impl FleetReplayReport {
 
     /// A short human-readable verdict block.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "replayed {} fleet events across {} servers\n",
-            self.events, self.servers
-        ));
-        out.push_str(&format!(
-            "routing   {} dispatched, {} failovers, {} retries, {} shed\n",
-            self.dispatched, self.failovers, self.retries, self.shed
-        ));
-        out.push_str(&format!(
-            "budget    {} reallocation epochs conserve H\n",
+        let out = format!(
+            "replayed {} fleet events across {} servers\n\
+             routing   {} dispatched, {} failovers, {} retries, {} shed\n\
+             budget    {} reallocation epochs conserve H\n",
+            self.events,
+            self.servers,
+            self.dispatched,
+            self.failovers,
+            self.retries,
+            self.shed,
             self.budget_epochs
-        ));
-        if self.issues.is_empty() {
-            out.push_str("verdict   OK — all fleet invariants hold\n");
-        } else {
-            for issue in &self.issues {
-                out.push_str(&format!("ISSUE     {issue}\n"));
-            }
-        }
-        out
+        );
+        verdict(out, &self.issues, "all fleet invariants hold")
     }
 }
 
 /// Replays a fleet trace and cross-checks the router's invariants:
 ///
 /// * dispatches only target servers that are online at the dispatch
-///   instant (per the `shard_fault` stream),
+///   instant (per the `shard_fault` stream), and never a job the router
+///   already shed,
 /// * failovers are reclaimed only from dead servers, and every reclaimed
 ///   or retried job is later re-dispatched or explicitly shed — no job
 ///   silently vanishes,
@@ -501,228 +548,196 @@ impl FleetReplayReport {
 ///   to the pool, so the sum is conserved through crashes),
 /// * the `fleet_summary` counts equal the event counts.
 pub fn replay_fleet(events: &[TraceEvent]) -> Result<FleetReplayReport, ReplayError> {
-    if events.is_empty() {
-        return Err(ReplayError::Empty);
-    }
-    let events = strip_header(events)?;
-    if events.is_empty() {
-        return Err(ReplayError::MissingFleetRunStart);
-    }
-    let (servers, budget_w) = match &events[0] {
-        TraceEvent::FleetRunStart(start) => (start.servers as usize, start.budget_w),
-        _ => return Err(ReplayError::MissingFleetRunStart),
-    };
+    replay_slice::<FleetLedger>(events)
+}
 
-    let mut issues = Vec::new();
-    if servers == 0 {
-        issues.push("fleet_run_start declares zero servers".to_string());
-    }
-    let mut online = vec![true; servers.max(1)];
-    let mut dispatched = 0u64;
-    let mut failovers = 0u64;
-    let mut retries = 0u64;
-    let mut shed = 0u64;
-    // Jobs reclaimed (failover) or lost (retry) that still owe the trace
-    // a re-dispatch or an explicit shed: job -> index of the owing event.
-    let mut pending: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut shed_jobs: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut summary: Option<(u64, u64, u64, u64, f64, f64)> = None;
-    let mut last_t = f64::NEG_INFINITY;
+/// The rules of a fleet trace; see [`replay_fleet`].
+#[derive(Default)]
+pub struct FleetLedger {
+    /// The counts, accumulated as the events arrive.
+    report: FleetReplayReport,
+    budget_w: f64,
+    online: Vec<bool>,
+    /// Jobs reclaimed (failover) or lost (retry) that still owe the trace
+    /// a re-dispatch or an explicit shed: job -> index of the owing event.
+    pending: BTreeMap<u64, usize>,
+    /// Jobs the router shed: job -> index of its `fleet_shed`.
+    shed_jobs: BTreeMap<u64, usize>,
+    /// The open budget epoch: the `fleet_budget` slices at one timestamp.
+    /// Grouping is by t, so routing events at the same instant do not
+    /// split an epoch.
+    epoch_t: Option<f64>,
+    epoch: Vec<(u64, f64)>,
+}
 
-    // One budget reallocation epoch = the run of fleet_budget events at a
-    // single timestamp. Grouping is by t, so interleaved routing events
-    // at the same instant do not split an epoch.
-    let mut budget_epochs = 0usize;
-    let mut group_t: Option<f64> = None;
-    let mut group: Vec<(u64, f64)> = Vec::new();
-    let close_group = |group: &mut Vec<(u64, f64)>,
-                       group_t: &mut Option<f64>,
-                       budget_epochs: &mut usize,
-                       issues: &mut Vec<String>| {
-        let Some(t) = group_t.take() else {
+impl FleetLedger {
+    /// Checks the open budget epoch, if any, and closes it.
+    fn close_epoch(&mut self, issues: &mut Vec<String>) {
+        let Some(t) = self.epoch_t.take() else {
             return;
         };
-        let mut seen = vec![false; servers.max(1)];
-        let mut sum = 0.0;
-        for &(shard, w) in group.iter() {
-            if (shard as usize) >= servers {
-                issues.push(format!("fleet_budget for unknown server {shard} at t={t}"));
-            } else if seen[shard as usize] {
-                issues.push(format!("fleet_budget covers server {shard} twice at t={t}"));
-            } else {
-                seen[shard as usize] = true;
+        let (servers, h) = (self.report.servers, self.budget_w);
+        let mut seen = vec![false; servers];
+        for &(shard, w) in &self.epoch {
+            match seen.get_mut(shard as usize) {
+                None => issues.push(format!("fleet_budget for unknown server {shard} at t={t}")),
+                Some(true) => {
+                    issues.push(format!("fleet_budget covers server {shard} twice at t={t}"))
+                }
+                Some(covered) => *covered = true,
             }
             if !w.is_finite() || w < 0.0 {
                 issues.push(format!(
                     "invalid budget slice {w} W for server {shard} at t={t}"
                 ));
             }
-            sum += w;
         }
-        if group.len() != servers {
+        let covered = self.epoch.len();
+        if covered != servers {
             issues.push(format!(
-                "budget epoch at t={t} covers {} of {servers} servers",
-                group.len()
+                "budget epoch at t={t} covers {covered} of {servers} servers"
             ));
         }
-        let rel = if budget_w.abs() > 0.0 {
-            (sum - budget_w).abs() / budget_w.abs()
-        } else {
-            sum.abs()
-        };
-        if rel > BUDGET_REL_TOL {
+        let sum: f64 = self.epoch.drain(..).map(|(_, w)| w).sum();
+        if rel_err(sum, h) > BUDGET_REL_TOL {
             issues.push(format!(
-                "budget not conserved at t={t}: slices sum to {sum} W, global H is {budget_w} W"
+                "budget not conserved at t={t}: slices sum to {sum} W, global H is {h} W"
             ));
         }
-        group.clear();
-        *budget_epochs += 1;
-    };
+        self.report.budget_epochs += 1;
+    }
+}
 
-    for (i, ev) in events.iter().enumerate() {
+impl Ledger for FleetLedger {
+    const START: &'static str = "fleet_run_start";
+    const SUMMARY: &'static str = "fleet_summary";
+    type Report = FleetReplayReport;
+
+    fn open(start: &TraceEvent, issues: &mut Vec<String>) -> Option<Self> {
+        let TraceEvent::FleetRunStart(s) = start else {
+            return None;
+        };
+        let servers = s.servers as usize;
+        if servers == 0 {
+            issues.push("fleet_run_start declares zero servers".to_string());
+        }
+        let mut ledger = FleetLedger::default();
+        ledger.report.servers = servers;
+        ledger.budget_w = s.budget_w;
+        ledger.online = vec![true; servers];
+        Some(ledger)
+    }
+
+    #[inline(always)]
+    fn check(&mut self, i: usize, ev: &TraceEvent, issues: &mut Vec<String>) {
         let t = ev.t();
-        if t + 1e-12 < last_t {
-            issues.push(format!(
-                "event {i} ({}) goes back in time: {t} < {last_t}",
-                ev.kind()
-            ));
+        if self.epoch_t.is_some_and(|et| et != t) {
+            self.close_epoch(issues);
         }
-        last_t = last_t.max(t);
-        if group_t.is_some_and(|gt| gt != t) && !matches!(ev, TraceEvent::FleetBudget { .. }) {
-            close_group(&mut group, &mut group_t, &mut budget_epochs, &mut issues);
-        }
-        match ev {
-            TraceEvent::FleetRunStart(_) if i != 0 => {
-                issues.push(format!("duplicate fleet_run_start at event {i}"));
-            }
-            TraceEvent::RunMeta(_) => {
-                issues.push(format!("misplaced run_meta at event {i}"));
-            }
-            TraceEvent::ShardFault {
-                shard, online: up, ..
-            } => {
-                if (*shard as usize) >= servers {
-                    issues.push(format!(
+        match *ev {
+            TraceEvent::ShardFault { shard, online, .. } => {
+                match self.online.get_mut(shard as usize) {
+                    None => issues.push(format!(
                         "shard_fault on unknown server {shard} at event {i}"
-                    ));
-                } else if online[*shard as usize] == *up {
-                    issues.push(format!(
-                        "redundant shard_fault at event {i}: server {shard} already {}",
-                        if *up { "online" } else { "offline" }
-                    ));
-                } else {
-                    online[*shard as usize] = *up;
+                    )),
+                    Some(up) if *up == online => {
+                        let state = if online { "online" } else { "offline" };
+                        issues.push(format!(
+                            "redundant shard_fault at event {i}: server {shard} already {state}"
+                        ));
+                    }
+                    Some(up) => *up = online,
                 }
             }
             TraceEvent::FleetDispatch { job, shard, .. } => {
-                dispatched += 1;
-                if (*shard as usize) >= servers {
-                    issues.push(format!("dispatch to unknown server {shard} at event {i}"));
-                } else if !online[*shard as usize] {
-                    issues.push(format!(
+                self.report.dispatched += 1;
+                match self.online.get(shard as usize) {
+                    None => issues.push(format!("dispatch to unknown server {shard} at event {i}")),
+                    Some(false) => issues.push(format!(
                         "dispatch of job {job} to dead server {shard} at event {i} (t={t})"
+                    )),
+                    Some(true) => {}
+                }
+                if let Some(at) = self.shed_jobs.get(&job) {
+                    issues.push(format!(
+                        "dispatch of job {job} at event {i} after it was shed at event {at}"
                     ));
                 }
-                pending.remove(job);
+                self.pending.remove(&job);
             }
             TraceEvent::FleetRetry { job, next_s, .. } => {
-                retries += 1;
-                if *next_s + 1e-12 < t {
+                self.report.retries += 1;
+                if next_s + 1e-12 < t {
                     issues.push(format!("retry at event {i} scheduled in the past"));
                 }
-                pending.entry(*job).or_insert(i);
+                self.pending.entry(job).or_insert(i);
             }
             TraceEvent::FleetFailover { job, shard, .. } => {
-                failovers += 1;
-                if (*shard as usize) >= servers {
-                    issues.push(format!("failover from unknown server {shard} at event {i}"));
-                } else if online[*shard as usize] {
-                    issues.push(format!(
+                self.report.failovers += 1;
+                match self.online.get(shard as usize) {
+                    None => {
+                        issues.push(format!("failover from unknown server {shard} at event {i}"))
+                    }
+                    Some(true) => issues.push(format!(
                         "failover of job {job} from live server {shard} at event {i}"
-                    ));
+                    )),
+                    Some(false) => {}
                 }
-                pending.entry(*job).or_insert(i);
+                self.pending.entry(job).or_insert(i);
             }
             TraceEvent::FleetShed { job, .. } => {
-                shed += 1;
-                pending.remove(job);
-                if let Some(first) = shed_jobs.insert(*job, i) {
+                self.report.shed += 1;
+                self.pending.remove(&job);
+                if let Some(first) = self.shed_jobs.insert(job, i) {
                     issues.push(format!("job {job} shed twice (events {first} and {i})"));
                 }
             }
             TraceEvent::FleetBudget {
-                t, shard, budget_w, ..
+                shard, budget_w, ..
             } => {
-                if group_t.is_some_and(|gt| gt != *t) {
-                    close_group(&mut group, &mut group_t, &mut budget_epochs, &mut issues);
-                }
-                group_t = Some(*t);
-                group.push((*shard, *budget_w));
-            }
-            TraceEvent::FleetSummary(s) => {
-                if summary.is_some() {
-                    issues.push(format!("duplicate fleet_summary at event {i}"));
-                }
-                summary = Some((
-                    s.dispatched,
-                    s.failovers,
-                    s.retries,
-                    s.shed,
-                    s.energy_j,
-                    s.quality,
-                ));
+                self.epoch_t = Some(t);
+                self.epoch.push((shard, budget_w));
             }
             _ => {}
         }
     }
-    close_group(&mut group, &mut group_t, &mut budget_epochs, &mut issues);
 
-    let (rep_dispatched, rep_failovers, rep_retries, rep_shed, rep_energy, rep_quality) =
-        summary.ok_or(ReplayError::MissingFleetSummary)?;
-    if rep_dispatched != dispatched {
-        issues.push(format!(
-            "summary says {rep_dispatched} dispatches, trace has {dispatched}"
-        ));
+    fn close(mut self, s: &TraceEvent, events: usize, mut issues: Vec<String>) -> Self::Report {
+        let TraceEvent::FleetSummary(s) = s else {
+            unreachable!("a fleet ledger closes on a {} event", Self::SUMMARY)
+        };
+        self.close_epoch(&mut issues);
+        let mut r = self.report;
+        for (name, reported, counted) in [
+            ("dispatches", s.dispatched, r.dispatched),
+            ("failovers", s.failovers, r.failovers),
+            ("retries", s.retries, r.retries),
+            ("sheds", s.shed, r.shed),
+        ] {
+            if reported != counted {
+                issues.push(format!(
+                    "summary says {reported} {name}, trace has {counted}"
+                ));
+            }
+        }
+        if !s.energy_j.is_finite() || s.energy_j < 0.0 {
+            issues.push(format!("summary energy {} J is invalid", s.energy_j));
+        }
+        if !(0.0..=1.0).contains(&s.quality) {
+            issues.push(format!("summary quality {} out of [0,1]", s.quality));
+        }
+        for (&job, &at) in &self.pending {
+            issues.push(format!(
+                "job {job} reclaimed/lost at event {at} but never re-dispatched or shed"
+            ));
+        }
+        (r.events, r.issues) = (events, issues);
+        r
     }
-    if rep_failovers != failovers {
-        issues.push(format!(
-            "summary says {rep_failovers} failovers, trace has {failovers}"
-        ));
-    }
-    if rep_retries != retries {
-        issues.push(format!(
-            "summary says {rep_retries} retries, trace has {retries}"
-        ));
-    }
-    if rep_shed != shed {
-        issues.push(format!("summary says {rep_shed} sheds, trace has {shed}"));
-    }
-    if !rep_energy.is_finite() || rep_energy < 0.0 {
-        issues.push(format!("summary energy {rep_energy} J is invalid"));
-    }
-    if !(0.0..=1.0).contains(&rep_quality) {
-        issues.push(format!("summary quality {rep_quality} out of [0,1]"));
-    }
-    for (&job, &ev_idx) in &pending {
-        issues.push(format!(
-            "job {job} reclaimed/lost at event {ev_idx} but never re-dispatched or shed"
-        ));
-    }
-
-    Ok(FleetReplayReport {
-        events: events.len(),
-        servers,
-        dispatched,
-        failovers,
-        retries,
-        shed,
-        budget_epochs,
-        issues,
-    })
 }
 
 /// Outcome of replaying a serve trace and recounting its ledger.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeReplayReport {
     /// Total events replayed (header excluded).
     pub events: usize,
@@ -750,23 +765,22 @@ impl ServeReplayReport {
 
     /// A short human-readable verdict block.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "replayed {} serve events over {} requests\n",
-            self.events, self.requests
-        ));
-        out.push_str(&format!(
-            "terminal  {} completed, {} rejected, {} timed-out, {} shed ({} admitted)\n",
-            self.completed, self.rejected, self.timed_out, self.shed, self.admitted
-        ));
-        if self.issues.is_empty() {
-            out.push_str("verdict   OK — every request is exactly one terminal state\n");
-        } else {
-            for issue in &self.issues {
-                out.push_str(&format!("ISSUE     {issue}\n"));
-            }
-        }
-        out
+        let out = format!(
+            "replayed {} serve events over {} requests\n\
+             terminal  {} completed, {} rejected, {} timed-out, {} shed ({} admitted)\n",
+            self.events,
+            self.requests,
+            self.completed,
+            self.rejected,
+            self.timed_out,
+            self.shed,
+            self.admitted
+        );
+        verdict(
+            out,
+            &self.issues,
+            "every request is exactly one terminal state",
+        )
     }
 }
 
@@ -776,216 +790,191 @@ impl ServeReplayReport {
 /// * every request is **exactly one** of completed / rejected / shed /
 ///   timed-out — no request vanishes, no request double-counts,
 /// * only admitted requests complete, time out, or are engine-shed, and
-///   no admitted request is also rejected,
+///   no admitted request is also rejected, in either order,
 /// * no admission happens after drain began, and post-drain rejections
 ///   carry the `draining` reason,
 /// * the `serve_summary` counters equal the recounted totals and the four
 ///   terminal counters sum to `requests`.
 pub fn replay_serve(events: &[TraceEvent]) -> Result<ServeReplayReport, ReplayError> {
-    if events.is_empty() {
-        return Err(ReplayError::Empty);
-    }
-    let events = strip_header(events)?;
-    if !matches!(events.first(), Some(TraceEvent::ServeRunStart(_))) {
-        return Err(ReplayError::MissingServeRunStart);
-    }
+    replay_slice::<ServeLedger>(events)
+}
 
-    let mut issues = Vec::new();
-    // req -> index of its serve_request event.
-    let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
-    // req -> index of its serve_admit event.
-    let mut admits: BTreeMap<u64, usize> = BTreeMap::new();
-    // req -> (terminal kind, event index).
-    let mut terminal: BTreeMap<u64, (&'static str, usize)> = BTreeMap::new();
-    let mut drained_at: Option<usize> = None;
-    let mut summary: Option<(u64, u64, u64, u64, u64, u64)> = None;
-    let mut counts = (0u64, 0u64, 0u64, 0u64); // completed, rejected, timed_out, shed
-    let mut last_t = f64::NEG_INFINITY;
+/// One request's `serve_request`, `serve_admit` and (latest) terminal
+/// state, by trace index.
+#[derive(Default)]
+struct Request {
+    request: Option<usize>,
+    admit: Option<usize>,
+    terminal: Option<(&'static str, usize)>,
+}
 
-    let record_terminal = |req: u64,
-                           kind: &'static str,
-                           i: usize,
-                           terminal: &mut BTreeMap<u64, (&'static str, usize)>,
-                           issues: &mut Vec<String>| {
-        if let Some((prev_kind, prev_i)) = terminal.insert(req, (kind, i)) {
+/// The rules of a serve trace; see [`replay_serve`].
+#[derive(Default)]
+pub struct ServeLedger {
+    /// The terminal counts, accumulated as the events arrive.
+    report: ServeReplayReport,
+    requests: BTreeMap<u64, Request>,
+    drained_at: Option<usize>,
+}
+
+impl ServeLedger {
+    /// Books terminal state `kind` for `req` at event `i`: only an
+    /// admitted request ends other than rejected, an admitted one is
+    /// never rejected, and none ends twice.
+    fn end(&mut self, i: usize, req: u64, kind: &'static str, issues: &mut Vec<String>) {
+        let r = self.requests.entry(req).or_default();
+        match (kind, r.admit) {
+            ("rejected", Some(a)) => issues.push(format!(
+                "request {req} rejected at event {i} after being admitted at event {a}"
+            )),
+            ("rejected", None) if r.request.is_none() => {
+                issues.push(format!("reject of unknown request {req} at event {i}"));
+            }
+            ("rejected", None) | (_, Some(_)) => {}
+            (_, None) => issues.push(format!(
+                "request {req} {kind} at event {i} without being admitted"
+            )),
+        }
+        if let Some((prev, at)) = r.terminal.replace((kind, i)) {
             issues.push(format!(
-                "request {req} reached a second terminal state: {prev_kind} at event \
-                     {prev_i}, then {kind} at event {i}"
+                "request {req} reached a second terminal state: {prev} at event {at}, then {kind} at event {i}"
             ));
         }
-    };
+    }
+}
 
-    for (i, ev) in events.iter().enumerate() {
-        let t = ev.t();
-        if t + 1e-12 < last_t {
-            issues.push(format!(
-                "event {i} ({}) goes back in time: {t} < {last_t}",
-                ev.kind()
-            ));
-        }
-        last_t = last_t.max(t);
-        match ev {
-            TraceEvent::ServeRunStart(_) if i != 0 => {
-                issues.push(format!("duplicate serve_run_start at event {i}"));
-            }
-            TraceEvent::RunMeta(_) => {
-                issues.push(format!("misplaced run_meta at event {i}"));
-            }
+impl Ledger for ServeLedger {
+    const START: &'static str = "serve_run_start";
+    const SUMMARY: &'static str = "serve_summary";
+    type Report = ServeReplayReport;
+
+    fn open(start: &TraceEvent, _: &mut Vec<String>) -> Option<Self> {
+        matches!(start, TraceEvent::ServeRunStart(_)).then(ServeLedger::default)
+    }
+
+    #[inline(always)]
+    fn check(&mut self, i: usize, ev: &TraceEvent, issues: &mut Vec<String>) {
+        match *ev {
             TraceEvent::ServeRequest { req, demand, .. } => {
-                if let Some(first) = seen.insert(*req, i) {
+                if let Some(first) = self.requests.entry(req).or_default().request.replace(i) {
                     issues.push(format!(
                         "duplicate serve_request for {req} (events {first} and {i})"
                     ));
                 }
-                if !demand.is_finite() || *demand <= 0.0 {
+                if !demand.is_finite() || demand <= 0.0 {
                     issues.push(format!("request {req} carries invalid demand {demand}"));
                 }
             }
             TraceEvent::ServeAdmit { req, .. } => {
-                if !seen.contains_key(req) {
+                let r = self.requests.entry(req).or_default();
+                if r.request.is_none() {
                     issues.push(format!("admit of unknown request {req} at event {i}"));
                 }
-                if let Some(d) = drained_at {
+                if let Some(d) = self.drained_at {
                     issues.push(format!(
                         "admit of request {req} at event {i} after drain began at event {d}"
                     ));
                 }
-                if let Some(first) = admits.insert(*req, i) {
+                if let Some((kind, at)) = r.terminal {
+                    issues.push(format!(
+                        "request {req} admitted at event {i} after it was {kind} at event {at}"
+                    ));
+                }
+                if let Some(first) = r.admit.replace(i) {
                     issues.push(format!(
                         "request {req} admitted twice (events {first} and {i})"
                     ));
                 }
             }
             TraceEvent::ServeReject { req, reason, .. } => {
-                if !seen.contains_key(req) {
-                    issues.push(format!("reject of unknown request {req} at event {i}"));
-                }
-                if let Some(a) = admits.get(req) {
+                if self.drained_at.is_some() && reason != RejectReason::Draining {
+                    let reason = reason.as_str();
                     issues.push(format!(
-                        "request {req} rejected at event {i} after being admitted at event {a}"
+                        "post-drain rejection of request {req} carries reason '{reason}', expected 'draining'"
                     ));
                 }
-                if drained_at.is_some() && *reason != crate::event::RejectReason::Draining {
-                    issues.push(format!(
-                        "post-drain rejection of request {req} carries reason '{}', \
-                         expected 'draining'",
-                        reason.as_str()
-                    ));
-                }
-                counts.1 += 1;
-                record_terminal(*req, "rejected", i, &mut terminal, &mut issues);
+                self.report.rejected += 1;
+                self.end(i, req, "rejected", issues);
             }
             TraceEvent::ServeTimeout { req, .. } => {
-                if !admits.contains_key(req) {
-                    issues.push(format!("timeout of unadmitted request {req} at event {i}"));
-                }
-                counts.2 += 1;
-                record_terminal(*req, "timed-out", i, &mut terminal, &mut issues);
+                self.report.timed_out += 1;
+                self.end(i, req, "timed-out", issues);
             }
             TraceEvent::ServeComplete {
                 req,
                 processed,
-                full_demand,
+                full_demand: full,
                 ..
             } => {
-                if !admits.contains_key(req) {
+                if !(processed > 0.0 && processed <= full + 1e-9) {
                     issues.push(format!(
-                        "completion of unadmitted request {req} at event {i}"
+                        "completion of request {req} reports {processed} of {full} units (must be in (0, full])"
                     ));
                 }
-                if !(*processed > 0.0 && *processed <= *full_demand + 1e-9) {
-                    issues.push(format!(
-                        "completion of request {req} reports {processed} of {full_demand} \
-                         units (must be in (0, full])"
-                    ));
-                }
-                counts.0 += 1;
-                record_terminal(*req, "completed", i, &mut terminal, &mut issues);
+                self.report.completed += 1;
+                self.end(i, req, "completed", issues);
             }
             TraceEvent::ServeShed { req, .. } => {
-                if !admits.contains_key(req) {
-                    issues.push(format!("shed of unadmitted request {req} at event {i}"));
-                }
-                counts.3 += 1;
-                record_terminal(*req, "shed", i, &mut terminal, &mut issues);
+                self.report.shed += 1;
+                self.end(i, req, "shed", issues);
             }
-            TraceEvent::ServeDrain { .. } => {
-                if let Some(d) = drained_at {
-                    issues.push(format!(
-                        "duplicate serve_drain at event {i} (first at event {d})"
-                    ));
-                } else {
-                    drained_at = Some(i);
-                }
-            }
-            TraceEvent::ServeSummary(s) => {
-                if summary.is_some() {
-                    issues.push(format!("duplicate serve_summary at event {i}"));
-                }
-                summary = Some((
-                    s.requests,
-                    s.admitted,
-                    s.completed,
-                    s.rejected,
-                    s.timed_out,
-                    s.shed,
-                ));
-            }
+            TraceEvent::ServeDrain { .. } => match self.drained_at {
+                Some(d) => issues.push(format!(
+                    "duplicate serve_drain at event {i} (first at event {d})"
+                )),
+                None => self.drained_at = Some(i),
+            },
             _ => {}
         }
     }
 
-    for (&req, &ev_idx) in &seen {
-        if !terminal.contains_key(&req) {
+    fn close(self, summary: &TraceEvent, events: usize, mut issues: Vec<String>) -> Self::Report {
+        let TraceEvent::ServeSummary(s) = summary else {
+            unreachable!("a serve ledger closes on a {} event", Self::SUMMARY)
+        };
+        let mut r = self.report;
+        for (req, books) in &self.requests {
+            r.admitted += u64::from(books.admit.is_some());
+            let Some(at) = books.request else { continue };
+            r.requests += 1;
+            if books.terminal.is_none() {
+                issues.push(format!(
+                    "request {req} (event {at}) never reached a terminal state"
+                ));
+            }
+        }
+        for (name, recounted, reported) in [
+            ("requests", r.requests, s.requests),
+            ("admitted", r.admitted, s.admitted),
+            ("completed", r.completed, s.completed),
+            ("rejected", r.rejected, s.rejected),
+            ("timed_out", r.timed_out, s.timed_out),
+            ("shed", r.shed, s.shed),
+        ] {
+            if recounted != reported {
+                issues.push(format!(
+                    "summary says {reported} {name}, trace recount gives {recounted}"
+                ));
+            }
+        }
+        let ended = r.completed + r.rejected + r.timed_out + r.shed;
+        if ended != r.requests {
+            let requests = r.requests;
             issues.push(format!(
-                "request {req} (event {ev_idx}) never reached a terminal state"
+                "terminal states sum to {ended} of {requests} requests"
             ));
         }
+        (r.events, r.issues) = (events, issues);
+        r
     }
-
-    let (completed, rejected, timed_out, shed) = counts;
-    let requests = seen.len() as u64;
-    let admitted = admits.len() as u64;
-    let (rep_requests, rep_admitted, rep_completed, rep_rejected, rep_timed_out, rep_shed) =
-        summary.ok_or(ReplayError::MissingServeSummary)?;
-    for (name, recounted, reported) in [
-        ("requests", requests, rep_requests),
-        ("admitted", admitted, rep_admitted),
-        ("completed", completed, rep_completed),
-        ("rejected", rejected, rep_rejected),
-        ("timed_out", timed_out, rep_timed_out),
-        ("shed", shed, rep_shed),
-    ] {
-        if recounted != reported {
-            issues.push(format!(
-                "summary says {reported} {name}, trace recount gives {recounted}"
-            ));
-        }
-    }
-    if completed + rejected + timed_out + shed != requests {
-        issues.push(format!(
-            "terminal states sum to {} but the trace has {requests} requests",
-            completed + rejected + timed_out + shed
-        ));
-    }
-
-    Ok(ServeReplayReport {
-        events: events.len(),
-        requests,
-        admitted,
-        completed,
-        rejected,
-        timed_out,
-        shed,
-        issues,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{
-        FleetRunStartEvent, FleetSummaryEvent, RunStartEvent, ServeRunStartEvent, ServeSummaryEvent,
+        FleetRunStartEvent, FleetSummaryEvent, RunMetaEvent, RunStartEvent, ServeRunStartEvent,
+        ServeSummaryEvent,
     };
 
     fn start() -> TraceEvent {
@@ -1122,11 +1111,11 @@ mod tests {
         assert!(matches!(replay(&[]), Err(ReplayError::Empty)));
         assert!(matches!(
             replay(&[finish(0.0, 0, 1.0, 1.0)]),
-            Err(ReplayError::MissingRunStart)
+            Err(ReplayError::MissingStart("run_start"))
         ));
         assert!(matches!(
             replay(&[start()]),
-            Err(ReplayError::MissingRunSummary)
+            Err(ReplayError::MissingSummary("run_summary"))
         ));
     }
 
@@ -1304,7 +1293,7 @@ mod tests {
         // A header with nothing after it has no run to replay.
         assert!(matches!(
             replay(&[header(TRACE_SCHEMA)]),
-            Err(ReplayError::MissingRunStart)
+            Err(ReplayError::MissingStart("run_start"))
         ));
     }
 
@@ -1496,11 +1485,11 @@ mod tests {
         assert!(matches!(replay_fleet(&[]), Err(ReplayError::Empty)));
         assert!(matches!(
             replay_fleet(&[start()]),
-            Err(ReplayError::MissingFleetRunStart)
+            Err(ReplayError::MissingStart("fleet_run_start"))
         ));
         assert!(matches!(
             replay_fleet(&[fleet_start(2, 100.0)]),
-            Err(ReplayError::MissingFleetSummary)
+            Err(ReplayError::MissingSummary("fleet_summary"))
         ));
     }
 
@@ -1652,11 +1641,172 @@ mod tests {
         assert!(matches!(replay_serve(&[]), Err(ReplayError::Empty)));
         assert!(matches!(
             replay_serve(&[start()]),
-            Err(ReplayError::MissingServeRunStart)
+            Err(ReplayError::MissingStart("serve_run_start"))
         ));
         assert!(matches!(
             replay_serve(&[serve_start()]),
-            Err(ReplayError::MissingServeSummary)
+            Err(ReplayError::MissingSummary("serve_summary"))
         ));
+    }
+
+    #[test]
+    fn serve_admit_after_reject_flagged() {
+        let events = vec![
+            serve_start(),
+            serve_req(1.0, 0),
+            TraceEvent::ServeReject {
+                t: 1.0,
+                req: 0,
+                reason: crate::event::RejectReason::Busy,
+                queue_len: 9,
+            },
+            serve_admit(1.1, 0),
+            serve_summary(2.0, (1, 1, 0, 1, 0, 0)),
+        ];
+        let report = replay_serve(&events).unwrap();
+        assert!(
+            report
+                .issues
+                .iter()
+                .any(|m| m.contains("admitted at event 3 after it was rejected at event 2")),
+            "{}",
+            report.render()
+        );
+    }
+
+    #[test]
+    fn fleet_dispatch_of_shed_job_flagged() {
+        let events = vec![
+            fleet_start(2, 100.0),
+            TraceEvent::FleetShed {
+                t: 1.0,
+                job: 9,
+                demand: 500.0,
+            },
+            dispatch(1.5, 9, 0, 0),
+            fleet_summary(1, 0, 0, 1),
+        ];
+        let report = replay_fleet(&events).unwrap();
+        assert!(
+            report
+                .issues
+                .iter()
+                .any(|m| m.contains("dispatch of job 9 at event 2 after it was shed at event 1")),
+            "{}",
+            report.render()
+        );
+    }
+
+    /// Every structural rule the walker owns, against every trace kind.
+    #[test]
+    fn structural_rules_hold_for_every_trace_kind() {
+        type Walk = fn(&[TraceEvent]) -> Result<(usize, Vec<String>), ReplayError>;
+        let kinds: [(&str, &str, TraceEvent, TraceEvent, Walk); 3] = [
+            (
+                RunLedger::START,
+                RunLedger::SUMMARY,
+                start(),
+                summary_for(&[start()]),
+                |e| replay(e).map(|r| (r.events, r.issues)),
+            ),
+            (
+                FleetLedger::START,
+                FleetLedger::SUMMARY,
+                fleet_start(2, 100.0),
+                fleet_summary(0, 0, 0, 0),
+                |e| replay_fleet(e).map(|r| (r.events, r.issues)),
+            ),
+            (
+                ServeLedger::START,
+                ServeLedger::SUMMARY,
+                serve_start(),
+                serve_summary(2.0, (0, 0, 0, 0, 0, 0)),
+                |e| replay_serve(e).map(|r| (r.events, r.issues)),
+            ),
+        ];
+        let ok = header(TRACE_SCHEMA);
+        let late: TraceEvent = RunMetaEvent {
+            t: 1.0,
+            schema: TRACE_SCHEMA.to_string(),
+            seed: 1,
+            config_digest: 2,
+            version: "0.1.0".to_string(),
+        }
+        .into();
+        let tick = |t| TraceEvent::TriggerFired {
+            t,
+            kind: crate::event::TriggerKind::Quantum,
+            queue_len: 0,
+        };
+        for (start_kind, summary_kind, st, sum, walk) in kinds {
+            assert_eq!(st.kind(), start_kind);
+            assert_eq!(sum.kind(), summary_kind);
+            let clean = walk(&[ok.clone(), st.clone(), sum.clone()]);
+            assert_eq!(
+                clean,
+                Ok((2, vec![])),
+                "{start_kind}: header must not count"
+            );
+
+            let bad_schema =
+                format!("unsupported schema tag 'ge-trace/v999' (expected '{TRACE_SCHEMA}')");
+            for (rule, events, error) in [
+                ("empty", vec![], ReplayError::Empty),
+                (
+                    "bad schema",
+                    vec![header("ge-trace/v999"), st.clone(), sum.clone()],
+                    ReplayError::BadHeader(bad_schema),
+                ),
+                (
+                    "nonzero header t",
+                    vec![late.clone(), st.clone(), sum.clone()],
+                    ReplayError::BadHeader("header timestamp must be 0, got 1".to_string()),
+                ),
+                (
+                    "header only",
+                    vec![ok.clone()],
+                    ReplayError::MissingStart(start_kind),
+                ),
+                (
+                    "wrong first kind",
+                    vec![sum.clone(), st.clone(), sum.clone()],
+                    ReplayError::MissingStart(start_kind),
+                ),
+                (
+                    "missing summary",
+                    vec![ok.clone(), st.clone(), tick(1.0)],
+                    ReplayError::MissingSummary(summary_kind),
+                ),
+            ] {
+                assert_eq!(walk(&events), Err(error), "{start_kind}: {rule}");
+            }
+
+            for (rule, events, issue) in [
+                (
+                    "misplaced run_meta",
+                    vec![st.clone(), ok.clone(), sum.clone()],
+                    "misplaced run_meta at event 1".to_string(),
+                ),
+                (
+                    "duplicate start",
+                    vec![st.clone(), st.clone(), sum.clone()],
+                    format!("duplicate {start_kind} at event 1"),
+                ),
+                (
+                    "duplicate summary",
+                    vec![st.clone(), sum.clone(), sum.clone()],
+                    format!("duplicate {summary_kind} at event 2"),
+                ),
+                (
+                    "back in time",
+                    vec![st.clone(), tick(1.5), tick(1.0), sum.clone()],
+                    "event 2 (trigger) goes back in time: 1 < 1.5".to_string(),
+                ),
+            ] {
+                let (events_seen, issues) = walk(&events).unwrap();
+                assert_eq!(events_seen, events.len(), "{start_kind}: {rule}");
+                assert_eq!(issues, vec![issue], "{start_kind}: {rule}");
+            }
+        }
     }
 }

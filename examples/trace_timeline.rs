@@ -147,15 +147,12 @@ fn main() {
     };
 
     // Traces written by `--trace` lead with a run_meta provenance
-    // header; validate and skip it before looking for run_start.
-    let events = match ge_trace::strip_header(&events) {
-        Ok(rest) => rest.to_vec(),
-        Err(e) => {
-            eprintln!("bad trace header: {e}");
-            std::process::exit(1);
-        }
+    // header; skip it to find run_start (the replay below validates it).
+    let body = match events.first() {
+        Some(TraceEvent::RunMeta(_)) => &events[1..],
+        _ => &events[..],
     };
-    let Some(TraceEvent::RunStart(start)) = events.first().cloned() else {
+    let Some(TraceEvent::RunStart(start)) = body.first().cloned() else {
         eprintln!("trace does not begin with a run_start event");
         std::process::exit(1);
     };
@@ -170,10 +167,10 @@ fn main() {
     println!(
         "{algorithm} on {cores} cores, budget {budget_w} W, Q_GE {q_ge}, \
          horizon {horizon_s:.1} s — {} events\n",
-        events.len()
+        body.len()
     );
 
-    let buckets = bucketize(&events, horizon_s, n);
+    let buckets = bucketize(body, horizon_s, n);
     let width = horizon_s / n as f64;
 
     // The one-line mode strip: the Fig. 1 story at a glance.

@@ -300,8 +300,9 @@ grep -q '"name": "e2e_ge/telemetry_on"' "$smoke_dir/BENCH_sched.json"
 # event-queue pair (live-work depth vs every arrival queued), the
 # engine-sweep entry (the server's share of one event), the largest
 # whole-fleet run, the serving session in process and over loopback,
-# the trace codec pair, one GE epoch, the water-fill and Quality-OPT kernels and the
-# staggered-release YDS entries that keep the general peel benched.
+# the trace codec pair, one run replay, one GE epoch, the water-fill and
+# Quality-OPT kernels and the staggered-release YDS entries that keep the
+# general peel benched.
 grep -q '"name": "e2e_ge/telemetry_off"' BENCH_sched.json
 grep -q '"name": "e2e_ge/telemetry_on"' BENCH_sched.json
 grep -q '"name": "engine/event_queue/16"' BENCH_sched.json
@@ -312,6 +313,7 @@ grep -q '"name": "serve/in_process"' BENCH_sched.json
 grep -q '"name": "serve/loopback"' BENCH_sched.json
 grep -q '"name": "trace/encode_jsonl"' BENCH_sched.json
 grep -q '"name": "trace/decode_jsonl"' BENCH_sched.json
+grep -q '"name": "trace/replay_run"' BENCH_sched.json
 grep -q '"name": "ge/epoch_16"' BENCH_sched.json
 grep -q '"name": "power/water_fill_16"' BENCH_sched.json
 grep -q '"name": "quality/prefix_level_fill_4"' BENCH_sched.json
