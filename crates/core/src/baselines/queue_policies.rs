@@ -91,6 +91,10 @@ pub struct QueueScheduler {
     orphan_scratch: Vec<ge_server::CoreJob>,
 }
 
+// The only cross-epoch state is the epoch counter; both scratch vectors
+// are cleared and refilled from the `ScheduleCtx` each epoch.
+ge_recover::persist!(QueueScheduler { epochs });
+
 impl QueueScheduler {
     /// Creates the scheduler for the given platform configuration.
     pub fn new(cfg: &SimConfig, policy: QueuePolicy) -> Self {
@@ -119,20 +123,6 @@ impl Scheduler for QueueScheduler {
 
     fn triggers(&self) -> TriggerSet {
         TriggerSet::idle_only()
-    }
-
-    // The only cross-epoch state is the epoch counter; both scratch
-    // vectors are cleared and refilled from the `ScheduleCtx` each epoch.
-    fn encode_state(&self, enc: &mut ge_recover::Encoder) {
-        enc.put_u64(self.epochs);
-    }
-
-    fn restore_state(
-        &mut self,
-        dec: &mut ge_recover::Decoder<'_>,
-    ) -> Result<(), ge_recover::CodecError> {
-        self.epochs = dec.get_u64("queue.epochs")?;
-        Ok(())
     }
 
     fn on_schedule(&mut self, ctx: &mut ScheduleCtx<'_>) {

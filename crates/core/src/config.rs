@@ -57,6 +57,29 @@ pub struct SimConfig {
     pub load_window_secs: f64,
 }
 
+// Every field, in the order the input digest folds them
+// (`crate::resume::input_digest`).
+ge_recover::persist! {
+    SimConfig {
+        cores,
+        budget_w,
+        power_a,
+        power_beta,
+        quality_c,
+        quality_xmax,
+        q_ge,
+        q_min,
+        quantum,
+        counter_trigger,
+        critical_load_rps,
+        horizon,
+        units_per_ghz_sec,
+        discrete_speeds,
+        ledger_mode,
+        load_window_secs,
+    }
+}
+
 impl SimConfig {
     /// The paper's §IV-B configuration.
     pub fn paper_default() -> Self {

@@ -335,6 +335,30 @@ pub(crate) struct Engine {
     pub(crate) finished: Vec<FinishedJob>,
 }
 
+// The mutable run state after the simulator section, in wire order. The
+// simulator section (clock, arrival cursor, pending events) comes first
+// and is written by hand in `crate::resume`; `shed_buf` is drained within
+// each epoch, so it is empty at every checkpoint.
+ge_recover::persist! {
+    Engine {
+        server,
+        ledger,
+        mode_tracker,
+        speed_tracker,
+        latency,
+        queue as Resized,
+        arrivals_window as Resized,
+        epochs,
+        last_t,
+        last_speeds,
+        next_check as Resized,
+        orphans as Resized,
+        budget_factor,
+        jobs_shed,
+        injector,
+    }
+}
+
 /// The arrival list of a run over `trace` under `faults`: the trace's jobs
 /// plus any surge jobs, with demand-noise estimates applied, stably sorted
 /// by release bits so ties keep trace order, the heap's `(time, seq)`

@@ -30,7 +30,7 @@
 
 use ge_power::{
     distribute_equal_sharing_into, distribute_water_filling_into, yds_schedule_into,
-    PolynomialPower, PowerModel, SpeedProfile, SpeedSegment, YdsJob, YdsScratch,
+    PolynomialPower, PowerModel, SpeedProfile, YdsJob, YdsScratch,
 };
 use ge_quality::{
     lf_cut_with, prefix_level_fill_into, CutOutcome, CutScratch, LevelFillScratch, QualityFunction,
@@ -144,6 +144,27 @@ struct ReplanCache {
     last_use_wf: Option<bool>,
 }
 
+// The *entire* cache is persisted, not reset: a reset would force a full
+// replan on the first resumed epoch, and the full and incremental paths
+// agree only up to float round-off, so a reset run would drift from the
+// uninterrupted one at the bit level. Every vector holds one entry per
+// core.
+ge_recover::persist! {
+    ReplanCache {
+        primed,
+        dirty,
+        fp,
+        speed_factor,
+        demand_w,
+        peak_speed,
+        was_capped,
+        uncapped,
+        last_online,
+        last_budget_factor,
+        last_use_wf as OptBool,
+    }
+}
+
 impl ReplanCache {
     fn new(cores: usize) -> Self {
         ReplanCache {
@@ -235,31 +256,17 @@ pub struct ReplanStats {
     pub dirty_cap_shrunk: u64,
 }
 
-impl ReplanStats {
-    fn encode(&self, enc: &mut ge_recover::Encoder) {
-        enc.put_u64(self.full_epochs);
-        enc.put_u64(self.incremental_epochs);
-        enc.put_u64(self.cores_replanned);
-        enc.put_u64(self.cores_skipped);
-        enc.put_u64(self.dirty_fingerprint);
-        enc.put_u64(self.dirty_speed_factor);
-        enc.put_u64(self.dirty_capped);
-        enc.put_u64(self.dirty_assignment);
-        enc.put_u64(self.dirty_cap_shrunk);
-    }
-
-    fn decode(dec: &mut ge_recover::Decoder<'_>) -> Result<Self, ge_recover::CodecError> {
-        Ok(ReplanStats {
-            full_epochs: dec.get_u64("ge.stats.full_epochs")?,
-            incremental_epochs: dec.get_u64("ge.stats.incremental_epochs")?,
-            cores_replanned: dec.get_u64("ge.stats.cores_replanned")?,
-            cores_skipped: dec.get_u64("ge.stats.cores_skipped")?,
-            dirty_fingerprint: dec.get_u64("ge.stats.dirty_fingerprint")?,
-            dirty_speed_factor: dec.get_u64("ge.stats.dirty_speed_factor")?,
-            dirty_capped: dec.get_u64("ge.stats.dirty_capped")?,
-            dirty_assignment: dec.get_u64("ge.stats.dirty_assignment")?,
-            dirty_cap_shrunk: dec.get_u64("ge.stats.dirty_cap_shrunk")?,
-        })
+ge_recover::persist! {
+    ReplanStats {
+        full_epochs,
+        incremental_epochs,
+        cores_replanned,
+        cores_skipped,
+        dirty_fingerprint,
+        dirty_speed_factor,
+        dirty_capped,
+        dirty_assignment,
+        dirty_cap_shrunk,
     }
 }
 
@@ -336,10 +343,20 @@ pub struct GeScheduler {
     epochs: u64,
     cache: ReplanCache,
     scratch: EpochScratch,
-    /// Cumulative replanning statistics (checkpointed; see encode_state).
+    /// Cumulative replanning statistics (checkpointed).
     stats: ReplanStats,
     /// Lazily-resolved registry gauges mirroring `stats`.
     gauges: Option<ReplanGauges>,
+}
+
+// Persistent cross-epoch state: the mode, the epoch counters, the C-RR
+// cursor and the replan cache. `EpochScratch` (including the LF cut's
+// `InverseMemo`) is deliberately dropped: scratch is rebuilt each epoch,
+// and the memo is a pure bit-pattern-keyed cache of a deterministic
+// function, so losing it changes nothing but speed.
+ge_recover::persist! {
+    GeScheduler { mode, epochs, stats, crr, cache }
+    check |s| s.mode <= MODE_BQ => "unknown mode";
 }
 
 impl GeScheduler {
@@ -802,124 +819,6 @@ impl Scheduler for GeScheduler {
 
     fn current_mode(&self) -> usize {
         self.mode
-    }
-
-    // Persistent cross-epoch state: the mode, epoch counters, the C-RR
-    // cursor, and the *entire* replan cache. The cache must be serialized,
-    // not reset: a reset would force a full replan on the first resumed
-    // epoch, and the full and incremental paths agree only up to float
-    // round-off — a reset run would drift from the uninterrupted one at
-    // the bit level. `EpochScratch` (including the LF cut's `InverseMemo`)
-    // is deliberately dropped: scratch is rebuilt from scratch each epoch,
-    // and the memo is a pure bit-pattern-keyed cache of a deterministic
-    // function, so losing it changes nothing but speed.
-    fn encode_state(&self, enc: &mut ge_recover::Encoder) {
-        enc.put_usize(self.mode);
-        enc.put_u64(self.epochs);
-        self.stats.encode(enc);
-        enc.put_usize(self.crr.cursor());
-        let c = &self.cache;
-        enc.put_bool(c.primed);
-        enc.put_bool_slice(&c.dirty);
-        enc.put_u64_slice(&c.fp);
-        enc.put_f64_slice(&c.speed_factor);
-        enc.put_f64_slice(&c.demand_w);
-        enc.put_f64_slice(&c.peak_speed);
-        enc.put_bool_slice(&c.was_capped);
-        enc.put_usize(c.uncapped.len());
-        for profile in &c.uncapped {
-            let segs = profile.segments();
-            enc.put_usize(segs.len());
-            for s in segs {
-                enc.put_f64(s.start.as_secs());
-                enc.put_f64(s.end.as_secs());
-                enc.put_f64(s.speed_ghz);
-            }
-        }
-        enc.put_bool_slice(&c.last_online);
-        enc.put_f64(c.last_budget_factor);
-        enc.put_opt_bool(c.last_use_wf);
-    }
-
-    fn restore_state(
-        &mut self,
-        dec: &mut ge_recover::Decoder<'_>,
-    ) -> Result<(), ge_recover::CodecError> {
-        use ge_recover::CodecError;
-        let n = self.cores;
-        let check_len = |field: &'static str, len: usize| {
-            if len == n {
-                Ok(())
-            } else {
-                Err(CodecError::Invalid {
-                    field,
-                    reason: "per-core vector length disagrees with core count",
-                })
-            }
-        };
-        self.mode = dec.get_usize_bounded("ge.mode", 1)?;
-        self.epochs = dec.get_u64("ge.epochs")?;
-        self.stats = ReplanStats::decode(dec)?;
-        let cursor = dec.get_usize_bounded("ge.crr_cursor", n.saturating_sub(1))?;
-        self.crr.set_cursor(cursor);
-        self.cache.primed = dec.get_bool("ge.cache.primed")?;
-        self.cache.dirty = dec.get_bool_vec("ge.cache.dirty")?;
-        check_len("ge.cache.dirty", self.cache.dirty.len())?;
-        self.cache.fp = dec.get_u64_vec("ge.cache.fp")?;
-        check_len("ge.cache.fp", self.cache.fp.len())?;
-        self.cache.speed_factor = dec.get_f64_vec("ge.cache.speed_factor")?;
-        check_len("ge.cache.speed_factor", self.cache.speed_factor.len())?;
-        self.cache.demand_w = dec.get_f64_vec("ge.cache.demand_w")?;
-        check_len("ge.cache.demand_w", self.cache.demand_w.len())?;
-        self.cache.peak_speed = dec.get_f64_vec("ge.cache.peak_speed")?;
-        check_len("ge.cache.peak_speed", self.cache.peak_speed.len())?;
-        self.cache.was_capped = dec.get_bool_vec("ge.cache.was_capped")?;
-        check_len("ge.cache.was_capped", self.cache.was_capped.len())?;
-        let profiles = dec.get_usize_bounded("ge.cache.uncapped", n)?;
-        check_len("ge.cache.uncapped", profiles)?;
-        let mut uncapped = Vec::with_capacity(profiles);
-        for _ in 0..profiles {
-            let segs = dec.get_len("ge.cache.uncapped.segments")?;
-            let mut out = Vec::with_capacity(segs.min(64));
-            for _ in 0..segs {
-                let start = dec.get_f64("ge.cache.uncapped.start")?;
-                let end = dec.get_f64("ge.cache.uncapped.end")?;
-                let speed = dec.get_f64("ge.cache.uncapped.speed")?;
-                if !(start.is_finite() && end.is_finite() && end > start) {
-                    return Err(CodecError::Invalid {
-                        field: "ge.cache.uncapped",
-                        reason: "malformed speed segment",
-                    });
-                }
-                if !(speed.is_finite() && speed >= 0.0) {
-                    return Err(CodecError::Invalid {
-                        field: "ge.cache.uncapped",
-                        reason: "malformed segment speed",
-                    });
-                }
-                out.push(SpeedSegment::new(
-                    SimTime::from_secs(start),
-                    SimTime::from_secs(end),
-                    speed,
-                ));
-            }
-            if out
-                .windows(2)
-                .any(|w| w[1].start.as_secs() < w[0].end.as_secs() - 1e-9)
-            {
-                return Err(CodecError::Invalid {
-                    field: "ge.cache.uncapped",
-                    reason: "overlapping speed segments",
-                });
-            }
-            uncapped.push(SpeedProfile::new(out));
-        }
-        self.cache.uncapped = uncapped;
-        self.cache.last_online = dec.get_bool_vec("ge.cache.last_online")?;
-        check_len("ge.cache.last_online", self.cache.last_online.len())?;
-        self.cache.last_budget_factor = dec.get_f64("ge.cache.last_budget_factor")?;
-        self.cache.last_use_wf = dec.get_opt_bool("ge.cache.last_use_wf")?;
-        Ok(())
     }
 
     fn on_schedule(&mut self, ctx: &mut ScheduleCtx<'_>) {

@@ -79,7 +79,14 @@ pub struct ScheduleCtx<'a> {
 /// `Send` is required so an engine + scheduler pair can live behind a
 /// mutex shared across serving threads (`ge-serve`); policies are plain
 /// data and satisfy it trivially.
-pub trait Scheduler: Send {
+///
+/// Its [`Persist`](ge_recover::Persist) impl declares every piece of state
+/// that must survive a checkpoint for the policy to continue bit-exactly:
+/// cross-epoch counters, cursors and caches. Per-epoch scratch rebuilt
+/// from the `ScheduleCtx` each epoch is not persisted; a checkpoint
+/// decodes into a freshly built scheduler of the same algorithm and
+/// configuration.
+pub trait Scheduler: Send + ge_recover::Persist {
     /// Human-readable label used in results and tables.
     fn name(&self) -> &str;
 
@@ -94,28 +101,6 @@ pub trait Scheduler: Send {
     /// for residency tracking. Best-effort policies report BQ.
     fn current_mode(&self) -> usize {
         MODE_BQ
-    }
-
-    /// Serializes every piece of state that must survive a checkpoint for
-    /// the policy to continue bit-exactly — cross-epoch counters, cursors,
-    /// and caches. Per-epoch scratch buffers that are rebuilt from the
-    /// `ScheduleCtx` each epoch need not (and should not) be written.
-    ///
-    /// The default writes nothing, which is correct for stateless policies.
-    /// Implementations must be the exact inverse of
-    /// [`Scheduler::restore_state`].
-    fn encode_state(&self, enc: &mut ge_recover::Encoder) {
-        let _ = enc;
-    }
-
-    /// Restores the state written by [`Scheduler::encode_state`] onto a
-    /// freshly built scheduler of the same algorithm and configuration.
-    fn restore_state(
-        &mut self,
-        dec: &mut ge_recover::Decoder<'_>,
-    ) -> Result<(), ge_recover::CodecError> {
-        let _ = dec;
-        Ok(())
     }
 }
 

@@ -673,25 +673,22 @@ fn run_modes(flags: &Flags, targets: &[&Target]) -> Result<(), CliError> {
                 continue;
             };
             let started = std::time::Instant::now();
-            let run =
-                ge_experiments::trace::traced_exemplar(exemplar, scale).map_err(|source| {
-                    CliError::Trace {
-                        fig: fig.to_string(),
-                        source,
-                    }
-                })?;
             // With several figures named, suffix the path with each one.
             let path = if i == 0 {
                 base.to_path_buf()
             } else {
                 base.with_extension(format!("{fig}.jsonl"))
             };
-            // Write the bytes the replay certified, not a re-serialization.
-            ge_recover::write_atomic(&path, run.jsonl.as_bytes()).map_err(|source| {
-                CliError::Write {
-                    path: path.clone(),
+            let run = ge_experiments::trace::traced_exemplar(exemplar, scale, &path).map_err(
+                |source| CliError::Trace {
+                    fig: fig.to_string(),
                     source,
-                }
+                },
+            )?;
+            // Commit the bytes the replay certified, not a re-serialization.
+            run.file.commit().map_err(|source| CliError::Write {
+                path: path.clone(),
+                source,
             })?;
             println!(
                 "{fig}: wrote {} events to {} ({:.1?})",

@@ -2,16 +2,21 @@
 //!
 //! Figures report seed-averaged summaries; this module runs a *single*
 //! representative cell of the named figure with every decision event
-//! encoded to JSONL as it is recorded, parses the bytes back one event at
-//! a time, and feeds each event to the invariant checker. The CLI writes
-//! those same bytes, so the trace on disk is proven, not assumed, to
-//! reproduce the run it describes.
+//! encoded to JSONL as it is recorded. Each line goes straight to the
+//! trace file's temp file and is parsed back into the invariant checker,
+//! so a traced run keeps neither events nor text. The CLI commits those
+//! same bytes, so the trace on disk is proven, not assumed, to reproduce
+//! the run it describes.
+
+use std::io::{self, Write};
+use std::path::Path;
 
 use crate::scale::Scale;
 use ge_core::{run_with_sink, Algorithm, RunResult, SimConfig};
+use ge_recover::AtomicFile;
 use ge_trace::{
-    for_each_jsonl, jsonl_line, Replay, ReplayReport, RunLedger, RunMetaEvent, TraceEvent,
-    TraceSink, TRACE_SCHEMA,
+    jsonl_line, JsonlLines, Replay, ReplayReport, RunLedger, RunMetaEvent, TraceEvent, TraceSink,
+    TRACE_SCHEMA,
 };
 use ge_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -38,20 +43,24 @@ pub enum Windows {
 pub struct TracedRun {
     /// The driver's reported measurements.
     pub result: RunResult,
-    /// The trace as JSONL, provenance header first: exactly the bytes
-    /// the replay below parsed back and checked.
-    pub jsonl: String,
-    /// Number of events (lines) in `jsonl`, the header included.
+    /// The trace file, not yet committed to its path: JSONL, provenance
+    /// header first, exactly the bytes the replay below parsed back and
+    /// checked.
+    pub file: AtomicFile,
+    /// Number of events (lines) in the trace, the header included.
     pub event_count: usize,
     /// The invariant checker's verdict over the *parsed-back* trace.
     pub report: ReplayReport,
 }
 
-/// Why a traced exemplar run could not produce a verified trace. Either
-/// indicates a bug in the tracing layer, not a property of the workload
-/// — but the CLI reports them as errors instead of panicking.
+/// Why a traced exemplar run could not produce a verified trace. A parse
+/// or replay failure indicates a bug in the tracing layer, not a property
+/// of the workload — but the CLI reports them as errors instead of
+/// panicking.
 #[derive(Debug)]
 pub enum TraceError {
+    /// The trace file could not be created or written.
+    Io(io::Error),
     /// The emitted JSONL did not parse back.
     Parse(ge_trace::ParseError),
     /// The parsed trace was structurally incomplete.
@@ -61,6 +70,7 @@ pub enum TraceError {
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            TraceError::Io(e) => write!(f, "writing the trace failed: {e}"),
             TraceError::Parse(e) => write!(f, "emitted trace did not parse back: {e}"),
             TraceError::Replay(e) => write!(f, "emitted trace did not replay: {e}"),
         }
@@ -70,6 +80,7 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            TraceError::Io(e) => Some(e),
             TraceError::Parse(e) => Some(e),
             TraceError::Replay(e) => Some(e),
         }
@@ -77,17 +88,37 @@ impl std::error::Error for TraceError {
 }
 
 /// Encodes each event to a JSONL line as the run records it, behind a
-/// `run_meta` provenance header, so a traced run holds bytes, not events.
+/// `run_meta` provenance header, writes the line to the trace file and
+/// replays the line parsed back. The first failure stops the work and is
+/// reported once the run ends.
 struct JsonlSink {
     seed: u64,
-    jsonl: String,
+    file: AtomicFile,
+    parsed: JsonlLines,
+    replay: Replay<RunLedger>,
     lines: usize,
+    error: Option<TraceError>,
 }
 
 impl JsonlSink {
     fn line(&mut self, ev: &TraceEvent) {
-        self.jsonl.push_str(&jsonl_line(ev));
-        self.jsonl.push('\n');
+        if self.error.is_some() {
+            return;
+        }
+        let line = jsonl_line(ev);
+        let written = self
+            .file
+            .write_all(line.as_bytes())
+            .and_then(|()| self.file.write_all(b"\n"));
+        if let Err(e) = written {
+            self.error = Some(TraceError::Io(e));
+            return;
+        }
+        match self.parsed.parse(line.as_bytes()) {
+            Ok(Some(ev)) => self.replay.push(&ev),
+            Ok(None) => {}
+            Err(e) => self.error = Some(TraceError::Parse(e)),
+        }
         self.lines += 1;
     }
 }
@@ -114,9 +145,14 @@ impl TraceSink for JsonlSink {
     }
 }
 
-/// Runs `exemplar` with full tracing and round-trips the trace through
-/// the JSONL encoder before replaying it.
-pub fn traced_exemplar(exemplar: &Exemplar, scale: &Scale) -> Result<TracedRun, TraceError> {
+/// Runs `exemplar` with full tracing, streaming the trace to a temp file
+/// for `path` and round-tripping each line through the JSONL encoder
+/// before replaying it. The caller commits [`TracedRun::file`].
+pub fn traced_exemplar(
+    exemplar: &Exemplar,
+    scale: &Scale,
+    path: &Path,
+) -> Result<TracedRun, TraceError> {
     let rate = scale.mid_rate();
     let sim = SimConfig {
         horizon: scale.horizon(),
@@ -131,21 +167,24 @@ pub fn traced_exemplar(exemplar: &Exemplar, scale: &Scale) -> Result<TracedRun, 
     };
     let trace = WorkloadGenerator::new(wc, scale.root_seed).generate();
 
-    let mut sink = JsonlSink {
-        seed: scale.root_seed,
-        jsonl: String::new(),
-        lines: 0,
-    };
-    let result = run_with_sink(&sim, &trace, &exemplar.algorithm, None, &mut sink);
-
     // Replay the wire bytes, not the recorded events: the report then
     // certifies the serialized artifact, and no parsed copy is kept.
-    let mut replay = Replay::<RunLedger>::default();
-    for_each_jsonl(sink.jsonl.as_bytes(), |ev| replay.push(&ev)).map_err(TraceError::Parse)?;
-    let report = replay.finish().map_err(TraceError::Replay)?;
+    let mut sink = JsonlSink {
+        seed: scale.root_seed,
+        file: AtomicFile::create(path).map_err(TraceError::Io)?,
+        parsed: JsonlLines::default(),
+        replay: Replay::default(),
+        lines: 0,
+        error: None,
+    };
+    let result = run_with_sink(&sim, &trace, &exemplar.algorithm, None, &mut sink);
+    if let Some(e) = sink.error {
+        return Err(e);
+    }
+    let report = sink.replay.finish().map_err(TraceError::Replay)?;
     Ok(TracedRun {
         result,
-        jsonl: sink.jsonl,
+        file: sink.file,
         event_count: sink.lines,
         report,
     })
@@ -169,14 +208,27 @@ mod tests {
         windows: Windows::Fixed,
     };
 
+    /// Traces `exemplar` and commits the file: the run's measurements,
+    /// its replay report, its line count and the committed text.
+    fn traced(exemplar: &Exemplar, name: &str) -> (RunResult, ReplayReport, usize, String) {
+        let dir = std::env::temp_dir().join(format!("ge-trace-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(name);
+        let run = traced_exemplar(exemplar, &tiny(), &path).expect("exemplar trace verifies");
+        run.file.commit().expect("trace commits");
+        let text = std::fs::read_to_string(&path).expect("committed trace");
+        std::fs::remove_file(&path).expect("remove trace");
+        (run.result, run.report, run.event_count, text)
+    }
+
     #[test]
     fn fig1_trace_replays_clean() {
-        let run = traced_exemplar(&GE, &tiny()).expect("exemplar trace verifies");
-        assert!(run.report.is_ok(), "{}", run.report.render());
-        assert!(run.event_count > 0);
-        assert_eq!(run.jsonl.lines().count(), run.event_count);
-        assert!((run.report.reported_energy_j - run.result.energy_j).abs() < 1e-9);
-        assert!((run.report.reported_aes - run.result.aes_fraction).abs() < 1e-12);
+        let (result, report, event_count, jsonl) = traced(&GE, "fig1.jsonl");
+        assert!(report.is_ok(), "{}", report.render());
+        assert!(event_count > 0);
+        assert_eq!(jsonl.lines().count(), event_count);
+        assert!((report.reported_energy_j - result.energy_j).abs() < 1e-9);
+        assert!((report.reported_aes - result.aes_fraction).abs() < 1e-12);
     }
 
     #[test]
@@ -185,14 +237,14 @@ mod tests {
             windows: Windows::Random,
             ..GE
         };
-        let run = traced_exemplar(&fig4, &tiny()).expect("exemplar trace verifies");
-        assert!(run.report.is_ok(), "{}", run.report.render());
+        let (_, report, ..) = traced(&fig4, "fig4.jsonl");
+        assert!(report.is_ok(), "{}", report.render());
     }
 
     #[test]
     fn traced_exemplar_emits_a_valid_header() {
-        let run = traced_exemplar(&GE, &tiny()).expect("exemplar trace verifies");
-        let first = run.jsonl.lines().next().expect("a non-empty trace");
+        let (_, report, event_count, jsonl) = traced(&GE, "header.jsonl");
+        let first = jsonl.lines().next().expect("a non-empty trace");
         match ge_trace::parse_jsonl_line(first).expect("header parses") {
             TraceEvent::RunMeta(meta) => {
                 assert_eq!(meta.t, 0.0);
@@ -204,6 +256,6 @@ mod tests {
             other => panic!("first event is {other:?}, not run_meta"),
         }
         // Replay counted the body only — the header is provenance.
-        assert_eq!(run.report.events, run.event_count - 1);
+        assert_eq!(report.events, event_count - 1);
     }
 }

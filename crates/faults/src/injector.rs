@@ -18,6 +18,14 @@ pub struct FaultInjector {
     budget_factor: f64,
 }
 
+// The current fault state, one entry per core. The transition stream is
+// rebuilt from the schedule on resume, not persisted.
+ge_recover::persist!(FaultInjector {
+    online,
+    speed_factors,
+    budget_factor
+});
+
 impl FaultInjector {
     /// Compiles the schedule for a machine with `cores` cores.
     ///
@@ -83,38 +91,6 @@ impl FaultInjector {
     /// The delivered-over-requested speed ratio on a core (1.0 = nominal).
     pub fn speed_factor(&self, core: usize) -> f64 {
         self.speed_factors[core]
-    }
-
-    /// Current fault state `(online, speed_factors, budget_factor)` for
-    /// checkpointing. The transition stream itself is deterministic from
-    /// the schedule and is rebuilt on resume, not serialized.
-    pub fn snapshot_state(&self) -> (Vec<bool>, Vec<f64>, f64) {
-        (
-            self.online.clone(),
-            self.speed_factors.clone(),
-            self.budget_factor,
-        )
-    }
-
-    /// Overwrites the injector's current fault state (checkpoint resume).
-    ///
-    /// # Panics
-    /// Panics if the vector lengths disagree with the compiled core count.
-    pub fn restore_state(
-        &mut self,
-        online: Vec<bool>,
-        speed_factors: Vec<f64>,
-        budget_factor: f64,
-    ) {
-        assert_eq!(online.len(), self.online.len(), "online mask length");
-        assert_eq!(
-            speed_factors.len(),
-            self.speed_factors.len(),
-            "speed factor length"
-        );
-        self.online = online;
-        self.speed_factors = speed_factors;
-        self.budget_factor = budget_factor;
     }
 }
 

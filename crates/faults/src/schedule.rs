@@ -78,6 +78,15 @@ pub enum FaultTransition {
     },
 }
 
+ge_recover::persist! {
+    enum FaultTransition: u8 {
+        0 => CoreDown { core },
+        1 => CoreUp { core },
+        2 => BudgetFactor { factor },
+        3 => SpeedFactor { core, factor },
+    }
+}
+
 /// A [`FaultTransition`] stamped with its activation time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedTransition {
@@ -86,6 +95,8 @@ pub struct TimedTransition {
     /// What changes.
     pub transition: FaultTransition,
 }
+
+ge_recover::persist!(TimedTransition { at, transition });
 
 /// A complete, seeded description of every fault injected into one run.
 ///

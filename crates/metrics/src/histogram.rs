@@ -19,6 +19,12 @@ pub struct Histogram {
     dropped: u64,
 }
 
+// `bins` includes the trailing overflow bin; its length is the built one.
+ge_recover::persist! {
+    Histogram { bins, upper, count, sum, max_seen, dropped }
+    check |h| ge_recover::persist::positive(h.upper) => "malformed latency histogram";
+}
+
 impl Histogram {
     /// Creates a histogram over `[0, upper)` with `bins` uniform bins.
     ///
@@ -136,50 +142,12 @@ impl Histogram {
         self.max_seen = self.max_seen.max(other.max_seen);
         self.dropped += other.dropped;
     }
-
-    /// Full internal state `(bins, upper, count, sum, max_seen, dropped)`
-    /// for checkpointing. `bins` includes the trailing overflow bin.
-    #[allow(clippy::type_complexity)]
-    pub fn snapshot_state(&self) -> (Vec<u64>, f64, u64, f64, f64, u64) {
-        (
-            self.bins.clone(),
-            self.upper,
-            self.count,
-            self.sum,
-            self.max_seen,
-            self.dropped,
-        )
-    }
-
-    /// Reconstructs a histogram from [`Histogram::snapshot_state`] output.
-    ///
-    /// # Panics
-    /// Panics on an invalid shape (`bins` must include the overflow bin,
-    /// so its length is at least 2; `upper` must be positive and finite).
-    pub fn restore(
-        bins: Vec<u64>,
-        upper: f64,
-        count: u64,
-        sum: f64,
-        max_seen: f64,
-        dropped: u64,
-    ) -> Self {
-        assert!(upper > 0.0 && upper.is_finite(), "invalid upper {upper}");
-        assert!(bins.len() >= 2, "need at least one bin plus overflow");
-        Histogram {
-            bins,
-            upper,
-            count,
-            sum,
-            max_seen,
-            dropped,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ge_recover::Persist;
 
     #[test]
     fn empty() {
@@ -306,8 +274,13 @@ mod tests {
         b.record(f64::INFINITY);
         a.merge(&b);
         assert_eq!(a.dropped(), 2);
-        let (bins, upper, count, sum, max_seen, dropped) = a.snapshot_state();
-        let restored = Histogram::restore(bins, upper, count, sum, max_seen, dropped);
+        let mut enc = ge_recover::Encoder::new();
+        a.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut restored = Histogram::new(1.0, 10);
+        restored
+            .decode(&mut ge_recover::Decoder::new(&bytes), "h")
+            .unwrap();
         assert_eq!(restored.dropped(), 2);
         assert_eq!(restored.count(), 1);
     }

@@ -17,6 +17,11 @@ pub struct ModeTracker {
     transitions: u64,
 }
 
+ge_recover::persist! {
+    ModeTracker { residency, current, since, transitions }
+    check |m| m.current < m.residency.len() => "current mode out of range";
+}
+
 impl ModeTracker {
     /// Creates a tracker over `modes` distinct modes, starting in
     /// `initial` at time `start`.
@@ -78,34 +83,6 @@ impl ModeTracker {
     /// Number of mode switches so far.
     pub fn transitions(&self) -> u64 {
         self.transitions
-    }
-
-    /// Full internal state `(residency, current, since, transitions)` for
-    /// checkpointing.
-    pub fn snapshot_state(&self) -> (Vec<f64>, usize, SimTime, u64) {
-        (
-            self.residency.clone(),
-            self.current,
-            self.since,
-            self.transitions,
-        )
-    }
-
-    /// Reconstructs a tracker from [`ModeTracker::snapshot_state`] output.
-    ///
-    /// # Panics
-    /// Panics if `current` is not a valid mode index.
-    pub fn restore(residency: Vec<f64>, current: usize, since: SimTime, transitions: u64) -> Self {
-        assert!(
-            current < residency.len(),
-            "current mode {current} out of range"
-        );
-        ModeTracker {
-            residency,
-            current,
-            since,
-            transitions,
-        }
     }
 }
 

@@ -19,6 +19,10 @@ pub struct SpeedTracker {
     samples: u64,
 }
 
+ge_recover::persist! {
+    SpeedTracker { weighted_mean_sum, weighted_var_sum, total_time, samples }
+}
+
 impl SpeedTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
@@ -68,32 +72,6 @@ impl SpeedTracker {
     /// Number of samples recorded.
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Full internal state `(weighted_mean_sum, weighted_var_sum,
-    /// total_time, samples)` for checkpointing.
-    pub fn snapshot_state(&self) -> (f64, f64, f64, u64) {
-        (
-            self.weighted_mean_sum,
-            self.weighted_var_sum,
-            self.total_time,
-            self.samples,
-        )
-    }
-
-    /// Reconstructs a tracker from [`SpeedTracker::snapshot_state`] output.
-    pub fn restore(
-        weighted_mean_sum: f64,
-        weighted_var_sum: f64,
-        total_time: f64,
-        samples: u64,
-    ) -> Self {
-        SpeedTracker {
-            weighted_mean_sum,
-            weighted_var_sum,
-            total_time,
-            samples,
-        }
     }
 }
 

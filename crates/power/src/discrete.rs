@@ -16,6 +16,14 @@ pub struct DiscreteSpeedSet {
     steps: Vec<f64>,
 }
 
+ge_recover::persist! {
+    DiscreteSpeedSet { steps as Resized }
+    check |d| {
+        let step = |&s: &f64| ge_recover::persist::non_negative(s);
+        !d.steps.is_empty() && d.steps.iter().all(step) && d.steps.windows(2).all(|w| w[0] < w[1])
+    } => "malformed speed set";
+}
+
 impl DiscreteSpeedSet {
     /// Creates a speed set; the steps are sorted and deduplicated.
     ///

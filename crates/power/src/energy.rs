@@ -21,6 +21,11 @@ struct KahanSum {
     c: f64,
 }
 
+// Both terms are persisted: rebuilding a meter through `record_joules`
+// would lose the compensation term and break bit-exact resume.
+ge_recover::persist!(KahanSum { sum, c });
+ge_recover::persist!(EnergyMeter { per_core });
+
 impl KahanSum {
     #[inline]
     fn add(&mut self, x: f64) {
@@ -82,20 +87,6 @@ impl EnergyMeter {
     /// Number of cores being metered.
     pub fn cores(&self) -> usize {
         self.per_core.len()
-    }
-
-    /// Raw compensated-summation state `(sum, compensation)` per core, for
-    /// checkpointing. Both terms matter: rebuilding via `record_joules`
-    /// would lose the compensation term and break bit-exact resume.
-    pub fn snapshot_state(&self) -> Vec<(f64, f64)> {
-        self.per_core.iter().map(|k| (k.sum, k.c)).collect()
-    }
-
-    /// Reconstructs a meter from [`EnergyMeter::snapshot_state`] output.
-    pub fn restore(state: &[(f64, f64)]) -> Self {
-        EnergyMeter {
-            per_core: state.iter().map(|&(sum, c)| KahanSum { sum, c }).collect(),
-        }
     }
 }
 

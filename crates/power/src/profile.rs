@@ -6,10 +6,12 @@
 //! overlapping segments; gaps mean the core is idle (speed 0).
 
 use crate::model::PowerModel;
+use ge_recover::persist::non_negative;
 use ge_simcore::{SimTime, TIME_EPS};
 
-/// One constant-speed stretch of a profile.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One constant-speed stretch of a profile. The default is an empty
+/// placeholder for a checkpoint decode to overwrite.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpeedSegment {
     /// Segment start.
     pub start: SimTime,
@@ -43,22 +45,33 @@ impl SpeedSegment {
     }
 }
 
+ge_recover::persist! {
+    SpeedSegment { start, end, speed_ghz }
+    check |s| s.end > s.start => "malformed speed segment window";
+    check |s| non_negative(s.speed_ghz) => "malformed segment speed";
+}
+
+/// Whether `segments` are ordered and overlap by at most [`TIME_EPS`].
+fn in_order(segments: &[SpeedSegment]) -> bool {
+    segments
+        .windows(2)
+        .all(|w| w[1].start.as_secs() >= w[0].end.as_secs() - TIME_EPS)
+}
+
 /// Panics unless `segments` are ordered and overlap by at most [`TIME_EPS`].
 pub(crate) fn check_order(segments: &[SpeedSegment]) {
-    for w in segments.windows(2) {
-        assert!(
-            w[1].start.as_secs() >= w[0].end.as_secs() - TIME_EPS,
-            "segments overlap: {:?} then {:?}",
-            w[0],
-            w[1]
-        );
-    }
+    assert!(in_order(segments), "segments overlap: {segments:?}");
 }
 
 /// A piecewise-constant, time-sorted speed plan for one core.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpeedProfile {
     segments: Vec<SpeedSegment>,
+}
+
+ge_recover::persist! {
+    SpeedProfile { segments as Resized }
+    check |p| in_order(&p.segments) => "overlapping speed segments";
 }
 
 impl SpeedProfile {

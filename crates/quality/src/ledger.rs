@@ -18,6 +18,10 @@ pub enum LedgerMode {
     SlidingWindow(usize),
 }
 
+ge_recover::persist! {
+    enum LedgerMode: u64 { 0 => Cumulative, 1 => SlidingWindow(n) }
+}
+
 /// Running aggregate of achieved vs. achievable quality.
 #[derive(Debug, Clone)]
 pub struct QualityLedger {
@@ -28,6 +32,13 @@ pub struct QualityLedger {
     discarded: u64,
     completed: u64,
     window: VecDeque<(f64, f64)>,
+}
+
+// The mode comes from the configuration. The sums are persisted
+// verbatim, NOT recomputed from the window, so the float values (any
+// accumulated eviction drift included) survive a checkpoint bit for bit.
+ge_recover::persist! {
+    QualityLedger { achieved_sum, full_sum, count, discarded, completed, window as Resized }
 }
 
 impl QualityLedger {
@@ -126,45 +137,6 @@ impl QualityLedger {
     /// Sum of full (achievable) quality values currently in scope.
     pub fn full_sum(&self) -> f64 {
         self.full_sum
-    }
-
-    /// Counters `(count, discarded, completed)` for checkpointing.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.count, self.discarded, self.completed)
-    }
-
-    /// The sliding-window history currently in scope (empty in cumulative
-    /// mode), oldest first, as `(achieved, full)` pairs.
-    pub fn window_entries(&self) -> Vec<(f64, f64)> {
-        self.window.iter().copied().collect()
-    }
-
-    /// Reconstructs a ledger from checkpoint state. The sums are restored
-    /// verbatim — NOT recomputed from the window — so the float values
-    /// (including any accumulated eviction drift) match the snapshotted
-    /// ledger bit-for-bit.
-    ///
-    /// # Panics
-    /// Panics on a zero-length sliding window mode.
-    pub fn restore(
-        mode: LedgerMode,
-        achieved_sum: f64,
-        full_sum: f64,
-        counters: (u64, u64, u64),
-        window: Vec<(f64, f64)>,
-    ) -> Self {
-        if let LedgerMode::SlidingWindow(n) = mode {
-            assert!(n > 0, "sliding window must be non-empty");
-        }
-        QualityLedger {
-            mode,
-            achieved_sum,
-            full_sum,
-            count: counters.0,
-            discarded: counters.1,
-            completed: counters.2,
-            window: window.into(),
-        }
     }
 }
 

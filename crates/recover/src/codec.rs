@@ -145,58 +145,12 @@ impl Encoder {
         self.buf.extend_from_slice(v);
     }
 
-    /// Writes an `Option<f64>` as a tag byte then the value if present.
-    pub fn put_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.put_u8(1);
-                self.put_f64(x);
-            }
-            None => self.put_u8(0),
-        }
-    }
-
-    /// Writes an `Option<u64>` as a tag byte then the value if present.
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.put_u8(1);
-                self.put_u64(x);
-            }
-            None => self.put_u8(0),
-        }
-    }
-
     /// Writes an `Option<bool>` as a tag byte (0 = none, 1 = false, 2 = true).
     pub fn put_opt_bool(&mut self, v: Option<bool>) {
         match v {
             None => self.put_u8(0),
             Some(false) => self.put_u8(1),
             Some(true) => self.put_u8(2),
-        }
-    }
-
-    /// Writes a slice of `f64` values with a length prefix.
-    pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_f64(v);
-        }
-    }
-
-    /// Writes a slice of `u64` values with a length prefix.
-    pub fn put_u64_slice(&mut self, vs: &[u64]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_u64(v);
-        }
-    }
-
-    /// Writes a slice of `bool` values with a length prefix.
-    pub fn put_bool_slice(&mut self, vs: &[bool]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_bool(v);
         }
     }
 }
@@ -321,24 +275,6 @@ impl<'a> Decoder<'a> {
         Ok(self.take(n, field)?.to_vec())
     }
 
-    /// Reads an `Option<f64>`.
-    pub fn get_opt_f64(&mut self, field: &'static str) -> Result<Option<f64>, CodecError> {
-        match self.get_u8(field)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.get_f64(field)?)),
-            tag => Err(CodecError::BadTag { field, tag }),
-        }
-    }
-
-    /// Reads an `Option<u64>`.
-    pub fn get_opt_u64(&mut self, field: &'static str) -> Result<Option<u64>, CodecError> {
-        match self.get_u8(field)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.get_u64(field)?)),
-            tag => Err(CodecError::BadTag { field, tag }),
-        }
-    }
-
     /// Reads an `Option<bool>` (tag 0 = none, 1 = false, 2 = true).
     pub fn get_opt_bool(&mut self, field: &'static str) -> Result<Option<bool>, CodecError> {
         match self.get_u8(field)? {
@@ -347,36 +283,6 @@ impl<'a> Decoder<'a> {
             2 => Ok(Some(true)),
             tag => Err(CodecError::BadTag { field, tag }),
         }
-    }
-
-    /// Reads a length-prefixed `Vec<f64>`.
-    pub fn get_f64_vec(&mut self, field: &'static str) -> Result<Vec<f64>, CodecError> {
-        let n = self.get_len(field)?;
-        let mut out = Vec::with_capacity(n.min(self.remaining() / 8 + 1));
-        for _ in 0..n {
-            out.push(self.get_f64(field)?);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed `Vec<u64>`.
-    pub fn get_u64_vec(&mut self, field: &'static str) -> Result<Vec<u64>, CodecError> {
-        let n = self.get_len(field)?;
-        let mut out = Vec::with_capacity(n.min(self.remaining() / 8 + 1));
-        for _ in 0..n {
-            out.push(self.get_u64(field)?);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed `Vec<bool>`.
-    pub fn get_bool_vec(&mut self, field: &'static str) -> Result<Vec<bool>, CodecError> {
-        let n = self.get_len(field)?;
-        let mut out = Vec::with_capacity(n.min(self.remaining() + 1));
-        for _ in 0..n {
-            out.push(self.get_bool(field)?);
-        }
-        Ok(out)
     }
 }
 
@@ -435,10 +341,7 @@ mod tests {
         e.put_f64(f64::NAN);
         e.put_bool(true);
         e.put_str("héllo");
-        e.put_opt_f64(None);
-        e.put_opt_f64(Some(1.5));
         e.put_opt_bool(Some(false));
-        e.put_f64_slice(&[1.0, 2.5]);
         let bytes = e.into_bytes();
 
         let mut d = Decoder::new(&bytes);
@@ -450,10 +353,7 @@ mod tests {
         assert!(d.get_f64("f").unwrap().is_nan());
         assert!(d.get_bool("g").unwrap());
         assert_eq!(d.get_str("h").unwrap(), "héllo");
-        assert_eq!(d.get_opt_f64("i").unwrap(), None);
-        assert_eq!(d.get_opt_f64("j").unwrap(), Some(1.5));
         assert_eq!(d.get_opt_bool("k").unwrap(), Some(false));
-        assert_eq!(d.get_f64_vec("l").unwrap(), vec![1.0, 2.5]);
         d.finish("end").unwrap();
     }
 

@@ -14,6 +14,13 @@ pub struct CrrAssigner {
     next: usize,
 }
 
+// The cumulative cursor is the assigner's only mutable state, so a fresh
+// assigner decoded from a checkpoint behaves as the encoded one.
+ge_recover::persist! {
+    CrrAssigner { next }
+    check |a| a.next < a.cores => "cursor out of range";
+}
+
 impl CrrAssigner {
     /// Creates an assigner over `cores` cores, starting at core 0.
     ///
@@ -27,17 +34,6 @@ impl CrrAssigner {
     /// The core the next assignment will go to.
     pub fn cursor(&self) -> usize {
         self.next
-    }
-
-    /// Restores the cursor (checkpoint resume). The cumulative cursor is
-    /// the assigner's only mutable state, so this makes a fresh assigner
-    /// behaviourally identical to the snapshotted one.
-    ///
-    /// # Panics
-    /// Panics if `cursor` is not a valid core index.
-    pub fn set_cursor(&mut self, cursor: usize) {
-        assert!(cursor < self.cores, "cursor {cursor} out of range");
-        self.next = cursor;
     }
 
     /// Assigns a batch of `batch` jobs; returns the target core for each.

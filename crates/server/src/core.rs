@@ -20,6 +20,7 @@
 //! checkpointed.
 
 use ge_power::{EnergyMeter, PowerModel, SpeedProfile, SpeedSegment};
+use ge_recover::persist::{non_negative, positive};
 use ge_simcore::{SimTime, TIME_EPS};
 use ge_trace::{NullSink, TraceEvent, TraceSink};
 use ge_workload::{Job, JobId};
@@ -32,8 +33,9 @@ use ge_workload::{Job, JobId};
 /// advances down the general path.
 const ARM_MARGIN_S: f64 = 1e-6;
 
-/// A job resident on a core.
-#[derive(Debug, Clone)]
+/// A job resident on a core. The default is a placeholder for a
+/// checkpoint decode to overwrite.
+#[derive(Debug, Clone, Default)]
 pub struct CoreJob {
     /// The job's identity.
     pub id: JobId,
@@ -50,6 +52,10 @@ pub struct CoreJob {
     pub target_demand: f64,
     /// Volume processed so far (processing units).
     pub processed: f64,
+}
+
+ge_recover::persist! {
+    CoreJob { id, release, deadline, full_demand, estimate, target_demand, processed }
 }
 
 impl CoreJob {
@@ -136,6 +142,16 @@ pub struct Core {
     /// Fast-path state; `None` whenever anything but an advance touched
     /// the core since the last general-path advance.
     armed: Option<Armed>,
+}
+
+// The persisted state. `profile` is the *delivered* profile, already
+// scaled by `speed_factor` at install. Decoding into a freshly built core
+// leaves `index`, `units_per_ghz_sec` and the derived state as built:
+// no watts, cursor 0, disarmed.
+ge_recover::persist! {
+    Core { jobs as Resized, profile, power_cap_w, clock, running as Resized, online, speed_factor }
+    check |c| non_negative(c.power_cap_w) => "malformed core power cap";
+    check |c| positive(c.speed_factor) => "malformed core speed factor";
 }
 
 impl Core {
@@ -321,46 +337,6 @@ impl Core {
     /// a new job only when the running one finishes.
     pub fn running_job(&self) -> Option<JobId> {
         self.running
-    }
-
-    /// Reconstructs a core from checkpoint state.
-    ///
-    /// `profile` must be the *delivered* profile exactly as
-    /// [`Core::profile`] returned it at snapshot time — it is installed
-    /// raw, not rescaled by `speed_factor` (that scaling already happened
-    /// in the original [`Core::install_plan`] call).
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        index: usize,
-        units_per_ghz_sec: f64,
-        jobs: Vec<CoreJob>,
-        profile: SpeedProfile,
-        power_cap_w: f64,
-        clock: SimTime,
-        running: Option<JobId>,
-        online: bool,
-        speed_factor: f64,
-    ) -> Self {
-        assert!(units_per_ghz_sec > 0.0);
-        assert!(
-            speed_factor.is_finite() && speed_factor > 0.0,
-            "speed factor must be positive and finite, got {speed_factor}"
-        );
-        assert!(power_cap_w >= 0.0);
-        Core {
-            index,
-            jobs,
-            profile,
-            power_cap_w,
-            clock,
-            running,
-            units_per_ghz_sec,
-            online,
-            speed_factor,
-            watts: Vec::new(),
-            cursor: 0,
-            armed: None,
-        }
     }
 
     /// The installed speed profile.

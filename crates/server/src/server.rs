@@ -23,6 +23,10 @@ pub struct Server {
     trace_buf: SortingBuffer,
 }
 
+// One entry per core in each; the model, budget and rate come from the
+// configuration.
+ge_recover::persist!(Server { cores, meter });
+
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
@@ -205,44 +209,6 @@ impl Server {
     /// Energy consumed by one core so far (joules).
     pub fn core_energy(&self, i: usize) -> f64 {
         self.meter.core_energy(i)
-    }
-
-    /// Raw energy-meter state for checkpointing; see
-    /// [`EnergyMeter::snapshot_state`].
-    pub fn meter_state(&self) -> Vec<(f64, f64)> {
-        self.meter.snapshot_state()
-    }
-
-    /// Reconstructs a server from checkpoint state: restored cores (one per
-    /// index, in order) plus the meter's compensated sums.
-    ///
-    /// # Panics
-    /// Panics if `cores` is empty, the meter state length disagrees with
-    /// the core count, or the scalar parameters are invalid — a checkpoint
-    /// loader validates these before calling.
-    pub fn restore(
-        cores: Vec<Core>,
-        model: Box<dyn PowerModel>,
-        meter_state: &[(f64, f64)],
-        budget_w: f64,
-        units_per_ghz_sec: f64,
-    ) -> Self {
-        assert!(!cores.is_empty(), "need at least one core");
-        assert!(budget_w >= 0.0, "negative budget");
-        assert!(units_per_ghz_sec > 0.0);
-        assert_eq!(
-            meter_state.len(),
-            cores.len(),
-            "meter state / core count mismatch"
-        );
-        Server {
-            cores,
-            model,
-            meter: EnergyMeter::restore(meter_state),
-            budget_w,
-            units_per_ghz_sec,
-            trace_buf: SortingBuffer::for_cores(meter_state.len()),
-        }
     }
 }
 

@@ -26,6 +26,16 @@ pub struct SimTime(f64);
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimDuration(f64);
 
+ge_recover::persist! {
+    SimTime { 0 }
+    check |t| t.0.is_finite() => "non-finite time";
+}
+
+ge_recover::persist! {
+    SimDuration { 0 }
+    check |d| ge_recover::persist::non_negative(d.0) => "negative or non-finite duration";
+}
+
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0.0);

@@ -20,10 +20,10 @@
 //!
 //! The whole subsystem hangs off one global switch, [`Telemetry`]:
 //! disabled (the default) every instrumentation site reduces to a single
-//! relaxed atomic load, so the un-instrumented cost is effectively free
-//! and the enabled-but-unscraped overhead is benchmarked (see
-//! `ge-bench --bench sched_report`, entries `e2e_ge/telemetry_{on,off}`)
-//! to stay under 2% end to end.
+//! relaxed atomic load, so the un-instrumented cost is effectively free.
+//! The enabled-but-unscraped overhead has a 2% end-to-end budget that no
+//! check enforces: `ge-bench --bench sched_report` records it (entries
+//! `e2e_ge/telemetry_{on,off}`) without gating it.
 //!
 //! ```
 //! use ge_telemetry::{SpanGuard, Telemetry};

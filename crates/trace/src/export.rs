@@ -407,29 +407,78 @@ pub fn parse_jsonl_reader<R: BufRead>(r: R) -> Result<Vec<TraceEvent>, ParseErro
     Ok(out)
 }
 
+/// The per-line rules of a JSONL document, applied one line at a time:
+/// each line's syntax, a finite timestamp, and timestamps non-decreasing
+/// (within a small numerical tolerance) across the lines before it. A
+/// writer feeds each line as it writes it, a reader as it reads it
+/// ([`for_each_jsonl`]); either way nothing is kept but the last time.
+#[derive(Debug, Clone)]
+pub struct JsonlLines {
+    last_t: f64,
+    line: usize,
+}
+
+impl Default for JsonlLines {
+    fn default() -> Self {
+        JsonlLines {
+            last_t: f64::NEG_INFINITY,
+            line: 0,
+        }
+    }
+}
+
+impl JsonlLines {
+    /// Checks the next line (its newline stripped): the event it holds,
+    /// or `None` for a blank line. Errors carry the line number.
+    pub fn parse(&mut self, line: &[u8]) -> Result<Option<TraceEvent>, ParseError> {
+        self.line += 1;
+        let lineno = self.line;
+        let at_line = |mut e: ParseError| {
+            e.line = lineno;
+            e
+        };
+        if line.len() > MAX_JSONL_LINE_BYTES {
+            return Err(at_line(err_too_long(line.len())));
+        }
+        let line = std::str::from_utf8(line).map_err(|_| at_line(err("invalid UTF-8")))?;
+        if line.trim().is_empty() {
+            return Ok(None);
+        }
+        let ev = parse_jsonl_line(line).map_err(at_line)?;
+        let t = ev.t();
+        if !t.is_finite() {
+            return Err(at_line(err("non-finite event timestamp")));
+        }
+        if t + ORDER_TOL < self.last_t {
+            let last_t = self.last_t;
+            return Err(at_line(err(format!(
+                "out-of-order timestamp {t} after {last_t}"
+            ))));
+        }
+        self.last_t = self.last_t.max(t);
+        Ok(Some(ev))
+    }
+}
+
 /// Parses a JSONL document from `r` line by line (blank lines skipped;
 /// `\n` or `\r\n` endings), handing each event to `f` in order and
 /// keeping none of them.
 ///
-/// Beyond per-line syntax, this validates the document-level contract:
-/// event timestamps must be non-decreasing (within a small numerical
-/// tolerance). Out-of-order or non-finite timestamps are errors, never
-/// panics. [`MAX_JSONL_LINE_BYTES`] is enforced *while buffering* — an
-/// overlong (or newline-less, endless) line fails fast with
-/// [`ParseErrorKind::LineTooLong`] after at most one cap's worth of
-/// bytes, instead of growing a line buffer without bound.
+/// Every line must pass [`JsonlLines::parse`]: out-of-order or non-finite
+/// timestamps are errors, never panics. [`MAX_JSONL_LINE_BYTES`] is
+/// enforced *while buffering* — an overlong (or newline-less, endless)
+/// line fails fast with [`ParseErrorKind::LineTooLong`] after at most one
+/// cap's worth of bytes, instead of growing a line buffer without bound.
 pub fn for_each_jsonl<R: BufRead>(
     mut r: R,
     mut f: impl FnMut(TraceEvent),
 ) -> Result<(), ParseError> {
-    let mut last_t = f64::NEG_INFINITY;
+    let mut lines = JsonlLines::default();
     let mut buf: Vec<u8> = Vec::new();
-    let mut lineno = 0usize;
     loop {
-        lineno += 1;
         buf.clear();
-        let at_line = |mut e: ParseError| {
-            e.line = lineno;
+        let at_next_line = |mut e: ParseError, lines: &JsonlLines| {
+            e.line = lines.line + 1;
             e
         };
         // Bounded read_until('\n'): pull from the internal buffer in
@@ -439,11 +488,14 @@ pub fn for_each_jsonl<R: BufRead>(
             let chunk = match r.fill_buf() {
                 Ok(c) => c,
                 Err(e) => {
-                    return Err(at_line(ParseError {
-                        line: lineno,
-                        message: format!("read error: {e}"),
-                        kind: ParseErrorKind::Io,
-                    }))
+                    return Err(at_next_line(
+                        ParseError {
+                            line: 0,
+                            message: format!("read error: {e}"),
+                            kind: ParseErrorKind::Io,
+                        },
+                        &lines,
+                    ))
                 }
             };
             if chunk.is_empty() {
@@ -457,28 +509,15 @@ pub fn for_each_jsonl<R: BufRead>(
             r.consume(take);
             saw_newline = newline;
             if buf.len() > MAX_JSONL_LINE_BYTES {
-                return Err(at_line(err_too_long(buf.len())));
+                return Err(at_next_line(err_too_long(buf.len()), &lines));
             }
         }
         if buf.is_empty() && !saw_newline {
             return Ok(()); // clean EOF
         }
-        let line = std::str::from_utf8(&buf).map_err(|_| at_line(err("invalid UTF-8")))?;
-        if line.trim().is_empty() {
-            continue;
+        if let Some(ev) = lines.parse(&buf)? {
+            f(ev);
         }
-        let ev = parse_jsonl_line(line).map_err(at_line)?;
-        let t = ev.t();
-        if !t.is_finite() {
-            return Err(at_line(err("non-finite event timestamp")));
-        }
-        if t + ORDER_TOL < last_t {
-            return Err(at_line(err(format!(
-                "out-of-order timestamp {t} after {last_t}"
-            ))));
-        }
-        last_t = last_t.max(t);
-        f(ev);
     }
 }
 

@@ -37,7 +37,8 @@ pub use event::{
 };
 pub use export::{
     csv_header, csv_row, for_each_jsonl, jsonl_line, parse_jsonl, parse_jsonl_line,
-    parse_jsonl_reader, write_csv, write_jsonl, ParseError, ParseErrorKind, MAX_JSONL_LINE_BYTES,
+    parse_jsonl_reader, write_csv, write_jsonl, JsonlLines, ParseError, ParseErrorKind,
+    MAX_JSONL_LINE_BYTES,
 };
 pub use replay::{
     replay, replay_fleet, replay_serve, FleetLedger, FleetReplayReport, Ledger, Replay,

@@ -79,6 +79,21 @@ pub trait Ledger: Sized {
     fn close(self, summary: &TraceEvent, events: usize, issues: Vec<String>) -> Self::Report;
 }
 
+/// Whether `ev` is a header, start or summary event of some trace kind:
+/// every [`Ledger::START`] and [`Ledger::SUMMARY`] is one of these.
+fn is_bracket(ev: &TraceEvent) -> bool {
+    matches!(
+        ev,
+        TraceEvent::RunMeta(_)
+            | TraceEvent::RunStart(_)
+            | TraceEvent::RunSummary { .. }
+            | TraceEvent::FleetRunStart(_)
+            | TraceEvent::FleetSummary(_)
+            | TraceEvent::ServeRunStart(_)
+            | TraceEvent::ServeSummary(_)
+    )
+}
+
 /// The event-at-a-time replay walker over one trace of kind `L`: a
 /// caller reading a trace pushes each event as it reads and keeps none.
 pub struct Replay<L: Ledger> {
@@ -117,21 +132,25 @@ impl<L: Ledger> Replay<L> {
         let Some(ledger) = &mut self.ledger else {
             return self.open(ev);
         };
-        let (i, t, kind) = (self.events, ev.t(), ev.kind());
+        let (i, t) = (self.events, ev.t());
         self.events += 1;
         let issues = &mut self.issues;
         if t + 1e-12 < self.last_t {
-            let last_t = self.last_t;
+            let (kind, last_t) = (ev.kind(), self.last_t);
             issues.push(format!(
                 "event {i} ({kind}) goes back in time: {t} < {last_t}"
             ));
         }
         self.last_t = self.last_t.max(t);
-        if matches!(ev, TraceEvent::RunMeta(_)) {
+        // A discriminant test first: body events, nearly all of a trace,
+        // skip the kind lookup and string compares.
+        if !is_bracket(ev) {
+            ledger.check(i, ev, issues);
+        } else if matches!(ev, TraceEvent::RunMeta(_)) {
             issues.push(format!("misplaced run_meta at event {i}"));
-        } else if kind == L::START {
+        } else if ev.kind() == L::START {
             issues.push(format!("duplicate {} at event {i}", L::START));
-        } else if kind == L::SUMMARY {
+        } else if ev.kind() == L::SUMMARY {
             if self.summary.replace(ev.clone()).is_some() {
                 issues.push(format!("duplicate {} at event {i}", L::SUMMARY));
             }

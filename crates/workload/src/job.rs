@@ -6,6 +6,7 @@
 //! Demands are measured in abstract processing units; a 1 GHz core retires
 //! 1000 units per second.
 
+use ge_recover::persist::positive;
 use ge_simcore::{SimDuration, SimTime};
 use std::fmt;
 
@@ -13,8 +14,10 @@ use std::fmt;
 ///
 /// Ids are dense (assigned 0, 1, 2, … in release order by the generator),
 /// which lets per-job bookkeeping use plain vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
+
+ge_recover::persist!(JobId { 0 });
 
 impl JobId {
     /// The id as an array index.
@@ -30,8 +33,9 @@ impl fmt::Display for JobId {
     }
 }
 
-/// A single service request.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A single service request. The default is a zero-demand placeholder,
+/// not a valid job: it exists to be overwritten by a checkpoint decode.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Job {
     /// Unique id (dense, release-ordered).
     pub id: JobId,
@@ -46,6 +50,11 @@ pub struct Job {
     /// planning uses the estimate, execution and quality accounting use
     /// the true demand.
     pub estimate: f64,
+}
+
+ge_recover::persist! {
+    Job { id, release, deadline, demand, estimate }
+    check |j| positive(j.demand) && positive(j.estimate) => "malformed job demand";
 }
 
 impl Job {

@@ -99,6 +99,8 @@ serve_digest='digest=0x6010d599f20da3aa'
 soak_digest='0x3f46ffe26c6a100a'
 # sha256 of the short fig1 trace below: pins the JSONL wire bytes.
 trace_sha256='0927e2e7b996aa20ce85dc9a60727cc864179735fbe31839931d4ed49adc57db'
+# sha256 of the kill-and-resume smoke's checkpoint: pins its wire bytes.
+checkpoint_sha256='6286e06b8a3202108c28b83d906e31a3fd68fc954dd9235d19412d9f39ea7ed4'
 
 echo "== trace wire-format pin (--trace fig1, sha256 of the JSONL bytes)"
 # The written trace is the replay-certified JSONL, byte for byte. A
@@ -172,6 +174,14 @@ cargo run --release --offline -q -p ge-experiments -- \
   >"$smoke_dir/ck-stop.log"
 grep -q '^stopped:' "$smoke_dir/ck-stop.log"
 test -s "$smoke_dir/smoke.ckpt"
+# The checkpoint format is the field order of the Persist declarations; a
+# change that moves any byte of it must bump CHECKPOINT_VERSION and update
+# the value here on purpose.
+checkpoint_sha=$(sha256sum "$smoke_dir/smoke.ckpt" | cut -d' ' -f1)
+if [ "$checkpoint_sha" != "$checkpoint_sha256" ]; then
+  echo "FAIL: checkpoint sha256 $checkpoint_sha != committed $checkpoint_sha256"
+  exit 1
+fi
 cargo run --release --offline -q -p ge-experiments -- \
   --quick --horizon 6 --checkpoint "$smoke_dir/smoke.ckpt" \
   --checkpoint-every 3 --resume --faults combined \

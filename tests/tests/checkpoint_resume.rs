@@ -10,13 +10,16 @@
 //! the fleet/serve shape, whose pending events carry injected jobs. A run
 //! started over a trace equals an empty run handed the same jobs, and a
 //! checkpoint's size follows the live work: neither the trace still to
-//! come nor the jobs already served.
+//! come nor the jobs already served. The checkpoint bytes themselves are
+//! pinned for every state shape the command-line smoke does not reach.
 
 use ge_core::{run, run_with_sink, Algorithm, Run, RunResult, SimConfig};
 use ge_faults::{FaultScenario, FaultSchedule, ScenarioKind};
+use ge_quality::LedgerMode;
 use ge_recover::checkpoint::{seal, unseal};
 use ge_recover::codec::fnv1a64;
 use ge_recover::CheckpointError;
+use ge_serve::{ServeConfig, ServeCore};
 use ge_simcore::SimTime;
 use ge_trace::{NullSink, TraceEvent, VecSink};
 use ge_workload::{Job, JobId, Trace, WorkloadConfig, WorkloadGenerator};
@@ -610,4 +613,65 @@ fn resumed_injected_run_matches_straight_run() {
         .finish(&mut NullSink);
     assert_eq!(bits(&straight.result), bits(&resumed.result));
     assert!(straight.result.mean_latency_ms > 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Byte pins: the checkpoint wire format for the state shapes the CLI smoke
+// (GE under combined faults) does not reach. A change that moves any byte
+// of a checkpoint must bump CHECKPOINT_VERSION and update these on purpose.
+// ---------------------------------------------------------------------------
+
+/// The sealed final checkpoint of a drained in-process serving session.
+fn serve_drain_checkpoint() -> Vec<u8> {
+    let sim = SimConfig {
+        horizon: SimTime::from_secs(6.0),
+        ..small_shard_cfg()
+    };
+    let mut core = ServeCore::new(ServeConfig::new(sim, Algorithm::Ge));
+    for i in 0..60u64 {
+        let demand = 400.0 + (i % 5) as f64 * 60.0;
+        core.submit(0.05 * i as f64, demand, 0.5)
+            .expect("request inside the horizon");
+    }
+    core.finish_drain().checkpoint
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned_for_every_state_shape() {
+    let trace = workload(SEEDS[0]);
+    let midrun = |c: &SimConfig, algorithm: &Algorithm| {
+        let mut run = Run::start(c, &trace, algorithm, None, &mut NullSink);
+        run.advance_to(SimTime::from_secs(HORIZON_SECS / 2.0), &mut NullSink);
+        fnv1a64(&run.snapshot())
+    };
+    let windowed = SimConfig {
+        ledger_mode: LedgerMode::SlidingWindow(64),
+        ..cfg()
+    };
+    let shard = small_shard_cfg();
+    let live = injected_run(&shard);
+    let mut crashed = injected_run(&shard);
+    crashed.crash();
+    let got = [
+        ("BE", midrun(&cfg(), &Algorithm::Be)),
+        ("FCFS", midrun(&cfg(), &Algorithm::Fcfs)),
+        (
+            "GE, sliding-window ledger",
+            midrun(&windowed, &Algorithm::Ge),
+        ),
+        ("injected shard", fnv1a64(&live.snapshot())),
+        ("injected shard after crash", fnv1a64(&crashed.snapshot())),
+        ("serve drain", fnv1a64(&serve_drain_checkpoint())),
+    ];
+    let want = [
+        0xf816_3d36_1e20_71b0,
+        0xf17f_290b_2198_1ad3,
+        0xe0e6_bed5_680d_0946,
+        0xbefd_d3f9_f470_5fb5,
+        0x1d24_fdb4_20a8_319e,
+        0xc34c_d9c1_f18a_9e28,
+    ];
+    for ((what, got), want) in got.iter().zip(want) {
+        assert_eq!(*got, want, "{what}: checkpoint bytes moved ({got:#018x})");
+    }
 }

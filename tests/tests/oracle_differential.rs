@@ -14,6 +14,7 @@ use ge_power::{distribute_water_filling, yds_schedule_with, PolynomialPower, Yds
 use ge_quality::{lf_cut, ExpConcave};
 use ge_simcore::{SimDuration, SimTime};
 use ge_trace::NullSink;
+use ge_workload::{Job, Trace, WorkloadConfig, WorkloadGenerator};
 
 /// The instance's jobs as a single-core YDS problem in GHz-seconds.
 fn yds_jobs(inst: &TinyInstance, units_per_ghz_sec: f64) -> Vec<YdsJob> {
@@ -284,6 +285,105 @@ fn metamorphic_power_coefficient_scales_energy_exactly() {
             Ok(())
         },
     );
+}
+
+// Whole runs obey the same laws of P = a·s^β end to end: every decision
+// the engine makes (speeds, power splits, cuts, the ES/WF switch) is the
+// same in the transformed run, so quality is unchanged and only the
+// energy moves, by a predictable factor.
+
+/// GE, BE and FCFS at a light and a heavy rate, fault-free, 20 s.
+fn law_runs() -> Vec<(Algorithm, SimConfig, Trace)> {
+    let cfg = SimConfig {
+        horizon: SimTime::from_secs(20.0),
+        ..SimConfig::paper_default()
+    };
+    let mut runs = Vec::new();
+    for rate in [120.0, 200.0] {
+        let wc = WorkloadConfig {
+            horizon: cfg.horizon,
+            ..WorkloadConfig::paper_default(rate)
+        };
+        let trace = WorkloadGenerator::new(wc, 1).generate();
+        for algorithm in [Algorithm::Ge, Algorithm::Be, Algorithm::Fcfs] {
+            runs.push((algorithm, cfg.clone(), trace.clone()));
+        }
+    }
+    runs
+}
+
+#[test]
+fn whole_run_power_scaling_doubles_energy_bit_exactly() {
+    // Doubling a and H leaves every speed (H/a ratios) unchanged, and
+    // doubling is exact in floating point: quality is bit-identical and
+    // energy exactly doubles.
+    for (algorithm, cfg, trace) in law_runs() {
+        let base = run(&cfg, &trace, &algorithm);
+        let doubled = SimConfig {
+            power_a: 2.0 * cfg.power_a,
+            budget_w: 2.0 * cfg.budget_w,
+            ..cfg
+        };
+        let scaled = run(&doubled, &trace, &algorithm);
+        let what = format!("{} over {} jobs", algorithm.label(), trace.len());
+        assert_eq!(scaled.quality.to_bits(), base.quality.to_bits(), "{what}");
+        assert_eq!(
+            scaled.energy_j.to_bits(),
+            (2.0 * base.energy_j).to_bits(),
+            "{what}: energy {} vs 2 x {}",
+            scaled.energy_j,
+            base.energy_j
+        );
+    }
+}
+
+#[test]
+fn whole_run_time_stretching_scales_energy_by_two_to_the_one_minus_beta() {
+    // Stretch time by 2: releases, deadlines, quantum, load window and
+    // horizon x2, the critical load /2 (a rate), and H x 2^-beta so the
+    // halved speeds still exhaust the same share of the budget. Energy is
+    // power x time: 2^-beta x 2 = 2^(1-beta). The engine's absolute
+    // tolerances (TIME_EPS and the like) do not stretch, so the law is
+    // stated to a relative 1e-9; on these runs it holds bit for bit.
+    const TOL: f64 = 1e-9;
+    for (algorithm, cfg, trace) in law_runs() {
+        let base = run(&cfg, &trace, &algorithm);
+        let k = 2.0f64;
+        let stretched_cfg = SimConfig {
+            quantum: SimDuration::from_secs(k * cfg.quantum.as_secs()),
+            load_window_secs: k * cfg.load_window_secs,
+            horizon: SimTime::from_secs(k * cfg.horizon.as_secs()),
+            critical_load_rps: cfg.critical_load_rps / k,
+            budget_w: cfg.budget_w * k.powf(-cfg.power_beta),
+            ..cfg.clone()
+        };
+        let stretched_trace = Trace::new(
+            trace
+                .jobs()
+                .iter()
+                .map(|j| Job {
+                    release: SimTime::from_secs(k * j.release.as_secs()),
+                    deadline: SimTime::from_secs(k * j.deadline.as_secs()),
+                    ..*j
+                })
+                .collect(),
+        );
+        let stretched = run(&stretched_cfg, &stretched_trace, &algorithm);
+        let what = format!("{} over {} jobs", algorithm.label(), trace.len());
+        let rel = |got: f64, want: f64| (got - want).abs() / want.abs().max(1e-300);
+        assert!(
+            rel(stretched.quality, base.quality) < TOL,
+            "{what}: quality {} vs {}",
+            stretched.quality,
+            base.quality
+        );
+        let want = base.energy_j * k.powf(1.0 - cfg.power_beta);
+        assert!(
+            rel(stretched.energy_j, want) < TOL,
+            "{what}: energy {} vs {want}",
+            stretched.energy_j
+        );
+    }
 }
 
 #[test]
